@@ -20,6 +20,17 @@
 //! sum. The dispatch level therefore never changes results, only speed —
 //! asserted by the differential proptests in `tests/tiled_props.rs`.
 //!
+//! # Tails
+//!
+//! Rows are processed in 16-wide chunks; the remaining `w mod 16` outputs
+//! are one more chunk of **masked** vectors on the `f64x4`/`f64x8` tiers
+//! (`vmaskmovpd`, `vmovupd {k}`), never a scalar loop: a masked-off lane
+//! touches no memory, so the chunk stays inside the row, and a live lane
+//! runs the identical mul-then-add chain. This matters for narrow rows —
+//! the 30- and 18-wide tiles of a 32×8 GPU block, the `n-2`-wide interior
+//! rows of the overlap runners — where the tail is up to half the row.
+//! Only the portable tier finishes with scalar code.
+//!
 //! # Dispatch
 //!
 //! [`level`] picks the widest supported tier once per process (runtime
@@ -149,7 +160,7 @@ pub fn accumulate_tap_rows_at(
     }
 }
 
-/// Scalar tail shared by every tier: elements `x0..` of the row.
+/// Scalar tail of the portable tier: elements `x0..` of the row.
 #[inline]
 fn accumulate_tail(dst_row: &mut [f64], rows: &[&[f64]; 27], coef: &[f64; 27], x0: usize) {
     for (i, d) in dst_row[x0..].iter_mut().enumerate() {
@@ -192,7 +203,6 @@ mod x86 {
     //! the (equally attributed) kernels they inline to bare `vmulpd` /
     //! `vaddpd` with no per-call dispatch.
 
-    use super::accumulate_tail;
     use std::arch::x86_64::*;
 
     /// Four f64 lanes in one AVX register.
@@ -235,6 +245,42 @@ mod x86 {
         #[inline]
         unsafe fn store(self, p: *mut f64) {
             _mm256_storeu_pd(p, self.0)
+        }
+
+        /// Lane mask selecting the first `n ≤ 4` lanes: a sliding window
+        /// over four set and four clear sign bits (AVX has no 256-bit
+        /// integer compare to build it arithmetically).
+        #[target_feature(enable = "avx")]
+        #[inline]
+        fn first_lanes(n: usize) -> __m256i {
+            const WINDOW: [i64; 8] = [-1, -1, -1, -1, 0, 0, 0, 0];
+            assert!(n <= 4);
+            // SAFETY: `4 - n ..= 8 - n` lies inside the 8-element table.
+            unsafe { _mm256_loadu_si256(WINDOW.as_ptr().add(4 - n).cast()) }
+        }
+
+        /// Masked load of the first `n ≤ 4` lanes; the rest read as 0.0
+        /// and their memory is not touched.
+        ///
+        /// # Safety
+        ///
+        /// `p..p+n` must be readable.
+        #[target_feature(enable = "avx")]
+        #[inline]
+        unsafe fn load_first(p: *const f64, n: usize) -> Self {
+            Self(_mm256_maskload_pd(p, Self::first_lanes(n)))
+        }
+
+        /// Masked store of the first `n ≤ 4` lanes; memory behind the
+        /// other lanes is not touched.
+        ///
+        /// # Safety
+        ///
+        /// `p..p+n` must be writable.
+        #[target_feature(enable = "avx")]
+        #[inline]
+        unsafe fn store_first(self, p: *mut f64, n: usize) {
+            _mm256_maskstore_pd(p, Self::first_lanes(n), self.0)
         }
 
         /// `self + c · v` per lane as separate `vmulpd` + `vaddpd` (no
@@ -288,6 +334,37 @@ mod x86 {
             _mm512_storeu_pd(p, self.0)
         }
 
+        /// Write mask selecting the first `n ≤ 8` lanes.
+        #[inline]
+        fn first_lanes(n: usize) -> __mmask8 {
+            assert!(n <= 8);
+            (0xffu16 >> (8 - n)) as __mmask8
+        }
+
+        /// Masked load of the first `n ≤ 8` lanes; the rest read as 0.0
+        /// and their memory is not touched.
+        ///
+        /// # Safety
+        ///
+        /// `p..p+n` must be readable.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        unsafe fn load_first(p: *const f64, n: usize) -> Self {
+            Self(_mm512_maskz_loadu_pd(Self::first_lanes(n), p))
+        }
+
+        /// Masked store of the first `n ≤ 8` lanes; memory behind the
+        /// other lanes is not touched.
+        ///
+        /// # Safety
+        ///
+        /// `p..p+n` must be writable.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        unsafe fn store_first(self, p: *mut f64, n: usize) {
+            _mm512_mask_storeu_pd(p, Self::first_lanes(n), self.0)
+        }
+
         /// `self + c · v` per lane as separate multiply + add (no FMA).
         #[target_feature(enable = "avx512f")]
         #[inline]
@@ -333,7 +410,52 @@ mod x86 {
             }
             x += 16;
         }
-        accumulate_tail(dst_row, rows, coef, x);
+        // Masked tail: the last `w − x < 16` outputs as one chunk of one
+        // to four partial vectors.
+        // SAFETY: `avx` per this function's contract; x..w is in bounds of
+        // `dst_row` and (checked by the caller) of every tap row.
+        unsafe {
+            match (w - x).div_ceil(4) {
+                0 => {}
+                1 => tail_f64x4::<1>(dst_row, rows, coef, x),
+                2 => tail_f64x4::<2>(dst_row, rows, coef, x),
+                3 => tail_f64x4::<3>(dst_row, rows, coef, x),
+                _ => tail_f64x4::<4>(dst_row, rows, coef, x),
+            }
+        }
+    }
+
+    /// Outputs `x..` of the row as `K` interleaved `f64x4` accumulators,
+    /// the last of them partial: masked loads and stores keep every access
+    /// inside `x..w`. Live lanes run the same mul-then-add chain as the
+    /// full-width chunks; dead lanes accumulate zeros and are never stored.
+    ///
+    /// # Safety
+    ///
+    /// As [`accumulate_f64x4`], plus `4(K-1) < dst_row.len() - x <= 4K`.
+    #[target_feature(enable = "avx")]
+    #[inline]
+    unsafe fn tail_f64x4<const K: usize>(
+        dst_row: &mut [f64],
+        rows: &[&[f64]; 27],
+        coef: &[f64; 27],
+        x: usize,
+    ) {
+        let n = dst_row.len() - x;
+        let live = |j: usize| (n - 4 * j).min(4);
+        let mut a = [F64x4::zero(); K];
+        for t in 0..27 {
+            let c = F64x4::splat(coef[t]);
+            for (j, a) in a.iter_mut().enumerate() {
+                // SAFETY: lanes `..live(j)` at `x + 4j` lie inside rows[t].
+                let v = unsafe { F64x4::load_first(rows[t].as_ptr().add(x + 4 * j), live(j)) };
+                *a = a.accum(c, v);
+            }
+        }
+        for (j, a) in a.iter().enumerate() {
+            // SAFETY: lanes `..live(j)` at `x + 4j` lie inside dst_row.
+            unsafe { a.store_first(dst_row.as_mut_ptr().add(x + 4 * j), live(j)) };
+        }
     }
 
     /// 8-lane kernel: 16-wide chunks as two `f64x8` accumulators (two
@@ -368,7 +490,48 @@ mod x86 {
             }
             x += 16;
         }
-        accumulate_tail(dst_row, rows, coef, x);
+        // Masked tail: the last `w − x < 16` outputs as one chunk of one
+        // or two partial vectors.
+        // SAFETY: `avx512f` per this function's contract; x..w is in bounds
+        // of `dst_row` and (checked by the caller) of every tap row.
+        unsafe {
+            match (w - x).div_ceil(8) {
+                0 => {}
+                1 => tail_f64x8::<1>(dst_row, rows, coef, x),
+                _ => tail_f64x8::<2>(dst_row, rows, coef, x),
+            }
+        }
+    }
+
+    /// Outputs `x..` of the row as `K` interleaved `f64x8` accumulators,
+    /// the last of them partial (see [`tail_f64x4`]).
+    ///
+    /// # Safety
+    ///
+    /// As [`accumulate_f64x8`], plus `8(K-1) < dst_row.len() - x <= 8K`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn tail_f64x8<const K: usize>(
+        dst_row: &mut [f64],
+        rows: &[&[f64]; 27],
+        coef: &[f64; 27],
+        x: usize,
+    ) {
+        let n = dst_row.len() - x;
+        let live = |j: usize| (n - 8 * j).min(8);
+        let mut a = [F64x8::zero(); K];
+        for t in 0..27 {
+            let c = F64x8::splat(coef[t]);
+            for (j, a) in a.iter_mut().enumerate() {
+                // SAFETY: lanes `..live(j)` at `x + 8j` lie inside rows[t].
+                let v = unsafe { F64x8::load_first(rows[t].as_ptr().add(x + 8 * j), live(j)) };
+                *a = a.accum(c, v);
+            }
+        }
+        for (j, a) in a.iter().enumerate() {
+            // SAFETY: lanes `..live(j)` at `x + 8j` lie inside dst_row.
+            unsafe { a.store_first(dst_row.as_mut_ptr().add(x + 8 * j), live(j)) };
+        }
     }
 }
 
@@ -376,11 +539,25 @@ mod x86 {
 mod tests {
     use super::*;
 
-    fn sample_inputs(w: usize) -> (Vec<Vec<f64>>, [f64; 27]) {
-        let rows: Vec<Vec<f64>> = (0..27)
+    /// 27 tap rows of exactly `w` values, each in an allocation of its own
+    /// that ends with the row — a lane that read past a row would leave
+    /// its allocation. Payloads mix ordinary values with −0.0, subnormals
+    /// and payload-carrying NaNs. At most one tap per column is NaN: which
+    /// payload survives the sum of two NaNs depends on operand order, and
+    /// that the compiler may commute.
+    fn sample_inputs(w: usize) -> (Vec<Box<[f64]>>, [f64; 27]) {
+        let rows = (0..27)
             .map(|t| {
                 (0..w)
-                    .map(|x| ((x * 13 + t * 7) % 23) as f64 * 0.173 - 1.9)
+                    .map(|x| match (x * 11 + t * 7) % 29 {
+                        0 => -0.0,
+                        1 => f64::from_bits(1),
+                        2 => -f64::MIN_POSITIVE / 4.0,
+                        _ if x % 5 == 3 && t == x * 4 % 27 => {
+                            f64::from_bits(0xfff8_0000_0000_0000 | (x as u64 + 1))
+                        }
+                        v => v as f64 * 0.173 - 1.9,
+                    })
                     .collect()
             })
             .collect();
@@ -391,29 +568,33 @@ mod tests {
         (rows, coef)
     }
 
-    fn scalar_reference(rows: &[&[f64]; 27], coef: &[f64; 27], w: usize) -> Vec<f64> {
+    fn scalar_reference(rows: &[&[f64]; 27], coef: &[f64; 27], w: usize) -> Vec<u64> {
         (0..w)
             .map(|x| {
-                let mut acc = 0.0;
+                let mut acc = 0.0f64;
                 for t in 0..27 {
                     acc += coef[t] * rows[t][x];
                 }
-                acc
+                acc.to_bits()
             })
             .collect()
     }
 
     #[test]
     fn every_level_matches_scalar_bitwise() {
-        // Widths straddling the 16-wide chunk boundary, incl. tail-only.
-        for w in [0, 1, 3, 15, 16, 17, 32, 33, 100, 128] {
+        // Every width through three 16-wide chunks: each tail length, on
+        // each tier, alone and behind one or two full chunks.
+        for w in (0..=48).chain([100, 128]) {
             let (rows, coef) = sample_inputs(w);
-            let rows: [&[f64]; 27] = std::array::from_fn(|t| rows[t].as_slice());
+            let rows: [&[f64]; 27] = std::array::from_fn(|t| &*rows[t]);
             let expect = scalar_reference(&rows, &coef, w);
             for lvl in [SimdLevel::Portable, SimdLevel::F64x4, SimdLevel::F64x8] {
-                let mut dst = vec![0.0f64; w];
+                // Exact-length destination too: a masked store past the
+                // row would leave the allocation.
+                let mut dst = vec![1.5f64; w].into_boxed_slice();
                 accumulate_tap_rows_at(lvl, &mut dst, &rows, &coef);
-                assert_eq!(dst, expect, "level {lvl:?} width {w}");
+                let got: Vec<u64> = dst.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, expect, "level {lvl:?} width {w}");
             }
         }
     }

@@ -97,33 +97,52 @@ proptest! {
 
     /// Every SIMD tier (portable chunked loop, 4-lane AVX, 8-lane
     /// AVX-512 — unavailable tiers fall back) produces bitwise the naive
-    /// per-element accumulation at any row width, including widths that
-    /// exercise partial chunks and the scalar tail.
+    /// per-element accumulation at **every** row width through three
+    /// 16-wide chunks, i.e. every masked-tail length alone and behind
+    /// full chunks. Each tap row is an exact-length allocation of its
+    /// own, so a masked lane reading past the row would leave it; the
+    /// payloads mix in −0.0, subnormals and (at most one per column —
+    /// which of two NaN payloads a sum keeps is operand-order dependent)
+    /// payload-carrying NaNs.
     #[test]
     fn every_simd_level_matches_the_naive_accumulation(
-        width in 1usize..64,
         seed in 1u64..u64::MAX,
     ) {
         let mut rng = TestRng::new(seed);
-        let storage: Vec<Vec<f64>> = (0..27)
-            .map(|_| (0..width).map(|_| rng.next_f64() * 4.0 - 2.0).collect())
-            .collect();
-        let rows: [&[f64]; 27] = std::array::from_fn(|t| storage[t].as_slice());
         let coef: [f64; 27] = std::array::from_fn(|_| rng.next_f64() * 2.0 - 1.0);
-
-        let mut want = vec![0.0f64; width];
-        for (x, out) in want.iter_mut().enumerate() {
-            let mut acc = 0.0f64;
-            for t in 0..27 {
-                acc += coef[t] * rows[t][x];
+        for width in 0usize..=48 {
+            let mut storage: Vec<Box<[f64]>> = (0..27)
+                .map(|_| {
+                    (0..width)
+                        .map(|_| match rng.next_u64() % 16 {
+                            0 => -0.0,
+                            1 => f64::from_bits(rng.next_u64() >> 12),
+                            _ => rng.next_f64() * 4.0 - 2.0,
+                        })
+                        .collect()
+                })
+                .collect();
+            for x in (0..width).filter(|x| x % 4 == 1) {
+                let t = (rng.next_u64() % 27) as usize;
+                storage[t][x] = f64::from_bits(0x7ff8_0000_0000_0000 | rng.next_u64() >> 13);
             }
-            *out = acc;
-        }
-        for level in [SimdLevel::Portable, SimdLevel::F64x4, SimdLevel::F64x8] {
-            let mut got = vec![f64::NAN; width];
-            accumulate_tap_rows_at(level, &mut got, &rows, &coef);
-            let same = got.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits());
-            prop_assert!(same, "level {} width {width}", level.name());
+            let rows: [&[f64]; 27] = std::array::from_fn(|t| &*storage[t]);
+
+            let want: Vec<u64> = (0..width)
+                .map(|x| {
+                    let mut acc = 0.0f64;
+                    for t in 0..27 {
+                        acc += coef[t] * rows[t][x];
+                    }
+                    acc.to_bits()
+                })
+                .collect();
+            for level in [SimdLevel::Portable, SimdLevel::F64x4, SimdLevel::F64x8] {
+                let mut got = vec![1.5f64; width].into_boxed_slice();
+                accumulate_tap_rows_at(level, &mut got, &rows, &coef);
+                let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(&got, &want, "level {} width {}", level.name(), width);
+            }
         }
     }
 

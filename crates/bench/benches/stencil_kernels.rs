@@ -86,6 +86,7 @@ fn bench_gpu_kernel_blocks(c: &mut Criterion) {
         *v = (i % 23) as f64 * 0.05;
     }
     let mut dst = vec![0.0f64; dims.len()];
+    let mut shared = Vec::new();
     for block in [(16usize, 8usize), (32, 8), (32, 11), (64, 4)] {
         g.bench_function(format!("{}x{}", block.0, block.1), |b| {
             b.iter(|| {
@@ -99,6 +100,7 @@ fn bench_gpu_kernel_blocks(c: &mut Criterion) {
                         block,
                         periodic: true,
                     },
+                    &mut shared,
                 )
             })
         });

@@ -5,6 +5,14 @@
 use advect_core::field::{Field3, Range3};
 use simgpu::{FieldDims, Gpu, GpuBuffer, Stream};
 
+/// The first `len` values of a staging buffer, grown on demand.
+fn first_n(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
 /// A device-resident field pair (current and new state) in host layout.
 pub struct DeviceField {
     /// Field layout (interior + halo) shared by both buffers.
@@ -16,6 +24,9 @@ pub struct DeviceField {
     pub new: GpuBuffer,
     /// Linear staging buffer for pack/unpack + PCIe transfers.
     pub staging: GpuBuffer,
+    /// Host end of the PCIe transfers: one buffer, grown to the largest
+    /// ring region and reused for every transfer of every step.
+    host_staging: Vec<f64>,
 }
 
 impl DeviceField {
@@ -41,6 +52,7 @@ impl DeviceField {
             cur,
             new,
             staging,
+            host_staging: Vec::new(),
         }
     }
 
@@ -52,7 +64,7 @@ impl DeviceField {
     /// Download a set of regions of a device buffer into the host mirror:
     /// pack kernel → device-to-host copy → host unpack.
     pub fn regions_d2h(
-        &self,
+        &mut self,
         gpu: &Gpu,
         stream: Stream,
         src: GpuBuffer,
@@ -64,16 +76,16 @@ impl DeviceField {
                 continue;
             }
             gpu.launch_pack(stream, src, self.dims, r, self.staging, 0);
-            let mut buf = vec![0.0; r.len()];
-            gpu.d2h(stream, self.staging, 0, &mut buf);
-            host.unpack(r, &buf);
+            let buf = first_n(&mut self.host_staging, r.len());
+            gpu.d2h(stream, self.staging, 0, buf);
+            host.unpack(r, buf);
         }
     }
 
     /// Upload a set of regions of the host mirror into a device buffer:
     /// host pack → host-to-device copy → unpack kernel.
     pub fn regions_h2d(
-        &self,
+        &mut self,
         gpu: &Gpu,
         stream: Stream,
         dst: GpuBuffer,
@@ -84,20 +96,26 @@ impl DeviceField {
             if r.is_empty() {
                 continue;
             }
-            let mut buf = vec![0.0; r.len()];
-            host.pack(r, &mut buf);
-            gpu.h2d(stream, &buf, self.staging, 0);
+            let buf = first_n(&mut self.host_staging, r.len());
+            host.pack(r, buf);
+            gpu.h2d(stream, buf, self.staging, 0);
             gpu.launch_unpack(stream, dst, self.dims, r, self.staging, 0);
         }
     }
 
-    /// Download the full interior of a device buffer into the host mirror
-    /// (final verification readback; untimed).
-    pub fn interior_to_host(&self, gpu: &Gpu, src: GpuBuffer, host: &mut Field3) {
-        gpu.sync_device();
-        let data = gpu.read_untimed(src);
-        for (x, y, z) in host.interior_range().iter() {
-            *host.at_mut(x, y, z) = data[self.dims.idx(x, y, z)];
+    /// Download `region` of a device buffer into the host mirror, one
+    /// x-row at a time straight out of device memory — device and host
+    /// share one layout, so a row has the same flat range in both (final
+    /// verification readback; untimed).
+    pub fn region_to_host(&self, gpu: &Gpu, src: GpuBuffer, region: Range3, host: &mut Field3) {
+        if region.is_empty() {
+            return;
         }
+        gpu.sync_device();
+        gpu.read_untimed(src, |data| {
+            for row in self.dims.rows(region) {
+                host.data_mut()[row.clone()].copy_from_slice(&data[row]);
+            }
+        });
     }
 }

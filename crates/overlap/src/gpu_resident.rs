@@ -34,7 +34,7 @@ impl GpuResident {
         gpu.install_tracer(tracer.clone());
         gpu.install_metrics(&metrics, 0);
         let out = Self::run_on(cfg, &gpu);
-        tracer.absorb(&gpu.timeline().to_trace_events());
+        crate::runner::absorb_device_timeline(&tracer, &gpu);
         let mut report = RunReport {
             comm: vec![simmpi::CommStats::default()],
             fault: vec![simmpi::FaultStats::default()],
@@ -58,14 +58,11 @@ impl GpuResident {
             halo: 0,
         };
         gpu.set_constant(cfg.problem.stencil().a);
+        // The halo-free device image is the host interior packed x fastest.
         let init = cfg.problem.initial_field();
-        let mut flat = vec![0.0; dims.len()];
-        for (x, y, z) in dims.interior().iter() {
-            flat[dims.idx(x, y, z)] = init.at(x, y, z);
-        }
         let mut cur = gpu.alloc(dims.len());
         let mut new = gpu.alloc(dims.len());
-        gpu.upload_untimed(cur, &flat);
+        gpu.upload_untimed(cur, &init.pack_vec(init.interior_range()));
         // The CPU and GPU synchronize immediately before timer calls; the
         // initial copy is excluded from measurement.
         gpu.sync_device();
@@ -85,11 +82,8 @@ impl GpuResident {
             std::mem::swap(&mut cur, &mut new);
         }
         gpu.sync_device();
-        let data = gpu.read_untimed(cur);
         let mut out = Field3::new(n, n, n, 1);
-        for (x, y, z) in dims.interior().iter() {
-            *out.at_mut(x, y, z) = data[dims.idx(x, y, z)];
-        }
+        gpu.read_untimed(cur, |data| out.unpack(out.interior_range(), data));
         out
     }
 }

@@ -92,8 +92,8 @@ impl GpuStreamsMpi {
                 step_hist.observe_since(step_t0);
             }
             comm.barrier();
-            dev.interior_to_host(&gpu, dev.cur, &mut host);
-            tracer.absorb(&gpu.timeline().to_trace_events());
+            dev.region_to_host(&gpu, dev.cur, host.interior_range(), &mut host);
+            crate::runner::absorb_device_timeline(&tracer, &gpu);
             (
                 assemble_global(cfg, decomp_ref, comm, &host),
                 comm.stats(),

@@ -201,14 +201,8 @@ impl HybridOverlap {
             }
             comm.barrier();
             let mut final_host = cur.clone();
-            if !part.gpu_block.is_empty() {
-                gpu.sync_device();
-                let data = gpu.read_untimed(dev.cur);
-                for (x, y, z) in part.gpu_block.iter() {
-                    *final_host.at_mut(x, y, z) = data[dev.dims.idx(x, y, z)];
-                }
-            }
-            tracer.absorb(&gpu.timeline().to_trace_events());
+            dev.region_to_host(&gpu, dev.cur, part.gpu_block, &mut final_host);
+            crate::runner::absorb_device_timeline(&tracer, &gpu);
             (
                 assemble_global(cfg, decomp_ref, comm, &final_host),
                 comm.stats(),

@@ -431,6 +431,14 @@ pub(crate) fn finish_trace(tracer: &obs::Tracer) -> Option<obs::Trace> {
     tracer.is_on().then(|| tracer.finish())
 }
 
+/// Bridge a device's virtual timeline into the rank's trace. An untraced
+/// run skips the timeline snapshot and the span conversion altogether.
+pub(crate) fn absorb_device_timeline(tracer: &obs::Tracer, gpu: &simgpu::Gpu) {
+    if tracer.is_on() {
+        tracer.absorb(&gpu.timeline().to_trace_events());
+    }
+}
+
 /// A rank's local field, allocated and filled from the global initial
 /// condition for its subdomain.
 pub fn local_initial_field(cfg: &RunConfig, decomp: &Decomposition, rank: usize) -> Field3 {

@@ -64,6 +64,10 @@ struct StreamState {
 struct Inner {
     timeline: Timeline,
     buffers: Vec<Vec<f64>>,
+    /// Total f64 values allocated across `buffers`.
+    used: usize,
+    /// Shared-memory scratch of the stencil kernel, reused by every launch.
+    shared: Vec<f64>,
     constant: Option<[f64; 27]>,
     streams: Vec<StreamState>,
     /// visible[reader][writer]: highest op seq of `writer` whose effects
@@ -128,6 +132,8 @@ impl Gpu {
             inner: Mutex::new(Inner {
                 timeline: Timeline::default(),
                 buffers: Vec::new(),
+                used: 0,
+                shared: Vec::new(),
                 constant: None,
                 streams: vec![StreamState { time: 0.0, seq: 0 }],
                 visible: vec![vec![0]],
@@ -218,15 +224,15 @@ impl Gpu {
     /// Panics if the allocation would exceed the device's memory capacity.
     pub fn alloc(&self, len: usize) -> GpuBuffer {
         let mut g = self.inner.lock();
-        let used: usize = g.buffers.iter().map(|b| b.len()).sum();
         assert!(
-            used + len <= self.spec.capacity_f64(),
+            g.used + len <= self.spec.capacity_f64(),
             "device out of memory: {} + {} > {} f64 ({})",
-            used,
+            g.used,
             len,
             self.spec.capacity_f64(),
             self.spec.name
         );
+        g.used += len;
         g.buffers.push(vec![0.0; len]);
         g.last_write.push(None);
         GpuBuffer(g.buffers.len() - 1)
@@ -365,12 +371,13 @@ impl Gpu {
         g.last_write[dst.0] = None;
     }
 
-    /// Read a buffer back without charging virtual time (final state /
-    /// verification). Requires all streams idle (call a sync first) unless
-    /// hazard checking is disabled.
-    pub fn read_untimed(&self, src: GpuBuffer) -> Vec<f64> {
+    /// Read a buffer in place without charging virtual time (final state /
+    /// verification): `f` borrows the buffer's contents while the device is
+    /// locked, so it must not call back into the device. Call a sync first —
+    /// the read is not ordered against in-flight streams.
+    pub fn read_untimed<R>(&self, src: GpuBuffer, f: impl FnOnce(&[f64]) -> R) -> R {
         let g = self.inner.lock();
-        g.buffers[src.0].clone()
+        f(&g.buffers[src.0])
     }
 
     /// Launch the 27-point stencil kernel on `stream`, reading `src` and
@@ -396,8 +403,9 @@ impl Gpu {
         g.stats.stencil_launches += 1;
         g.stats.points_computed += p.points() as u64;
         // Functional execution: split the buffers to run the kernel.
+        let g = &mut *g;
         let (src_data, dst_data) = Self::two_buffers(&mut g.buffers, src.0, dst.0);
-        kernels::run_stencil(src_data, dst_data, &coeffs, &p);
+        kernels::run_stencil(src_data, dst_data, &coeffs, &p, &mut g.shared);
     }
 
     /// Launch a pack kernel: gather `region` of `field` into the linear

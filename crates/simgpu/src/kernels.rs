@@ -7,6 +7,22 @@
 //! operations; the block marches along z reusing three staged planes —
 //! the algorithm of Micikevicius (2009) the paper builds on.
 //!
+//! # Staging
+//!
+//! A block's shared memory is a ring of three `bx × by` plane slots. The
+//! march loads planes `z₀-1` and `z₀` once, then each z step stages
+//! **one** new plane (`z+1`, over the slot `z-2` vacated) and computes
+//! plane `z` from the three resident slots — every source point of a
+//! block's column is loaded from global memory once, not three times. A
+//! staged plane is copied a contiguous x-row at a time: with halo storage
+//! one slice copy per row; in the periodic (halo-free) layout y and z
+//! wrap once per row and only the columns hanging over the x ends of the
+//! domain wrap individually. The pack/unpack kernels move whole x-rows
+//! the same way. Shared memory is allocated once per device, not per
+//! launch. None of this is visible on the virtual timeline:
+//! [`StencilLaunch::blocks`] and [`crate::timing`] charge the launch
+//! shape, not the host-side execution.
+//!
 //! Because the tap order matches `advect_core::stencil`, the GPU kernels
 //! produce **bit-identical** results to the CPU reference, which is how
 //! the cross-implementation tests can require exact equality.
@@ -52,13 +68,17 @@ impl FieldDims {
         (x + h) as usize + sx * ((y + h) as usize + sy * (z + h) as usize)
     }
 
-    /// Flat index with periodic wrap-around (for halo-free layouts).
-    #[inline]
-    pub fn idx_wrap(&self, x: i64, y: i64, z: i64) -> usize {
-        let wx = x.rem_euclid(self.nx as i64);
-        let wy = y.rem_euclid(self.ny as i64);
-        let wz = z.rem_euclid(self.nz as i64);
-        self.idx(wx, wy, wz)
+    /// Flat index ranges of the contiguous x-rows of `region`, in pack
+    /// order (y fastest, then z); nothing for an empty region.
+    pub fn rows(&self, region: Range3) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        let w = (region.x.1 - region.x.0).max(0) as usize;
+        let ys = if w == 0 { (0, 0) } else { region.y };
+        (region.z.0..region.z.1).flat_map(move |z| {
+            (ys.0..ys.1).map(move |y| {
+                let i = self.idx(region.x.0, y, z);
+                i..i + w
+            })
+        })
     }
 
     /// The interior as a region.
@@ -102,9 +122,74 @@ impl StencilLaunch {
     }
 }
 
-/// Execute the stencil kernel functionally: block-tiled, z-marching,
-/// staging each (tile+halo) plane through "shared memory".
-pub fn run_stencil(src: &[f64], dst: &mut [f64], coeffs: &[f64; 27], p: &StencilLaunch) {
+/// A kernel's source field: the global-memory buffer and how halo
+/// threads address it.
+struct Source<'a> {
+    data: &'a [f64],
+    dims: FieldDims,
+    periodic: bool,
+}
+
+impl Source<'_> {
+    /// Stage one (tile+halo) plane into a shared-memory slot: rows
+    /// `y0-1 ..= y1` of plane `z`, columns `x0-1 ..= x1`, `sw` values
+    /// apart.
+    ///
+    /// Every staged row is one contiguous slice of the source. With halo
+    /// storage that is a single `copy_from_slice`; in the periodic layout
+    /// `y` and `z` wrap once per row, the columns inside `0..nx` are
+    /// copied as one slice and only the columns hanging over either end
+    /// wrap individually.
+    fn stage_plane(
+        &self,
+        slot: &mut [f64],
+        sw: usize,
+        (x0, x1): (i64, i64),
+        (y0, y1): (i64, i64),
+        z: i64,
+    ) {
+        let d = self.dims;
+        let (gx0, gx1) = (x0 - 1, x1 + 1);
+        let w = (gx1 - gx0) as usize;
+        if !self.periodic {
+            let plane = Range3::new((gx0, gx1), (y0 - 1, y1 + 1), (z, z + 1));
+            for (out, row) in slot.chunks_mut(sw).zip(d.rows(plane)) {
+                out[..w].copy_from_slice(&self.data[row]);
+            }
+            return;
+        }
+        let (nx, ny, nz) = (d.nx as i64, d.ny as i64, d.nz as i64);
+        let wz = z.rem_euclid(nz);
+        let lo = gx0.clamp(0, nx);
+        let hi = gx1.clamp(lo, nx);
+        let (a, b) = ((lo - gx0) as usize, (hi - gx0) as usize);
+        for (out, gy) in slot.chunks_mut(sw).zip(y0 - 1..y1 + 1) {
+            let r0 = d.idx(0, gy.rem_euclid(ny), wz);
+            let row = &self.data[r0..r0 + d.nx];
+            out[a..b].copy_from_slice(&row[lo as usize..hi as usize]);
+            for (o, gx) in out[..a].iter_mut().zip(gx0..lo) {
+                *o = row[gx.rem_euclid(nx) as usize];
+            }
+            for (o, gx) in out[b..w].iter_mut().zip(hi..gx1) {
+                *o = row[gx.rem_euclid(nx) as usize];
+            }
+        }
+    }
+}
+
+/// Execute the stencil kernel functionally: block-tiled, z-marching
+/// through a three-slot ring of staged planes in `shared`.
+///
+/// `shared` is the block's shared memory, grown on first use to
+/// `3 · bx · by` values and reused by every later launch (the device owns
+/// one; see `Gpu::launch_stencil`).
+pub fn run_stencil(
+    src: &[f64],
+    dst: &mut [f64],
+    coeffs: &[f64; 27],
+    p: &StencilLaunch,
+    shared: &mut Vec<f64>,
+) {
     let tile_x = p.block.0.saturating_sub(2).max(1) as i64;
     let tile_y = p.block.1.saturating_sub(2).max(1) as i64;
     let r = p.region;
@@ -112,50 +197,49 @@ pub fn run_stencil(src: &[f64], dst: &mut [f64], coeffs: &[f64; 27], p: &Stencil
         return;
     }
     let d = p.dims;
-    // Shared-memory staging: (tile+2) × (tile+2) × 3 planes.
-    let sw = (tile_x + 2) as usize;
-    let sh = (tile_y + 2) as usize;
-    let mut shared = vec![0.0f64; sw * sh * 3];
-    let read = |x: i64, y: i64, z: i64| -> f64 {
-        if p.periodic {
-            src[d.idx_wrap(x, y, z)]
-        } else {
-            src[d.idx(x, y, z)]
-        }
+    let source = Source {
+        data: src,
+        dims: d,
+        periodic: p.periodic,
     };
+    let sw = (tile_x + 2) as usize;
+    let plane = sw * (tile_y + 2) as usize;
+    if shared.len() < 3 * plane {
+        shared.resize(3 * plane, 0.0);
+    }
     let mut by0 = r.y.0;
     while by0 < r.y.1 {
         let by1 = (by0 + tile_y).min(r.y.1);
         let mut bx0 = r.x.0;
         while bx0 < r.x.1 {
             let bx1 = (bx0 + tile_x).min(r.x.1);
-            // March along z: all threads (including halo threads) load the
-            // three planes into shared memory, then interior threads compute.
-            for z in r.z.0..r.z.1 {
-                for (pi, dz) in (-1i64..=1).enumerate() {
-                    for sy in 0..(by1 - by0 + 2) {
-                        for sx in 0..(bx1 - bx0 + 2) {
-                            let gx = bx0 - 1 + sx;
-                            let gy = by0 - 1 + sy;
-                            shared[pi * sw * sh + sy as usize * sw + sx as usize] =
-                                read(gx, gy, z + dz);
-                        }
-                    }
-                }
+            let w = (bx1 - bx0) as usize;
+            // Plane `z` lives in slot `(z - r.z.0 + 1) % 3`. The march
+            // opens with the plane below the region and its first plane...
+            let stage = |shared: &mut [f64], k: usize, z: i64| {
+                let slot = &mut shared[k % 3 * plane..][..plane];
+                source.stage_plane(slot, sw, (bx0, bx1), (by0, by1), z);
+            };
+            stage(shared, 0, r.z.0 - 1);
+            stage(shared, 1, r.z.0);
+            for (k, z) in (r.z.0..r.z.1).enumerate() {
+                // ...and each step all threads (halo threads included)
+                // load only plane z+1, over the slot plane z-2 vacated;
+                // planes z-1 and z are reused from the previous step.
+                stage(shared, k + 2, z + 1);
                 // Row-vectorized tap accumulation: the 27 taps are rows
                 // of the staged planes (tap order matches the coefficient
                 // order: plane slowest, y, x fastest), accumulated with
                 // the same register-chunked helper as the CPU fast path,
                 // so results stay bit-identical to the scalar reference.
-                let w = (bx1 - bx0) as usize;
                 for y in by0..by1 {
                     let ly = (y - by0 + 1) as usize;
                     let d0 = d.idx(bx0, y, z);
                     let rows: [&[f64]; 27] = std::array::from_fn(|t| {
-                        let (pz, dy, dx) = (t / 9, t / 3 % 3, t % 3);
+                        let (dz, dy, dx) = (t / 9, t / 3 % 3, t % 3);
                         // lx for x = bx0 is 1, so the tap's first read
                         // sits at column 1 + dx - 1 = dx.
-                        let s0 = pz * sw * sh + (ly + dy - 1) * sw + dx;
+                        let s0 = (k + dz) % 3 * plane + (ly + dy - 1) * sw + dx;
                         &shared[s0..s0 + w]
                     });
                     accumulate_tap_rows(&mut dst[d0..d0 + w], &rows, coeffs);
@@ -186,8 +270,14 @@ pub struct StencilLaunch3d {
 /// its `(bx+2) × (by+2) × (bz+2)` neighborhood through shared memory and
 /// computes its `bx × by × bz` tile — no z-march, so every interior plane
 /// is re-loaded by the block above and below it (the memory-reuse loss
-/// that makes this variant slower).
-pub fn run_stencil_3d(src: &[f64], dst: &mut [f64], coeffs: &[f64; 27], p: &StencilLaunch3d) {
+/// that makes this variant slower). `shared` as in [`run_stencil`].
+pub fn run_stencil_3d(
+    src: &[f64],
+    dst: &mut [f64],
+    coeffs: &[f64; 27],
+    p: &StencilLaunch3d,
+    shared: &mut Vec<f64>,
+) {
     let tile = (
         p.block.0.saturating_sub(2).max(1) as i64,
         p.block.1.saturating_sub(2).max(1) as i64,
@@ -198,17 +288,17 @@ pub fn run_stencil_3d(src: &[f64], dst: &mut [f64], coeffs: &[f64; 27], p: &Sten
         return;
     }
     let d = p.dims;
-    let read = |x: i64, y: i64, z: i64| -> f64 {
-        if p.periodic {
-            src[d.idx_wrap(x, y, z)]
-        } else {
-            src[d.idx(x, y, z)]
-        }
+    let source = Source {
+        data: src,
+        dims: d,
+        periodic: p.periodic,
     };
     let sw = (tile.0 + 2) as usize;
-    let sh = (tile.1 + 2) as usize;
+    let plane = sw * (tile.1 + 2) as usize;
     let sd = (tile.2 + 2) as usize;
-    let mut shared = vec![0.0f64; sw * sh * sd];
+    if shared.len() < sd * plane {
+        shared.resize(sd * plane, 0.0);
+    }
     let mut bz0 = r.z.0;
     while bz0 < r.z.1 {
         let bz1 = (bz0 + tile.2).min(r.z.1);
@@ -219,13 +309,9 @@ pub fn run_stencil_3d(src: &[f64], dst: &mut [f64], coeffs: &[f64; 27], p: &Sten
             while bx0 < r.x.1 {
                 let bx1 = (bx0 + tile.0).min(r.x.1);
                 // All threads (incl. halo threads) stage the neighborhood.
-                for sz in 0..(bz1 - bz0 + 2) {
-                    for sy in 0..(by1 - by0 + 2) {
-                        for sx in 0..(bx1 - bx0 + 2) {
-                            shared[(sz as usize * sh + sy as usize) * sw + sx as usize] =
-                                read(bx0 - 1 + sx, by0 - 1 + sy, bz0 - 1 + sz);
-                        }
-                    }
+                for (sz, z) in (bz0 - 1..bz1 + 1).enumerate() {
+                    let slot = &mut shared[sz * plane..][..plane];
+                    source.stage_plane(slot, sw, (bx0, bx1), (by0, by1), z);
                 }
                 // Row-vectorized tap accumulation (see `run_stencil`).
                 let w = (bx1 - bx0) as usize;
@@ -235,7 +321,7 @@ pub fn run_stencil_3d(src: &[f64], dst: &mut [f64], coeffs: &[f64; 27], p: &Sten
                         let d0 = d.idx(bx0, y, z);
                         let rows: [&[f64]; 27] = std::array::from_fn(|t| {
                             let (dz, dy, dx) = (t / 9, t / 3 % 3, t % 3);
-                            let s0 = ((lz + dz - 1) * sh + (ly + dy - 1)) * sw + dx;
+                            let s0 = (lz + dz - 1) * plane + (ly + dy - 1) * sw + dx;
                             &shared[s0..s0 + w]
                         });
                         accumulate_tap_rows(&mut dst[d0..d0 + w], &rows, coeffs);
@@ -249,22 +335,26 @@ pub fn run_stencil_3d(src: &[f64], dst: &mut [f64], coeffs: &[f64; 27], p: &Sten
     }
 }
 
-/// Pack a region of a device field into a linear buffer (x fastest).
+/// Pack a region of a device field into a linear buffer (x fastest), one
+/// contiguous x-row at a time.
 pub fn run_pack(field: &[f64], dims: FieldDims, region: Range3, out: &mut [f64]) -> usize {
     let mut n = 0;
-    for (x, y, z) in region.iter() {
-        out[n] = field[dims.idx(x, y, z)];
-        n += 1;
+    for row in dims.rows(region) {
+        let w = row.len();
+        out[n..n + w].copy_from_slice(&field[row]);
+        n += w;
     }
     n
 }
 
-/// Unpack a linear buffer into a region of a device field.
+/// Unpack a linear buffer into a region of a device field (inverse of
+/// [`run_pack`]).
 pub fn run_unpack(field: &mut [f64], dims: FieldDims, region: Range3, data: &[f64]) -> usize {
     let mut n = 0;
-    for (x, y, z) in region.iter() {
-        field[dims.idx(x, y, z)] = data[n];
-        n += 1;
+    for row in dims.rows(region) {
+        let w = row.len();
+        field[row].copy_from_slice(&data[n..n + w]);
+        n += w;
     }
     n
 }
@@ -311,6 +401,7 @@ mod tests {
                     block,
                     periodic: false,
                 },
+                &mut Vec::new(),
             );
             for (x, y, z) in dims.interior().iter() {
                 assert_eq!(
@@ -354,6 +445,7 @@ mod tests {
                 block: (4, 4),
                 periodic: true,
             },
+            &mut Vec::new(),
         );
         for (x, y, z) in dims.interior().iter() {
             assert_eq!(dst[dims.idx(x, y, z)], cpu.at(x, y, z), "at ({x},{y},{z})");
@@ -382,6 +474,7 @@ mod tests {
                 block: (8, 8),
                 periodic: false,
             },
+            &mut Vec::new(),
         );
         for (x, y, z) in dims.interior().iter() {
             if region.contains(x, y, z) {
@@ -410,6 +503,7 @@ mod tests {
                 block: (8, 8),
                 periodic: false,
             },
+            &mut Vec::new(),
         );
         for block in [(4usize, 4usize, 4usize), (8, 4, 2), (3, 3, 3)] {
             let mut dst3 = vec![0.0; dims.len()];
@@ -423,6 +517,7 @@ mod tests {
                     block,
                     periodic: false,
                 },
+                &mut Vec::new(),
             );
             for (x, y, z) in dims.interior().iter() {
                 assert_eq!(

@@ -78,7 +78,7 @@ mod tests {
             std::mem::swap(&mut cur, &mut new);
         }
         gpu.sync_device();
-        let result = gpu.read_untimed(cur);
+        let result = gpu.read_untimed(cur, <[f64]>::to_vec);
         for (x, y, z) in dims.interior().iter() {
             assert_eq!(result[dims.idx(x, y, z)], serial.state().at(x, y, z));
         }
@@ -238,7 +238,7 @@ mod tests {
         let field2 = gpu.alloc(dims.len());
         gpu.launch_unpack(Stream::DEFAULT, field2, dims, region, staging, 0);
         gpu.sync_device();
-        let out = gpu.read_untimed(field2);
+        let out = gpu.read_untimed(field2, <[f64]>::to_vec);
         for (x, y, z) in region.iter() {
             assert_eq!(out[dims.idx(x, y, z)], host[dims.idx(x, y, z)]);
         }
@@ -334,7 +334,7 @@ mod tests {
                 gpu.d2h(Stream::DEFAULT, new, 0, &mut back);
             }
             let t = gpu.sync_device();
-            (gpu.read_untimed(new), t)
+            (gpu.read_untimed(new, <[f64]>::to_vec), t)
         };
         let (clean, t_clean) = run(GpuFaultPlan::off());
         let (faulted, t_faulted) = run(GpuFaultPlan::chaos(3));

@@ -8,6 +8,11 @@ use decomp::partition::{shell_and_core, thirds_along_z, BoxPartition};
 use decomp::{Decomposition, ExchangePlan};
 use proptest::prelude::*;
 
+/// The simgpu crate's kernel tests, mounted here so the Tier-1 command
+/// (`cargo test -q` at the root) runs them too.
+#[path = "../crates/simgpu/tests/kernel_props.rs"]
+mod simgpu_kernel_props;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -393,14 +398,14 @@ proptest! {
             region: dims.interior(),
             block: (bx, by),
             periodic: false,
-        });
+        }, &mut Vec::new());
         let mut dst3 = vec![0.0f64; dims.len()];
         run_stencil_3d(src.data(), &mut dst3, &s.a, &StencilLaunch3d {
             dims,
             region: dims.interior(),
             block: (bx, by, bz),
             periodic: false,
-        });
+        }, &mut Vec::new());
         for (x, y, z) in dims.interior().iter() {
             let want = scalar.at(x, y, z);
             prop_assert_eq!(dst2[dims.idx(x, y, z)], want, "2d kernel at {:?}", (x, y, z));
