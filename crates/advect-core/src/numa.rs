@@ -2,20 +2,16 @@
 //!
 //! The modeled machines in the `machine` crate carry Table II NUMA
 //! *parameters*; this module detects the topology of the machine the
-//! code actually runs on, from sysfs (`/sys/devices/system/node`). Two
-//! consumers:
+//! code actually runs on, from sysfs (`/sys/devices/system/node`). Its
+//! consumer is [`crate::field::Field3::new_placed`], which zero-fills
+//! each z-slab of a new allocation from the team thread that will sweep
+//! it (first-touch placement) instead of mapping every page on the
+//! allocating thread's node. Threads are not pinned: a crew worker is
+//! leased to different team slots over its life, so the scheduler's
+//! placement is left alone.
 //!
-//! * [`crate::sweep::SweepPool`] maps workers onto cores **by NUMA
-//!   domain** — contiguous blocks of workers land on the same node, so
-//!   a worker and the z-slab pages it first-touched stay local;
-//! * [`crate::field::Field3::new_placed`] zero-fills each z-slab of a
-//!   new allocation from the worker that will own it (first-touch
-//!   placement), instead of mapping every page on the allocating
-//!   thread's node.
-//!
-//! On single-node hosts both degenerate to the PR 6 behavior: detection
-//! reports one node holding every cpu, the worker→core map reduces to
-//! `worker mod cores`, and parallel zero-fill is placement-neutral.
+//! On single-node hosts detection reports one node holding every cpu
+//! and parallel zero-fill is placement-neutral.
 //!
 //! The `ADVECT_NUMA=on|off` override (default on) gates first-touch
 //! placement; malformed values panic rather than silently falling back,
@@ -93,34 +89,6 @@ impl NumaTopology {
     /// Total cpus across all nodes.
     pub fn total_cpus(&self) -> usize {
         self.nodes.iter().map(|n| n.len()).sum()
-    }
-
-    /// The node a worker of a `team`-wide pool belongs to: workers are
-    /// split into contiguous blocks, one block per node, mirroring the
-    /// static z-slab partition — so the block that first-touches a slab
-    /// is the block whose workers sweep it.
-    pub fn node_of_worker(&self, worker: usize, team: usize) -> usize {
-        let team = team.max(1);
-        let worker = worker.min(team - 1);
-        let parts = self.node_count();
-        for node in 0..parts {
-            if crate::team::split_static(0..team, parts, node).contains(&worker) {
-                return node;
-            }
-        }
-        parts - 1
-    }
-
-    /// The cpu a worker of a `team`-wide pool pins to: round-robin over
-    /// its node's cpus, offset by the worker's rank within the node's
-    /// block. With one node this is exactly `worker mod cores`.
-    pub fn core_for_worker(&self, worker: usize, team: usize) -> usize {
-        let team = team.max(1);
-        let worker = worker.min(team - 1);
-        let node = self.node_of_worker(worker, team);
-        let block = crate::team::split_static(0..team, self.node_count(), node);
-        let cpus = &self.nodes[node];
-        cpus[(worker - block.start) % cpus.len()]
     }
 }
 
@@ -257,37 +225,6 @@ mod tests {
         assert_eq!(parse_cache_size("32M"), Some(32 * 1024 * 1024));
         assert_eq!(parse_cache_size("512"), Some(512));
         assert_eq!(parse_cache_size("xK"), None);
-    }
-
-    #[test]
-    fn single_node_maps_workers_round_robin() {
-        let t = NumaTopology::single_node(4);
-        assert_eq!(t.node_count(), 1);
-        for w in 0..8 {
-            assert_eq!(t.node_of_worker(w, 8), 0);
-            assert_eq!(t.core_for_worker(w, 8), w % 4);
-        }
-    }
-
-    #[test]
-    fn two_node_blocks_are_contiguous_and_local() {
-        // 2 nodes × 4 cpus: an 8-worker team splits 4 + 4; each block
-        // pins within its own node's cpus.
-        let t = NumaTopology {
-            nodes: vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]],
-        };
-        let nodes: Vec<usize> = (0..8).map(|w| t.node_of_worker(w, 8)).collect();
-        assert_eq!(nodes, vec![0, 0, 0, 0, 1, 1, 1, 1]);
-        assert_eq!(t.core_for_worker(0, 8), 0);
-        assert_eq!(t.core_for_worker(4, 8), 4);
-        assert_eq!(t.core_for_worker(7, 8), 7);
-        // A 2-worker team lands one worker per node.
-        assert_eq!(t.node_of_worker(0, 2), 0);
-        assert_eq!(t.node_of_worker(1, 2), 1);
-        // Oversubscribed teams wrap within their node.
-        // Worker 3 of 16 is the 3rd in node 0's block of 8, wrapping
-        // into the node's 4 cpus at index 3 % 4 = 3.
-        assert_eq!(t.core_for_worker(3, 16), t.nodes[0][3]);
     }
 
     #[test]

@@ -203,6 +203,8 @@ pub struct ThreadedStepper {
     tile: Option<TileSpec>,
     time_tile: Option<usize>,
     pool: crate::sweep::SweepPool,
+    /// Interior-z cut points of the static split across the team.
+    cuts: Vec<i64>,
     cur: Field3,
     new: Field3,
     steps_taken: u64,
@@ -225,6 +227,7 @@ impl ThreadedStepper {
             tile: None,
             time_tile: None,
             pool,
+            cuts: crate::tile::z_cuts(problem.n, threads),
             cur,
             new,
             steps_taken: 0,
@@ -263,11 +266,6 @@ impl ThreadedStepper {
         self
     }
 
-    /// Interior-z cut points for a static split across the team.
-    fn z_cuts(&self) -> Vec<i64> {
-        crate::tile::z_cuts(self.problem.n, self.team.num_threads())
-    }
-
     /// One fused traversal advancing `b` steps: depth-`k` halo fill,
     /// one time-tiled pass writing `new`, swap. No Step 3 copy.
     fn advance(&mut self, b: usize) {
@@ -300,7 +298,6 @@ impl ThreadedStepper {
         }
         // Step 1: periodic halo copy (cheap surface work).
         self.cur.copy_periodic_halo();
-        let cuts = self.z_cuts();
         let region = self.cur.interior_range();
         // Step 2: stencil, each thread writing its own z-slab.
         {
@@ -310,7 +307,7 @@ impl ThreadedStepper {
                 let (sx, _, _) = self.cur.extents();
                 TileSpec::host(sx)
             });
-            let slabs = self.new.z_slabs_mut(&cuts);
+            let slabs = self.new.z_slabs_mut(&self.cuts);
             self.team.parallel_with(slabs, |_ctx, mut slab| {
                 apply_stencil_slab_tiled(cur, &mut slab, stencil, region, tile);
             });
@@ -318,7 +315,7 @@ impl ThreadedStepper {
         // Step 3: copy new state to current state, threaded the same way.
         {
             let new = &self.new;
-            let slabs = self.cur.z_slabs_mut(&cuts);
+            let slabs = self.cur.z_slabs_mut(&self.cuts);
             self.team.parallel_with(slabs, |_ctx, mut slab| {
                 copy_region_slab(new, &mut slab, region);
             });

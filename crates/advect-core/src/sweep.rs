@@ -13,67 +13,19 @@
 //!   figure CSV/JSON output stays byte-identical to a serial run.
 //!
 //! On a single-core host (or with `ADVECT_SWEEP_THREADS=1`) the pool
-//! degrades to inline evaluation on the calling thread with no spawning
+//! degrades to inline evaluation on the calling thread with no hand-off
 //! and no queue traffic.
 
-use obs::{Category, Tracer};
+use obs::{crew, Category, Tracer};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 static SWEEP_TRACER: OnceLock<Tracer> = OnceLock::new();
 
-/// Whether workers pin themselves to cores (`ADVECT_SWEEP_AFFINITY=1`).
-/// Off by default: pinning on shared or oversubscribed hosts hurts.
-///
-/// # Panics
-///
-/// On a malformed value — a mistyped knob must fail the run, not
-/// silently measure the unpinned default.
-fn affinity_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| match std::env::var("ADVECT_SWEEP_AFFINITY") {
-        Ok(v) => match v.as_str() {
-            "1" | "on" | "true" => true,
-            "0" | "off" | "false" => false,
-            other => panic!("ADVECT_SWEEP_AFFINITY={other:?}: expected 1|on|true|0|off|false"),
-        },
-        Err(_) => false,
-    })
-}
-
-/// Pin the calling worker thread to its NUMA-aware core — contiguous
-/// blocks of a `team`-wide pool land on the same node (see
-/// [`crate::numa::NumaTopology::core_for_worker`]; single-node hosts
-/// reduce to `worker mod cores`) — when affinity is enabled.
-/// Best-effort: failures are ignored (the scheduler placement is a
-/// performance hint, never a correctness requirement).
-#[cfg(target_os = "linux")]
-fn pin_worker(worker: usize, team: usize) {
-    if !affinity_enabled() {
-        return;
-    }
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-    let core = crate::numa::host().core_for_worker(worker, team) % 1024;
-    let mut mask = [0u64; 16]; // room for 1024 cores
-    mask[core / 64] |= 1 << (core % 64);
-    // SAFETY: pid 0 targets the calling thread; the mask buffer outlives
-    // the call and its size is passed alongside.
-    unsafe {
-        sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr());
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn pin_worker(_worker: usize, _team: usize) {
-    let _ = affinity_enabled();
-}
-
 /// Install a process-wide span recorder for sweep batches: each worker
 /// records one `compute.interior` span covering its share of the batch
-/// (label `sweep.worker`, or `sweep.inline` on the no-spawn path).
+/// (label `sweep.worker`, or `sweep.inline` on the one-worker path).
 /// Idempotent; without an install, sweeps trace into the no-op sink.
 pub fn install_tracer(tracer: Tracer) {
     let _ = SWEEP_TRACER.set(tracer);
@@ -86,9 +38,10 @@ fn tracer() -> &'static Tracer {
 
 /// A fixed-width pool for embarrassingly parallel sweeps.
 ///
-/// The pool is only a width; workers are scoped threads spawned per
-/// batch (`std::thread::scope`), so closures may borrow stack data and
-/// no threads idle between sweeps.
+/// The pool is only a width: a batch runs as one [`obs::crew`] region,
+/// the caller being worker 0 and the rest resident threads leased for
+/// the batch, so closures may borrow stack data and a batch costs a
+/// hand-off, not a thread spawn.
 ///
 /// ```
 /// use advect_core::sweep::SweepPool;
@@ -134,6 +87,38 @@ impl SweepPool {
         self.threads
     }
 
+    /// One batch as a crew region: each worker builds a state with
+    /// `init`, claims indices of `0..n` from a shared counter into it
+    /// with `f`, and hands it to `finish`. One worker runs inline on the
+    /// calling thread.
+    fn steal<S>(
+        &self,
+        n: usize,
+        init: impl Fn() -> S + Sync,
+        f: impl Fn(&mut S, usize) + Sync,
+        finish: impl Fn(S) + Sync,
+    ) {
+        let workers = self.threads.min(n).max(1);
+        let label = if workers == 1 {
+            "sweep.inline"
+        } else {
+            "sweep.worker"
+        };
+        let next = AtomicUsize::new(0);
+        crew::run(workers, |_| {
+            let _span = tracer().span(Category::ComputeInterior, label);
+            let mut state = init();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                f(&mut state, i);
+            }
+            finish(state);
+        });
+    }
+
     /// Evaluate `f(0), …, f(n-1)` across the pool and return the results
     /// **in index order**. Workers claim indices from a shared atomic
     /// counter, so an expensive point never blocks the rest of the batch
@@ -143,47 +128,18 @@ impl SweepPool {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        let workers = self.threads.min(n);
-        if workers <= 1 {
-            let _span = tracer().span(Category::ComputeInterior, "sweep.inline");
-            return (0..n).map(f).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let mut parts: Vec<Vec<(usize, R)>> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let next = &next;
-                    let f = &f;
-                    scope.spawn(move || {
-                        pin_worker(w, workers);
-                        let _span = tracer().span(Category::ComputeInterior, "sweep.worker");
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            local.push((i, f(i)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                parts.push(h.join().expect("sweep worker panicked"));
-            }
-        });
-        // Re-establish submission order: place each result in its slot.
-        let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
-        for (i, r) in parts.into_iter().flatten() {
-            debug_assert!(slots[i].is_none(), "index {i} evaluated twice");
-            slots[i] = Some(r);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every index evaluated exactly once"))
-            .collect()
+        let done: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
+        self.steal(
+            n,
+            Vec::new,
+            |local, i| local.push((i, f(i))),
+            |local| done.lock().expect("sweep results").extend(local),
+        );
+        // Re-establish submission order.
+        let mut done = done.into_inner().expect("sweep results");
+        debug_assert_eq!(done.len(), n, "every index evaluated exactly once");
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, r)| r).collect()
     }
 
     /// Evaluate `f` at every item of `items`, returning results in item
@@ -207,32 +163,7 @@ impl SweepPool {
     where
         F: Fn(usize) + Sync,
     {
-        let workers = self.threads.min(n);
-        if workers <= 1 {
-            let _span = tracer().span(Category::ComputeInterior, "sweep.inline");
-            for i in 0..n {
-                f(i);
-            }
-            return;
-        }
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || {
-                    pin_worker(w, workers);
-                    let _span = tracer().span(Category::ComputeInterior, "sweep.worker");
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        f(i);
-                    }
-                });
-            }
-        });
+        self.steal(n, || (), |(), i| f(i), drop);
     }
 
     /// [`SweepPool::for_each_index`] with per-worker mutable state:
@@ -247,65 +178,21 @@ impl SweepPool {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize) + Sync,
     {
-        let workers = self.threads.min(n);
-        if workers <= 1 {
-            let _span = tracer().span(Category::ComputeInterior, "sweep.inline");
-            let mut state = init();
-            for i in 0..n {
-                f(&mut state, i);
-            }
-            return;
-        }
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let next = &next;
-                let f = &f;
-                let init = &init;
-                scope.spawn(move || {
-                    pin_worker(w, workers);
-                    let _span = tracer().span(Category::ComputeInterior, "sweep.worker");
-                    let mut state = init();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        f(&mut state, i);
-                    }
-                });
-            }
-        });
+        self.steal(n, init, f, drop);
     }
 
     /// Run `f(worker, range)` once per [`SweepPool::partition`] chunk of
-    /// `0..n`, each chunk on its own (pinned) worker thread. Unlike the
-    /// stealing executors, the worker→chunk assignment is *static*:
-    /// worker `w` always owns chunk `w`. That is the point — this is
-    /// the first-touch executor ([`crate::field::Field3::new_placed`]
-    /// zero-fills each z-slab from the worker whose node should own its
-    /// pages).
+    /// `0..n`, each chunk on its own crew member. Unlike the stealing
+    /// executors, the worker→chunk assignment is *static*: worker `w`
+    /// always owns chunk `w`. That is the point — this is the
+    /// first-touch executor ([`crate::field::Field3::new_placed`]
+    /// zero-fills each z-slab from the thread that will sweep it).
     pub fn run_partitioned<F>(&self, n: usize, f: F)
     where
         F: Fn(usize, Range<usize>) + Sync,
     {
         let parts = self.partition(n);
-        let team = parts.len();
-        if team <= 1 {
-            if let Some(r) = parts.into_iter().next() {
-                f(0, r);
-            }
-            return;
-        }
-        std::thread::scope(|scope| {
-            for (w, r) in parts.into_iter().enumerate() {
-                let f = &f;
-                scope.spawn(move || {
-                    pin_worker(w, team);
-                    f(w, r);
-                });
-            }
-        });
+        crew::run(parts.len(), |w| f(w, parts[w].clone()));
     }
 
     /// Evenly partition `0..n` into at most [`SweepPool::threads`]

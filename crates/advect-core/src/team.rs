@@ -14,14 +14,16 @@
 //!   on to let the master thread join computation late after finishing MPI
 //!   communication.
 //!
-//! Parallel regions are built on `std::thread::scope`, so closures may
-//! borrow stack data without `unsafe`. For the small functional-layer
-//! grids, region-spawn overhead is irrelevant; the virtual-time
-//! performance layer models OpenMP overheads separately.
+//! Parallel regions run on the resident worker crew ([`obs::crew`],
+//! contract in DESIGN §17): the calling thread is thread 0 and the other
+//! threads are parked OS threads leased for the region, so closures may
+//! borrow stack data and a region costs a hand-off, not a thread spawn.
+//! The virtual-time performance layer models OpenMP overheads separately.
 
+use obs::crew::{self, Barrier};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::sync::Mutex;
 
 /// Loop-scheduling policy, mirroring OpenMP's `schedule` clause.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,14 +51,17 @@ pub struct TeamCtx<'a> {
     pub tid: usize,
     /// Number of threads in the region.
     pub num_threads: usize,
-    barrier: &'a Barrier,
+    /// `None` in a one-thread region, where a barrier is a no-op.
+    barrier: Option<&'a Barrier>,
 }
 
 impl TeamCtx<'_> {
     /// Block until all threads of the region reach the barrier
     /// (like `!$omp barrier`).
     pub fn barrier(&self) {
-        self.barrier.wait();
+        if let Some(barrier) = self.barrier {
+            barrier.wait();
+        }
     }
 
     /// Whether this thread is the master (like `!$omp master`).
@@ -130,6 +135,21 @@ impl GuidedChunks {
     }
 }
 
+/// One parallel region of `n` threads on the crew, sharing a barrier.
+fn region<F>(n: usize, body: F)
+where
+    F: Fn(&TeamCtx<'_>) + Sync,
+{
+    let barrier = (n > 1).then(|| Barrier::new(n));
+    crew::run(n, |tid| {
+        body(&TeamCtx {
+            tid,
+            num_threads: n,
+            barrier: barrier.as_ref(),
+        })
+    });
+}
+
 /// A team of a fixed number of threads supporting fork-join parallel
 /// regions, mirroring an OpenMP thread team.
 ///
@@ -166,33 +186,7 @@ impl ThreadTeam {
     where
         F: Fn(&TeamCtx<'_>) + Sync,
     {
-        let barrier = Barrier::new(self.num_threads);
-        if self.num_threads == 1 {
-            body(&TeamCtx {
-                tid: 0,
-                num_threads: 1,
-                barrier: &barrier,
-            });
-            return;
-        }
-        std::thread::scope(|scope| {
-            for tid in 1..self.num_threads {
-                let body = &body;
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    body(&TeamCtx {
-                        tid,
-                        num_threads: self.num_threads,
-                        barrier,
-                    });
-                });
-            }
-            body(&TeamCtx {
-                tid: 0,
-                num_threads: self.num_threads,
-                barrier: &barrier,
-            });
-        });
+        region(self.num_threads, body);
     }
 
     /// Run a parallel region where each thread additionally receives
@@ -205,48 +199,10 @@ impl ThreadTeam {
         F: Fn(&TeamCtx<'_>, T) + Sync,
     {
         assert!(items.len() <= self.num_threads, "more items than threads");
-        let n = items.len();
-        let barrier = Barrier::new(n.max(1));
-        if n == 0 {
-            return;
-        }
-        if n == 1 {
-            let item = items.into_iter().next().expect("one item");
-            body(
-                &TeamCtx {
-                    tid: 0,
-                    num_threads: 1,
-                    barrier: &barrier,
-                },
-                item,
-            );
-            return;
-        }
-        std::thread::scope(|scope| {
-            let mut iter = items.into_iter();
-            let first = iter.next().expect("nonempty");
-            for (tid, item) in iter.enumerate() {
-                let body = &body;
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    body(
-                        &TeamCtx {
-                            tid: tid + 1,
-                            num_threads: n,
-                            barrier,
-                        },
-                        item,
-                    );
-                });
-            }
-            body(
-                &TeamCtx {
-                    tid: 0,
-                    num_threads: n,
-                    barrier: &barrier,
-                },
-                first,
-            );
+        let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        region(items.len(), |ctx| {
+            let item = items[ctx.tid].lock().expect("item slot").take();
+            body(ctx, item.expect("each thread takes its item once"));
         });
     }
 

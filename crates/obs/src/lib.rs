@@ -38,10 +38,15 @@
 //!   trace to its most-binding span and reports the per-category
 //!   attribution plus the slack (fully hidden) spans, turning the
 //!   paper's "off the critical path" claim into a checkable table.
+//! * [`crew`] — not observability: the resident worker crew and the
+//!   spin→yield→park wait that `advect-core`'s thread teams and
+//!   `simmpi`'s blocking calls share. It lives here because `obs` is the
+//!   one crate beneath both.
 
 pub mod breakdown;
 pub mod causal;
 pub mod chrome;
+pub mod crew;
 pub mod critical;
 pub mod divergence;
 pub mod metrics;

@@ -349,6 +349,24 @@ mod tests {
     }
 
     #[test]
+    fn all_implementations_match_serial_at_every_team_width() {
+        // Widths below, at and above the z extent of a rank's subdomain,
+        // and an odd one: the team's threads are leased crew workers, so
+        // every width exercises a different hand-off and barrier shape.
+        let spec = GpuSpec::tesla_c2050();
+        for threads in [1usize, 2, 3, 7] {
+            for im in Impl::ALL {
+                let cfg = RunConfig::new(AdvectionProblem::general_case(12), 3)
+                    .tasks(if im.uses_mpi() { 2 } else { 1 })
+                    .with_threads(threads)
+                    .with_block((8, 8))
+                    .with_thickness(2);
+                check(im, &cfg, Some(&spec), &format!("{threads} threads"));
+            }
+        }
+    }
+
+    #[test]
     fn hybrid_overlap_rejects_zero_thickness() {
         let spec = GpuSpec::tesla_c2050();
         let cfg = RunConfig::new(AdvectionProblem::general_case(8), 1)

@@ -10,8 +10,10 @@
 //! per-instance `OnceLock`s created fresh by every `World::run`;
 //! `simgpu::Gpu` is per-run; the env knobs (`ADVECT_TILE`,
 //! `ADVECT_SIMD`, `ADVECT_SWEEP_THREADS`, …) are read-only — the server
-//! never mutates the environment. The only process-global is
-//! `SweepPool::global()`, which is a stateless work distributor.
+//! never mutates the environment. The process-globals are
+//! `SweepPool::global()`, a stateless width, and the resident worker
+//! crew (`obs::crew`), whose workers are leased to one region at a time
+//! and carry nothing from one region to the next.
 
 use advect_core::stepper::{AdvectionProblem, SerialStepper};
 use overlap::runner::{FaultSpec, RunConfig};
@@ -71,6 +73,41 @@ fn two_different_worlds_stay_bit_identical_to_serial() {
             None,
             12,
             6,
+        ),
+    ]);
+}
+
+#[test]
+fn worlds_with_two_thread_teams_share_the_crew() {
+    // Every rank of every world opens 2-thread team regions each step,
+    // all leasing from the one process-wide crew at once; IV-D's regions
+    // also block on a team barrier, so a worker handed to two regions,
+    // or a region short of a live thread, deadlocks or diverges here.
+    run_concurrently(vec![
+        (
+            Impl::ThreadOverlap,
+            RunConfig::new(AdvectionProblem::general_case(16), 24)
+                .tasks(2)
+                .with_threads(2),
+            None,
+            16,
+            24,
+        ),
+        (
+            Impl::ThreadOverlap,
+            RunConfig::new(AdvectionProblem::general_case(12), 30)
+                .tasks(3)
+                .with_threads(2),
+            None,
+            12,
+            30,
+        ),
+        (
+            Impl::SingleTask,
+            RunConfig::new(AdvectionProblem::general_case(14), 40).with_threads(2),
+            None,
+            14,
+            40,
         ),
     ]);
 }

@@ -1,52 +1,15 @@
 //! Shared state backing the collectives (barrier, allreduce, gather).
 //!
-//! The barrier is sense-reversing so it is reusable; the reduction slots
-//! are generation-counted so back-to-back allreduces cannot mix rounds.
+//! The barrier is [`obs::crew::Barrier`] (sense-reversing, so reusable);
+//! the reduction slots are generation-counted so back-to-back allreduces
+//! cannot mix rounds. Every wait here is a [`Monitor`] wait: poll, yield,
+//! then sleep, and a wake-up syscall only when somebody sleeps.
 //! Scalar allreduces go through [`ScalarSlots`], which holds one `f64`
 //! per rank and never allocates; the vector path ([`ReduceSlots`]) backs
 //! `gather_to_root`.
 
-use parking_lot::{Condvar, Mutex};
-
-/// A reusable sense-reversing barrier for `n` participants.
-pub(crate) struct Barrier {
-    n: usize,
-    state: Mutex<BarrierState>,
-    cv: Condvar,
-}
-
-struct BarrierState {
-    waiting: usize,
-    generation: u64,
-}
-
-impl Barrier {
-    pub fn new(n: usize) -> Self {
-        Self {
-            n,
-            state: Mutex::new(BarrierState {
-                waiting: 0,
-                generation: 0,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    pub fn wait(&self) {
-        let mut s = self.state.lock();
-        let gen = s.generation;
-        s.waiting += 1;
-        if s.waiting == self.n {
-            s.waiting = 0;
-            s.generation += 1;
-            self.cv.notify_all();
-        } else {
-            while s.generation == gen {
-                self.cv.wait(&mut s);
-            }
-        }
-    }
-}
+pub(crate) use obs::crew::Barrier;
+use obs::crew::Monitor;
 
 /// Scalar allreduce slots: one `f64` per rank, fixed at world creation,
 /// so `allreduce_sum`/`allreduce_max` never touch the heap (the vector
@@ -59,8 +22,7 @@ impl Barrier {
 /// collective in the same order, per MPI semantics).
 pub(crate) struct ScalarSlots {
     n: usize,
-    state: Mutex<ScalarState>,
-    cv: Condvar,
+    state: Monitor<ScalarState>,
 }
 
 struct ScalarState {
@@ -78,7 +40,7 @@ impl ScalarSlots {
     pub fn new(n: usize) -> Self {
         Self {
             n,
-            state: Mutex::new(ScalarState {
+            state: Monitor::new(ScalarState {
                 slots: vec![None; n],
                 have_result: false,
                 sum: 0.0,
@@ -86,7 +48,6 @@ impl ScalarSlots {
                 readers_left: 0,
                 round: 0,
             }),
-            cv: Condvar::new(),
         }
     }
 
@@ -97,10 +58,10 @@ impl ScalarSlots {
     pub fn exchange(&self, rank: usize, value: f64) -> (f64, f64) {
         let mut s = self.state.lock();
         while s.have_result && s.slots[rank].is_some() {
-            self.cv.wait(&mut s);
+            s = self.state.wait(s);
         }
         while s.have_result {
-            self.cv.wait(&mut s);
+            s = self.state.wait(s);
         }
         assert!(s.slots[rank].is_none(), "rank {rank} double-contributed");
         s.slots[rank] = Some(value);
@@ -118,18 +79,18 @@ impl ScalarSlots {
             s.have_result = true;
             s.readers_left = self.n;
             s.round += 1;
-            self.cv.notify_all();
+            self.state.notify(&mut s);
         } else {
             let round = s.round;
             while s.round == round {
-                self.cv.wait(&mut s);
+                s = self.state.wait(s);
             }
         }
         let out = (s.sum, s.max);
         s.readers_left -= 1;
         if s.readers_left == 0 {
             s.have_result = false;
-            self.cv.notify_all();
+            self.state.notify(&mut s);
         }
         out
     }
@@ -138,8 +99,7 @@ impl ScalarSlots {
 /// All-to-all contribution slots for reductions and gathers.
 pub(crate) struct ReduceSlots {
     n: usize,
-    state: Mutex<SlotState>,
-    cv: Condvar,
+    state: Monitor<SlotState>,
 }
 
 struct SlotState {
@@ -155,13 +115,12 @@ impl ReduceSlots {
     pub fn new(n: usize) -> Self {
         Self {
             n,
-            state: Mutex::new(SlotState {
+            state: Monitor::new(SlotState {
                 slots: vec![None; n],
                 result: None,
                 readers_left: 0,
                 round: 0,
             }),
-            cv: Condvar::new(),
         }
     }
 
@@ -173,13 +132,13 @@ impl ReduceSlots {
         let mut s = self.state.lock();
         // Wait for the previous round to be fully drained.
         while s.result.is_some() && s.slots[rank].is_some() {
-            self.cv.wait(&mut s);
+            s = self.state.wait(s);
         }
         // If a completed round is still being read and our slot is free,
         // we may be racing ahead into the next round: wait until the
         // result is consumed.
         while s.result.is_some() {
-            self.cv.wait(&mut s);
+            s = self.state.wait(s);
         }
         assert!(s.slots[rank].is_none(), "rank {rank} double-contributed");
         s.slots[rank] = Some(data);
@@ -193,11 +152,11 @@ impl ReduceSlots {
             s.result = Some(gathered);
             s.readers_left = self.n;
             s.round += 1;
-            self.cv.notify_all();
+            self.state.notify(&mut s);
         } else {
             let round = s.round;
             while s.round == round {
-                self.cv.wait(&mut s);
+                s = self.state.wait(s);
             }
         }
         let out = s
@@ -208,7 +167,7 @@ impl ReduceSlots {
         s.readers_left -= 1;
         if s.readers_left == 0 {
             s.result = None;
-            self.cv.notify_all();
+            self.state.notify(&mut s);
         }
         out
     }

@@ -417,22 +417,24 @@ mod tests {
     fn faulty_ring_preserves_payloads_and_channel_order() {
         let n = 4usize;
         let rounds = 40;
-        let results = World::run_with_faults(n, FaultPlan::chaos(11), move |comm| {
-            let right = (comm.rank() + 1) % n;
-            let left = (comm.rank() + n - 1) % n;
-            for i in 0..rounds {
-                comm.send(right, 0, vec![comm.rank() as f64, i as f64]);
-            }
-            let got: Vec<Vec<f64>> = (0..rounds).map(|_| comm.recv(left, 0).to_vec()).collect();
-            (left, got)
-        });
-        for (rank, (left, got)) in results.iter().enumerate() {
-            for (i, msg) in got.iter().enumerate() {
-                assert_eq!(
-                    msg,
-                    &vec![*left as f64, i as f64],
-                    "rank {rank} message {i} corrupted or reordered"
-                );
+        for seed in [11, 12, 13, 14, 15] {
+            let results = World::run_with_faults(n, FaultPlan::chaos(seed), move |comm| {
+                let right = (comm.rank() + 1) % n;
+                let left = (comm.rank() + n - 1) % n;
+                for i in 0..rounds {
+                    comm.send(right, 0, vec![comm.rank() as f64, i as f64]);
+                }
+                let got: Vec<Vec<f64>> = (0..rounds).map(|_| comm.recv(left, 0).to_vec()).collect();
+                (left, got)
+            });
+            for (rank, (left, got)) in results.iter().enumerate() {
+                for (i, msg) in got.iter().enumerate() {
+                    assert_eq!(
+                        msg,
+                        &vec![*left as f64, i as f64],
+                        "seed {seed} rank {rank} message {i} corrupted or reordered"
+                    );
+                }
             }
         }
     }
@@ -509,22 +511,6 @@ mod tests {
         }
         let total_stall: u64 = results.iter().map(|&(_, s)| s).sum();
         assert!(total_stall > 0, "stragglers never stalled");
-    }
-
-    /// Fault-free worlds allocate no fault state — `FaultPlan::off` is
-    /// genuinely zero-cost on the delivery path.
-    #[test]
-    fn off_plan_allocates_no_fault_state() {
-        let before = fault_states_allocated();
-        World::run(3, |comm| {
-            let right = (comm.rank() + 1) % 3;
-            let left = (comm.rank() + 2) % 3;
-            let req = comm.irecv(left, 0);
-            comm.send(right, 0, vec![1.0; 32]);
-            req.wait();
-            assert_eq!(comm.fault_stats(), FaultStats::default());
-        });
-        assert_eq!(fault_states_allocated(), before);
     }
 
     /// Straggler throttling slows the throttled section and records the

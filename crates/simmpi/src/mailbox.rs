@@ -16,9 +16,15 @@
 //! entries themselves (their condvar waits are bounded by the earliest
 //! deadline), so no background thread is needed and a fault-free world
 //! pays a single `Option` branch per delivery.
+//!
+//! The queues sit in an [`obs::crew::Monitor`]: a blocked receiver polls
+//! the monitor's arrival counter without the lock (spin → yield) before
+//! it sleeps, and a delivery issues the condvar's futex wake only when
+//! a receiver is actually asleep. Waits with a deadline (limbo release,
+//! the bounded-wait timeout) sleep on the condvar directly.
 
 use crate::fault::{note_fault_state_allocated, ns_to_duration, Delivery, FaultPlan};
-use parking_lot::{Condvar, Mutex};
+use obs::crew::Monitor;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -134,8 +140,7 @@ fn flush_due(c: &mut Channels) -> Option<Instant> {
 /// order, exactly as MPI's matching rules allow.
 #[derive(Default)]
 pub(crate) struct Mailbox {
-    channels: Mutex<Channels>,
-    arrived: Condvar,
+    channels: Monitor<Channels>,
 }
 
 impl Mailbox {
@@ -144,7 +149,7 @@ impl Mailbox {
     pub fn with_faults(plan: FaultPlan, dst: usize) -> Self {
         note_fault_state_allocated();
         Self {
-            channels: Mutex::new(Channels {
+            channels: Monitor::new(Channels {
                 fault: Some(Box::new(Limbo {
                     plan,
                     dst,
@@ -155,7 +160,6 @@ impl Mailbox {
                 })),
                 ..Channels::default()
             }),
-            arrived: Condvar::new(),
         }
     }
 
@@ -224,10 +228,9 @@ impl Mailbox {
                     data,
                     release_at,
                 });
-                drop(c);
                 // Waiters are woken for held messages too: the hold
                 // changes the earliest deadline their timed waits use.
-                self.arrived.notify_all();
+                self.channels.notify(&mut c);
                 return seq;
             }
         }
@@ -235,8 +238,7 @@ impl Mailbox {
             .entry((src, tag))
             .or_default()
             .push_back((seq, data));
-        drop(c);
-        self.arrived.notify_all();
+        self.channels.notify(&mut c);
         seq
     }
 
@@ -262,9 +264,9 @@ impl Mailbox {
                     let wait = at
                         .saturating_duration_since(Instant::now())
                         .max(Duration::from_micros(1));
-                    let _ = self.arrived.wait_for(&mut c, wait);
+                    c = self.channels.wait_for(c, wait);
                 }
-                None => self.arrived.wait(&mut c),
+                None => c = self.channels.wait(c),
             }
         }
     }
@@ -292,9 +294,9 @@ impl Mailbox {
             if let Some(at) = next_due {
                 wait = wait.min(at.saturating_duration_since(now));
             }
-            let _ = self
-                .arrived
-                .wait_for(&mut c, wait.max(Duration::from_micros(1)));
+            c = self
+                .channels
+                .wait_for(c, wait.max(Duration::from_micros(1)));
         }
     }
 
@@ -329,5 +331,102 @@ impl Mailbox {
             .fault
             .as_deref()
             .map_or((0, 0), |f| (f.delayed, f.redelivered))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn msg(src: usize, tag: u64, v: f64) -> Message {
+        Message {
+            src,
+            tag,
+            data: vec![v],
+        }
+    }
+
+    /// Seeded producer delays in `spin_loop` iterations, cycling through
+    /// magnitudes that land in the receiver's poll, yield and sleep phases.
+    fn delays(rounds: u64) -> impl Iterator<Item = u64> {
+        let mut x = 0xD1B5_4A32_D192_ED03u64;
+        (0..rounds).map(move |r| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % [1, 8, 64, 512, 4096, 32_768, 262_144][(r % 7) as usize]
+        })
+    }
+
+    fn spin(n: u64) {
+        for _ in 0..n {
+            std::hint::spin_loop();
+        }
+    }
+
+    #[test]
+    fn take_matching_loses_no_wakeup_at_any_producer_delay() {
+        // Ping-pong between two mailboxes; a lost wakeup hangs the test.
+        let (a, b) = (Mailbox::default(), Mailbox::default());
+        let rounds = 3000;
+        std::thread::scope(|s| {
+            let (a, b) = (&a, &b);
+            s.spawn(move || {
+                for (r, d) in delays(rounds).enumerate() {
+                    let (_, got) = b.take_matching(0, 7);
+                    assert_eq!(got, vec![r as f64]);
+                    spin(d / 3);
+                    // Traffic on another channel must not satisfy the wait.
+                    a.deliver(msg(1, 8, -1.0), false);
+                    a.deliver(msg(1, 7, r as f64), false);
+                }
+            });
+            for (r, d) in delays(rounds).enumerate() {
+                spin(d);
+                b.deliver(msg(0, 7, r as f64), false);
+                let (_, got) = a.take_matching(1, 7);
+                assert_eq!(got, vec![r as f64]);
+            }
+        });
+        assert_eq!(a.len(), rounds as usize, "the other channel's messages");
+        assert_eq!(b.len(), 0);
+    }
+
+    #[test]
+    fn timed_take_gives_up_no_earlier_than_its_deadline() {
+        let mb = Mailbox::default();
+        let timeout = Duration::from_millis(3);
+        std::thread::scope(|s| {
+            // Wake-ups for a channel nobody waits on must not cut it short.
+            s.spawn(|| {
+                for _ in 0..50 {
+                    mb.deliver(msg(0, 99, 0.0), false);
+                    spin(2000);
+                }
+            });
+            let t0 = Instant::now();
+            assert!(mb.take_matching_timeout(0, 1, timeout).is_none());
+            assert!(t0.elapsed() >= timeout);
+        });
+        mb.deliver(msg(0, 1, 5.0), false);
+        let got = mb.take_matching_timeout(0, 1, timeout);
+        assert_eq!(got.map(|(_, d)| d), Some(vec![5.0]));
+    }
+
+    #[test]
+    fn limbo_releases_each_channel_in_send_order() {
+        for seed in [11, 12, 13, 14, 15] {
+            let mb = Mailbox::with_faults(FaultPlan::chaos(seed), 1);
+            for i in 0..60 {
+                mb.deliver(msg(0, i % 3, i as f64), false);
+            }
+            for tag in 0..3u64 {
+                let got: Vec<f64> = (0..20).map(|_| mb.take_matching(0, tag).1[0]).collect();
+                let want: Vec<f64> = (0..60).filter(|i| i % 3 == tag).map(|i| i as f64).collect();
+                assert_eq!(got, want, "seed {seed} tag {tag}");
+            }
+            let (delayed, redelivered) = mb.fault_counters();
+            assert!(delayed + redelivered > 0, "seed {seed} held nothing");
+        }
     }
 }
