@@ -521,8 +521,9 @@ impl<'a> SharedField<'a> {
         Self { cells, sx, sy, h }
     }
 
+    /// Flat cell index for interior-relative coordinates.
     #[inline]
-    fn index(&self, x: i64, y: i64, z: i64) -> usize {
+    pub(crate) fn index(&self, x: i64, y: i64, z: i64) -> usize {
         let h = self.h as i64;
         (x + h) as usize + self.sx * ((y + h) as usize + self.sy * (z + h) as usize)
     }
@@ -533,36 +534,29 @@ impl<'a> SharedField<'a> {
         (self.sx, self.sy)
     }
 
-    /// Write one value at interior-relative coordinates.
-    #[inline]
-    pub fn write(&self, x: i64, y: i64, z: i64, v: f64) {
-        // SAFETY: per the type's contract, no other thread accesses this
-        // point concurrently.
-        unsafe { *self.cells[self.index(x, y, z)].get() = v }
-    }
-
-    /// Read one value at interior-relative coordinates.
-    #[inline]
-    pub fn read(&self, x: i64, y: i64, z: i64) -> f64 {
-        // SAFETY: per the type's contract, no other thread writes this
-        // point concurrently.
-        unsafe { *self.cells[self.index(x, y, z)].get() }
-    }
-
     /// A contiguous x-row as a shared slice, starting at interior-relative
     /// `(x0, y, z)` and spanning `w` points.
     ///
     /// # Safety
     ///
     /// No thread may write any of the `w` points while the returned slice
-    /// lives. This is stronger than the per-access contract of
-    /// [`SharedField::read`]: the exclusion must hold for the slice's
-    /// whole lifetime, not just one access.
+    /// lives: the exclusion must hold for the slice's whole lifetime, not
+    /// just one access.
     #[inline]
     pub unsafe fn row(&self, x0: i64, y: i64, z: i64, w: usize) -> &[f64] {
-        let i = self.index(x0, y, z);
-        debug_assert!(i + w <= self.cells.len());
-        std::slice::from_raw_parts(self.cells[i].get() as *const f64, w)
+        self.window(self.index(x0, y, z), w)
+    }
+
+    /// The `w` contiguous cells starting at flat index `i`, as a shared
+    /// slice.
+    ///
+    /// # Safety
+    ///
+    /// As for [`SharedField::row`].
+    #[inline]
+    pub(crate) unsafe fn window(&self, i: usize, w: usize) -> &[f64] {
+        let cells = &self.cells[i..i + w];
+        std::slice::from_raw_parts(std::cell::UnsafeCell::raw_get(cells.as_ptr()), w)
     }
 
     /// A contiguous x-row as an exclusive slice, starting at
@@ -577,35 +571,46 @@ impl<'a> SharedField<'a> {
     #[allow(clippy::mut_from_ref)] // UnsafeCell interior mutability; see Safety.
     pub unsafe fn row_mut(&self, x0: i64, y: i64, z: i64, w: usize) -> &mut [f64] {
         let i = self.index(x0, y, z);
-        debug_assert!(i + w <= self.cells.len());
-        std::slice::from_raw_parts_mut(self.cells[i].get(), w)
+        let cells = &self.cells[i..i + w];
+        std::slice::from_raw_parts_mut(std::cell::UnsafeCell::raw_get(cells.as_ptr()), w)
     }
 
-    /// Pack a region into a new buffer (x fastest), reading through the
-    /// shared cells.
-    pub fn pack(&self, region: Range3) -> Vec<f64> {
-        let mut out = Vec::with_capacity(region.len());
-        for (x, y, z) in region.iter() {
-            out.push(self.read(x, y, z));
-        }
-        out
-    }
-
-    /// Pack a region into a caller-provided buffer (x fastest), reading
-    /// through the shared cells — the reusable-staging variant of
-    /// [`SharedField::pack`]. `buf` must have length `region.len()`.
+    /// Pack a region into a caller-provided buffer (x fastest), one
+    /// x-row slice at a time like [`Field3::pack`], reading through the
+    /// shared cells. `buf` must have length `region.len()`.
     pub fn pack_into(&self, region: Range3, buf: &mut [f64]) {
         debug_assert_eq!(buf.len(), region.len());
-        for (i, (x, y, z)) in region.iter().enumerate() {
-            buf[i] = self.read(x, y, z);
+        let w = (region.x.1 - region.x.0).max(0) as usize;
+        if w == 0 {
+            return;
+        }
+        let mut n = 0;
+        for z in region.z.0..region.z.1 {
+            for y in region.y.0..region.y.1 {
+                // SAFETY: per the type's contract, no other thread writes
+                // a point this thread packs.
+                buf[n..n + w].copy_from_slice(unsafe { self.row(region.x.0, y, z, w) });
+                n += w;
+            }
         }
     }
 
-    /// Unpack a buffer into a region, writing through the shared cells.
+    /// Unpack a buffer into a region (inverse of
+    /// [`SharedField::pack_into`]), writing through the shared cells.
     pub fn unpack(&self, region: Range3, data: &[f64]) {
         debug_assert_eq!(data.len(), region.len());
-        for (i, (x, y, z)) in region.iter().enumerate() {
-            self.write(x, y, z, data[i]);
+        let w = (region.x.1 - region.x.0).max(0) as usize;
+        if w == 0 {
+            return;
+        }
+        let mut n = 0;
+        for z in region.z.0..region.z.1 {
+            for y in region.y.0..region.y.1 {
+                // SAFETY: per the type's contract, no other thread reads
+                // or writes a point this thread unpacks.
+                unsafe { self.row_mut(region.x.0, y, z, w) }.copy_from_slice(&data[n..n + w]);
+                n += w;
+            }
         }
     }
 }
@@ -742,18 +747,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_pack_into_matches_pack() {
-        let mut f = Field3::new(4, 4, 4, 1);
-        f.fill_interior(|x, y, z| (x + 10 * y + 100 * z) as f64);
-        let sh = SharedField::new(&mut f);
-        let region = Range3::new((0, 4), (1, 3), (0, 2));
-        let fresh = sh.pack(region);
-        let mut staged = vec![0.0; region.len()];
-        sh.pack_into(region, &mut staged);
-        assert_eq!(fresh, staged);
-    }
-
-    #[test]
     fn pack_covers_halo_coordinates() {
         let mut f = Field3::new(4, 4, 4, 1);
         f.fill_interior(|x, y, z| (x + y + z) as f64);
@@ -854,9 +847,7 @@ mod tests {
             let sh = SharedField::new(&mut f);
             // SAFETY: single-threaded test; no concurrent access.
             let r = unsafe { sh.row(0, 2, 3, 4) };
-            for (i, &v) in r.iter().enumerate() {
-                assert_eq!(v, sh.read(i as i64, 2, 3));
-            }
+            assert_eq!(r, [320.0, 321.0, 322.0, 323.0]);
             let w = unsafe { sh.row_mut(1, 1, 1, 2) };
             w[0] = -5.0;
             w[1] = -6.0;

@@ -6,42 +6,44 @@
 //! through the same arithmetic, so all of them produce bit-identical
 //! results (the operations are performed in the same order per point).
 //!
-//! # Fast path and scalar oracle
+//! # One body, one oracle
 //!
-//! Each entry point has two implementations that are bit-identical by
-//! construction:
+//! Every entry point is a view (plain field, z-slab, shared writer,
+//! shared source and writer) over **one** private sweep body, which
+//! visits its region in cache-sized y/z tiles ([`TileSpec`]) and
+//! computes each tile on one of two paths:
 //!
-//! * The **SIMD fast path** (default): each x-row of the region is
-//!   processed by [`crate::simd::accumulate_tap_rows`], which dispatches
-//!   at runtime to explicit `f64x4`/`f64x8` vector kernels (or a portable
-//!   chunked loop). A chunk of vector accumulators is zeroed and then
-//!   each of the 27 taps adds `coef[t] * src` over a pre-sliced window of
-//!   the tap's source row; accumulating in registers instead of
-//!   re-reading the destination row avoids 27 store/reload passes.
-//! * The **scalar oracle** (`apply_stencil_*_scalar`): the original
-//!   per-point loop, kept as the reference the differential tests compare
-//!   against. Building with `--features scalar-kernels` routes the public
-//!   entry points through the oracle instead.
+//! * The **row path**: each x-row of the tile is one call of
+//!   [`accumulate_tap_rows`], which dispatches at runtime to explicit
+//!   `f64x4`/`f64x8` vector kernels (or a portable chunked loop) over
+//!   27 pre-sliced windows of the tap's source rows, accumulating in
+//!   registers.
+//! * The **column path**, for tiles at most three points wide in x
+//!   (the x-walls of an interior/boundary split, the CPU veneer of the
+//!   hybrid runners): a one-element row would pay the 27-window set-up
+//!   per *point*, so the `w + 2` neighbouring columns are staged
+//!   contiguously along y in a three-plane ring over z — the way
+//!   `simgpu::kernels` stages rows — and the same
+//!   [`accumulate_tap_rows`] runs on y-contiguous tap windows, one call
+//!   per output column and plane.
+//!
+//! The **scalar oracle** [`apply_stencil_region_scalar`] is the original
+//! per-point loop, kept as the one reference the differential tests
+//! compare every view, path and tile shape against.
 //!
 //! Bit-identity holds because each output element sees exactly the same
-//! sequence of floating-point operations on both paths: start from `0.0`,
-//! then add `coef[t] * src[...]` for taps `t = 0..27` in fixed order. The
-//! fast path merely interchanges the (x, tap) loops — lane-chunked in the
-//! SIMD kernels — which never reorders the additions *within* one output
-//! element (see the [`crate::simd`] module docs).
-//!
-//! # Cache blocking
-//!
-//! The default entry points additionally visit their region in
-//! cache-sized y/z tiles ([`crate::tile::TileSpec`]): tiling only
-//! permutes the order in which whole output rows are produced, never the
-//! arithmetic within one, so it is bit-neutral. The `*_tiled` variants
-//! accept an explicit [`TileSpec`]; [`apply_stencil_region_pooled`] fans
-//! the tiles out over a [`crate::sweep::SweepPool`] work queue — tiles
-//! are disjoint, so the result is identical at any worker count.
+//! sequence of floating-point operations everywhere: start from `0.0`,
+//! then add `coef[t] * src[...]` for taps `t = 0..27` in fixed order.
+//! Both paths merely interchange the (point, tap) loops — lane-chunked in
+//! the SIMD kernels — which never reorders the additions *within* one
+//! output element (see the [`crate::simd`] module docs); tiling only
+//! permutes the order in which whole tiles are produced.
+//! [`apply_stencil_region_pooled`] fans the tiles out over a
+//! [`crate::sweep::SweepPool`] work queue — tiles are disjoint, so the
+//! result is identical at any worker count.
 
 use crate::coeffs::Stencil27;
-use crate::field::{Field3, Range3, SharedField};
+use crate::field::{Field3, Range3, SharedField, ZSlabMut};
 use crate::sweep::SweepPool;
 use crate::tile::TileSpec;
 
@@ -66,18 +68,6 @@ pub(crate) fn tap_offsets(sx: usize, sy: usize) -> [i64; 27] {
     offs
 }
 
-/// Row-wise tap accumulation over a strided source: slices the 27 tap
-/// windows out of `sd` and delegates to [`accumulate_tap_rows`].
-#[inline]
-fn accumulate_row(dst_row: &mut [f64], sd: &[f64], base: i64, offs: &[i64; 27], coef: &[f64; 27]) {
-    let w = dst_row.len();
-    let rows: [&[f64]; 27] = std::array::from_fn(|t| {
-        let s0 = (base + offs[t]) as usize;
-        &sd[s0..s0 + w]
-    });
-    accumulate_tap_rows(dst_row, &rows, coef);
-}
-
 /// Accumulate 27 tap rows into a destination row:
 /// `dst[x] = Σₜ coef[t] · rows[t][x]`, taps added in order `t = 0..27`.
 ///
@@ -97,55 +87,184 @@ pub fn accumulate_tap_rows(dst_row: &mut [f64], rows: &[&[f64]; 27], coef: &[f64
     crate::simd::accumulate_tap_rows(dst_row, rows, coef);
 }
 
+/// What a sweep reads: an x-fastest, halo'd allocation addressed by flat
+/// index, so the 27 taps of a row are 27 windows at fixed offsets from
+/// the row's own index.
+trait TapSource {
+    /// Allocated `(sx, sy)` strides.
+    fn strides(&self) -> (usize, usize);
+    /// Flat index of interior-relative `(x, y, z)`.
+    fn index(&self, x: i64, y: i64, z: i64) -> usize;
+    /// The `w` contiguous values starting at flat index `i`.
+    fn window(&self, i: usize, w: usize) -> &[f64];
+}
+
+impl TapSource for Field3 {
+    fn strides(&self) -> (usize, usize) {
+        let (sx, sy, _) = self.extents();
+        (sx, sy)
+    }
+    #[inline]
+    fn index(&self, x: i64, y: i64, z: i64) -> usize {
+        self.idx(x, y, z)
+    }
+    #[inline]
+    fn window(&self, i: usize, w: usize) -> &[f64] {
+        &self.data()[i..i + w]
+    }
+}
+
+impl TapSource for SharedField<'_> {
+    fn strides(&self) -> (usize, usize) {
+        SharedField::strides(self)
+    }
+    #[inline]
+    fn index(&self, x: i64, y: i64, z: i64) -> usize {
+        SharedField::index(self, x, y, z)
+    }
+    #[inline]
+    fn window(&self, i: usize, w: usize) -> &[f64] {
+        // SAFETY: a sweep reads exactly the points a stencil application
+        // over its region reads, which per the `SharedField` contract no
+        // thread writes concurrently.
+        unsafe { SharedField::window(self, i, w) }
+    }
+}
+
+/// What a sweep writes: whole or partial x-rows of the region it was
+/// handed.
+trait RowSink {
+    /// The `w` points of the row starting at interior-relative
+    /// `(x0, y, z)`.
+    fn row_mut(&mut self, x0: i64, y: i64, z: i64, w: usize) -> &mut [f64];
+}
+
+impl RowSink for Field3 {
+    #[inline]
+    fn row_mut(&mut self, x0: i64, y: i64, z: i64, w: usize) -> &mut [f64] {
+        Field3::row_mut(self, x0, y, z, w)
+    }
+}
+
+impl RowSink for ZSlabMut<'_> {
+    #[inline]
+    fn row_mut(&mut self, x0: i64, y: i64, z: i64, w: usize) -> &mut [f64] {
+        ZSlabMut::row_mut(self, x0, y, z, w)
+    }
+}
+
+impl RowSink for &SharedField<'_> {
+    #[inline]
+    fn row_mut(&mut self, x0: i64, y: i64, z: i64, w: usize) -> &mut [f64] {
+        // SAFETY: the caller's disjoint-region contract gives this thread
+        // exclusive access to every point of the region it sweeps,
+        // including this row.
+        unsafe { SharedField::row_mut(self, x0, y, z, w) }
+    }
+}
+
+/// Widest tile (in x) that takes the column path.
+const THIN_W: usize = 3;
+
+/// The one sweep body: Equation 2 over `region`, tile by tile, each tile
+/// on the column path when it is thin in x and taller than wide (a
+/// region thin in x *and* y has no long axis to stage along), on the
+/// row path otherwise.
+fn sweep<S: TapSource, D: RowSink>(
+    src: &S,
+    dst: &mut D,
+    s: &Stencil27,
+    region: Range3,
+    tile: TileSpec,
+) {
+    for t in tile.tiles(region) {
+        sweep_tile(src, dst, s, t);
+    }
+}
+
+fn sweep_tile<S: TapSource, D: RowSink>(src: &S, dst: &mut D, s: &Stencil27, t: Range3) {
+    let w = (t.x.1 - t.x.0) as usize;
+    let h = (t.y.1 - t.y.0) as usize;
+    if w <= THIN_W && h > w {
+        return sweep_columns(src, dst, s, t);
+    }
+    let (sx, sy) = src.strides();
+    let offs = tap_offsets(sx, sy);
+    for z in t.z.0..t.z.1 {
+        for y in t.y.0..t.y.1 {
+            let base = src.index(t.x.0, y, z) as i64;
+            let rows: [&[f64]; 27] =
+                std::array::from_fn(|tap| src.window((base + offs[tap]) as usize, w));
+            accumulate_tap_rows(dst.row_mut(t.x.0, y, z, w), &rows, &s.a);
+        }
+    }
+}
+
+/// The column path over one thin tile `r`, `w` wide and `h` tall.
+///
+/// Marches z through a three-slot ring of staged planes. A staged plane
+/// holds the `w + 2` columns `x ∈ r.x.0 − 1 ..= r.x.1`, each contiguous
+/// along `y ∈ r.y.0 − 1 ..= r.y.1`, so tap `(dz, dy, dx)` of output
+/// column `c` is the length-`h` window starting at `dy` of column
+/// `c + dx` in plane `z + dz − 1` — taps still in coefficient order
+/// (plane slowest, then y, then x), hence bit-identical to the row path.
+fn sweep_columns<S: TapSource, D: RowSink>(src: &S, dst: &mut D, s: &Stencil27, r: Range3) {
+    let w = (r.x.1 - r.x.0) as usize;
+    let h = (r.y.1 - r.y.0) as usize;
+    let (cols, ch) = (w + 2, h + 2);
+    let plane = cols * ch;
+    let mut scratch = vec![0.0f64; 3 * plane + w * h];
+    let (ring, out) = scratch.split_at_mut(3 * plane);
+    // Plane `z` lives in slot `(z - r.z.0 + 1) % 3`: a transpose of its
+    // `h + 2` source rows, each `w + 2` wide.
+    let stage = |ring: &mut [f64], k: usize, z: i64| {
+        let slot = &mut ring[k % 3 * plane..][..plane];
+        for (j, y) in (r.y.0 - 1..r.y.1 + 1).enumerate() {
+            let row = src.window(src.index(r.x.0 - 1, y, z), cols);
+            for (c, &v) in row.iter().enumerate() {
+                slot[c * ch + j] = v;
+            }
+        }
+    };
+    stage(ring, 0, r.z.0 - 1);
+    stage(ring, 1, r.z.0);
+    for (k, z) in (r.z.0..r.z.1).enumerate() {
+        stage(ring, k + 2, z + 1);
+        for (c, col) in out.chunks_mut(h).enumerate() {
+            let taps: [&[f64]; 27] = std::array::from_fn(|t| {
+                let (dz, dy, dx) = (t / 9, t / 3 % 3, t % 3);
+                &ring[(k + dz) % 3 * plane + (c + dx) * ch + dy..][..h]
+            });
+            accumulate_tap_rows(col, &taps, &s.a);
+        }
+        for (j, y) in (r.y.0..r.y.1).enumerate() {
+            for (c, v) in dst.row_mut(r.x.0, y, z, w).iter_mut().enumerate() {
+                *v = out[c * h + j];
+            }
+        }
+    }
+}
+
 /// Apply Equation 2 to `region` of `src`, writing into the same region of
 /// `dst`. `src` must have valid halo/neighbor values for every point that
 /// `region` touches (one point in every direction).
 ///
 /// Visits the region in cache-sized tiles ([`TileSpec::host`]); tiling
-/// only reorders whole rows, so the result is bit-identical to the
+/// only reorders whole tiles, so the result is bit-identical to the
 /// untiled sweep.
 ///
 /// Cost: 53 flops per point (27 multiplications + 26 additions), exactly
 /// the count the paper uses to convert measured time into GF.
 pub fn apply_stencil_region(src: &Field3, dst: &mut Field3, s: &Stencil27, region: Range3) {
-    let (sx, _, _) = src.extents();
-    apply_stencil_region_tiled(src, dst, s, region, TileSpec::host(sx));
-}
-
-/// [`apply_stencil_region`] with an explicit cache-blocking tile.
-pub fn apply_stencil_region_tiled(
-    src: &Field3,
-    dst: &mut Field3,
-    s: &Stencil27,
-    region: Range3,
-    tile: TileSpec,
-) {
-    if cfg!(feature = "scalar-kernels") {
-        return apply_stencil_region_scalar(src, dst, s, region);
-    }
     assert_eq!(src.interior(), dst.interior(), "field sizes must match");
-    for t in tile.tiles(region) {
-        region_sweep(src, dst, s, t);
-    }
+    let (sx, _, _) = src.extents();
+    sweep(src, dst, s, region, TileSpec::host(sx));
 }
 
-/// The row-vectorized sweep over one (sub-)region — the shared inner body
-/// of the tiled region entry points.
-fn region_sweep(src: &Field3, dst: &mut Field3, s: &Stencil27, region: Range3) {
-    let w = (region.x.1 - region.x.0).max(0) as usize;
-    if w == 0 {
-        return;
-    }
-    let (sx, sy, _) = src.extents();
-    let offs = tap_offsets(sx, sy);
-    let sd = src.data();
-    for z in region.z.0..region.z.1 {
-        for y in region.y.0..region.y.1 {
-            let base = src.idx(region.x.0, y, z) as i64;
-            let dst_row = dst.row_mut(region.x.0, y, z, w);
-            accumulate_row(dst_row, sd, base, &offs, &s.a);
-        }
-    }
+/// Apply the stencil to the entire interior of `src`.
+pub fn apply_stencil_interior(src: &Field3, dst: &mut Field3, s: &Stencil27) {
+    let region = src.interior_range();
+    apply_stencil_region(src, dst, s, region);
 }
 
 /// Apply Equation 2 to `region`, fanning the cache-sized tiles out over a
@@ -161,19 +280,16 @@ pub fn apply_stencil_region_pooled(
     tile: TileSpec,
     pool: &SweepPool,
 ) {
-    if cfg!(feature = "scalar-kernels") {
-        return apply_stencil_region_scalar(src, dst, s, region);
-    }
     assert_eq!(src.interior(), dst.interior(), "field sizes must match");
     let tiles: Vec<Range3> = tile.tiles(region).collect();
     let shared = SharedField::new(dst);
     pool.for_each_index(tiles.len(), |i| {
-        shared_sweep(src, &shared, s, tiles[i]);
+        sweep_tile(src, &mut &shared, s, tiles[i]);
     });
 }
 
-/// Scalar per-point oracle for [`apply_stencil_region`]. Kept as the
-/// reference implementation the differential tests compare against.
+/// Scalar per-point oracle: the reference implementation every view,
+/// path and tile shape is differentially tested against.
 pub fn apply_stencil_region_scalar(src: &Field3, dst: &mut Field3, s: &Stencil27, region: Range3) {
     assert_eq!(src.interior(), dst.interior(), "field sizes must match");
     let (sx, sy, _) = src.extents();
@@ -205,276 +321,48 @@ pub fn apply_stencil_region_scalar(src: &Field3, dst: &mut Field3, s: &Stencil27
 
 /// Apply Equation 2 to the part of `region` owned by a mutable z-slab of
 /// the destination field. Used by the threaded steppers: each thread owns a
-/// disjoint [`crate::field::ZSlabMut`] so the writes are data-race-free by
+/// disjoint [`ZSlabMut`] so the writes are data-race-free by
 /// construction.
-pub fn apply_stencil_slab(
-    src: &Field3,
-    dst: &mut crate::field::ZSlabMut<'_>,
-    s: &Stencil27,
-    region: Range3,
-) {
-    let (sx, _, _) = src.extents();
-    apply_stencil_slab_tiled(src, dst, s, region, TileSpec::host(sx));
-}
-
-/// [`apply_stencil_slab`] with an explicit cache-blocking tile.
 pub fn apply_stencil_slab_tiled(
     src: &Field3,
-    dst: &mut crate::field::ZSlabMut<'_>,
+    dst: &mut ZSlabMut<'_>,
     s: &Stencil27,
     region: Range3,
     tile: TileSpec,
 ) {
-    if cfg!(feature = "scalar-kernels") {
-        return apply_stencil_slab_scalar(src, dst, s, region);
-    }
     let clipped = dst.owned_region(region);
-    if clipped.is_empty() {
-        return;
-    }
-    let (sx, sy, _) = src.extents();
-    let offs = tap_offsets(sx, sy);
-    let sd = src.data();
-    for t in tile.tiles(clipped) {
-        let w = (t.x.1 - t.x.0) as usize;
-        for z in t.z.0..t.z.1 {
-            for y in t.y.0..t.y.1 {
-                let base = src.idx(t.x.0, y, z) as i64;
-                let dst_row = dst.row_mut(t.x.0, y, z, w);
-                accumulate_row(dst_row, sd, base, &offs, &s.a);
-            }
-        }
-    }
-}
-
-/// Scalar per-point oracle for [`apply_stencil_slab`].
-pub fn apply_stencil_slab_scalar(
-    src: &Field3,
-    dst: &mut crate::field::ZSlabMut<'_>,
-    s: &Stencil27,
-    region: Range3,
-) {
-    let clipped = dst.owned_region(region);
-    if clipped.is_empty() {
-        return;
-    }
-    let (sx, sy, _) = src.extents();
-    let offs = tap_offsets(sx, sy);
-    let coef = s.a;
-    let sd = src.data();
-    for z in clipped.z.0..clipped.z.1 {
-        for y in clipped.y.0..clipped.y.1 {
-            let row_src = src.idx(clipped.x.0, y, z) as i64;
-            let row_dst = dst.idx(clipped.x.0, y, z);
-            let w = (clipped.x.1 - clipped.x.0) as usize;
-            for ix in 0..w {
-                let base = row_src + ix as i64;
-                let mut acc = 0.0;
-                for t in 0..27 {
-                    acc += coef[t] * sd[(base + offs[t]) as usize];
-                }
-                dst.data[row_dst + ix] = acc;
-            }
-        }
-    }
-}
-
-/// Copy `region` of `src` into the part of it owned by a destination
-/// z-slab (the threaded version of the paper's Step 3).
-pub fn copy_region_slab(src: &Field3, dst: &mut crate::field::ZSlabMut<'_>, region: Range3) {
-    let clipped = dst.owned_region(region);
-    for z in clipped.z.0..clipped.z.1 {
-        for y in clipped.y.0..clipped.y.1 {
-            let w = (clipped.x.1 - clipped.x.0).max(0) as usize;
-            if w == 0 {
-                continue;
-            }
-            let s0 = src.idx(clipped.x.0, y, z);
-            let d0 = dst.idx(clipped.x.0, y, z);
-            dst.data[d0..d0 + w].copy_from_slice(&src.data()[s0..s0 + w]);
-        }
-    }
+    sweep(src, dst, s, clipped, tile);
 }
 
 /// Apply Equation 2 to `region`, writing through a
 /// [`crate::field::SharedWriter`] so
 /// that multiple threads with *disjoint* regions can fill one destination
-/// field concurrently under dynamic scheduling (implementation IV-D).
-pub fn apply_stencil_shared(
-    src: &Field3,
-    dst: &crate::field::SharedWriter<'_>,
-    s: &Stencil27,
-    region: Range3,
-) {
-    let (sx, _, _) = src.extents();
-    apply_stencil_shared_tiled(src, dst, s, region, TileSpec::host(sx));
-}
-
-/// [`apply_stencil_shared`] with an explicit cache-blocking tile.
+/// field concurrently (the CPU walls of implementation IV-H).
 pub fn apply_stencil_shared_tiled(
     src: &Field3,
-    dst: &crate::field::SharedWriter<'_>,
+    mut dst: &SharedField<'_>,
     s: &Stencil27,
     region: Range3,
     tile: TileSpec,
 ) {
-    if cfg!(feature = "scalar-kernels") {
-        return apply_stencil_shared_scalar(src, dst, s, region);
-    }
-    for t in tile.tiles(region) {
-        shared_sweep(src, dst, s, t);
-    }
+    sweep(src, &mut dst, s, region, tile);
 }
 
-/// The row-vectorized sweep over one (sub-)region through a shared
-/// writer — the shared inner body of the tiled shared/pooled entry
-/// points.
-fn shared_sweep(src: &Field3, dst: &SharedField<'_>, s: &Stencil27, region: Range3) {
-    let w = (region.x.1 - region.x.0).max(0) as usize;
-    if w == 0 {
-        return;
-    }
-    let (sx, sy, _) = src.extents();
-    let offs = tap_offsets(sx, sy);
-    let sd = src.data();
-    for z in region.z.0..region.z.1 {
-        for y in region.y.0..region.y.1 {
-            let base = src.idx(region.x.0, y, z) as i64;
-            // SAFETY: the caller's disjoint-region contract gives this
-            // thread exclusive access to every point of `region`,
-            // including this row.
-            let dst_row = unsafe { dst.row_mut(region.x.0, y, z, w) };
-            accumulate_row(dst_row, sd, base, &offs, &s.a);
-        }
-    }
-}
-
-/// Scalar per-point oracle for [`apply_stencil_shared`].
-pub fn apply_stencil_shared_scalar(
-    src: &Field3,
-    dst: &crate::field::SharedWriter<'_>,
-    s: &Stencil27,
-    region: Range3,
-) {
-    let (sx, sy, _) = src.extents();
-    let offs = tap_offsets(sx, sy);
-    let coef = s.a;
-    let sd = src.data();
-    for z in region.z.0..region.z.1 {
-        for y in region.y.0..region.y.1 {
-            if region.x.1 <= region.x.0 {
-                continue;
-            }
-            let row_src = src.idx(region.x.0, y, z) as i64;
-            let w = (region.x.1 - region.x.0) as usize;
-            for ix in 0..w {
-                let base = row_src + ix as i64;
-                let mut acc = 0.0;
-                for t in 0..27 {
-                    acc += coef[t] * sd[(base + offs[t]) as usize];
-                }
-                dst.write(region.x.0 + ix as i64, y, z, acc);
-            }
-        }
-    }
-}
-
-/// Apply Equation 2 reading *and* writing through
-/// [`crate::field::SharedField`]s.
+/// Apply Equation 2 reading *and* writing through [`SharedField`]s.
 ///
 /// Used when the source field is concurrently mutated in a disjoint
 /// region by another thread (implementation IV-D: the master exchanges
 /// halos while workers compute interior points) — every access goes
 /// through `UnsafeCell`, so the overlap is sound as long as the regions
 /// stay disjoint, which the interior/boundary split guarantees.
-pub fn apply_stencil_cells(
-    src: &crate::field::SharedField<'_>,
-    dst: &crate::field::SharedField<'_>,
-    s: &Stencil27,
-    region: Range3,
-) {
-    let (sx, _) = src.strides();
-    apply_stencil_cells_tiled(src, dst, s, region, TileSpec::host(sx));
-}
-
-/// [`apply_stencil_cells`] with an explicit cache-blocking tile.
 pub fn apply_stencil_cells_tiled(
-    src: &crate::field::SharedField<'_>,
-    dst: &crate::field::SharedField<'_>,
+    src: &SharedField<'_>,
+    mut dst: &SharedField<'_>,
     s: &Stencil27,
     region: Range3,
     tile: TileSpec,
 ) {
-    if cfg!(feature = "scalar-kernels") {
-        return apply_stencil_cells_scalar(src, dst, s, region);
-    }
-    let (doffs, coef) = cell_taps(s);
-    for t in tile.tiles(region) {
-        let w = (t.x.1 - t.x.0).max(0) as usize;
-        if w == 0 {
-            continue;
-        }
-        for z in t.z.0..t.z.1 {
-            for y in t.y.0..t.y.1 {
-                // SAFETY: the caller's disjoint-region contract gives this
-                // thread exclusive access to every point of `region`,
-                // including this row.
-                let dst_row = unsafe { dst.row_mut(t.x.0, y, z, w) };
-                // SAFETY: the points a stencil application reads are, per
-                // the contract, not written concurrently by any thread.
-                let rows: [&[f64]; 27] = std::array::from_fn(|tap| {
-                    let (di, dj, dk) = doffs[tap];
-                    unsafe { src.row(t.x.0 + di, y + dj, z + dk, w) }
-                });
-                accumulate_tap_rows(dst_row, &rows, &coef);
-            }
-        }
-    }
-}
-
-/// Scalar per-point oracle for [`apply_stencil_cells`].
-pub fn apply_stencil_cells_scalar(
-    src: &crate::field::SharedField<'_>,
-    dst: &crate::field::SharedField<'_>,
-    s: &Stencil27,
-    region: Range3,
-) {
-    let (doffs, coef) = cell_taps(s);
-    for z in region.z.0..region.z.1 {
-        for y in region.y.0..region.y.1 {
-            for x in region.x.0..region.x.1 {
-                let mut acc = 0.0;
-                for t in 0..27 {
-                    let (di, dj, dk) = doffs[t];
-                    acc += coef[t] * src.read(x + di, y + dj, z + dk);
-                }
-                dst.write(x, y, z, acc);
-            }
-        }
-    }
-}
-
-/// Precompute the 27 coordinate offsets and coefficients for the
-/// cell-based kernels, in the same fixed tap order as [`tap_offsets`].
-#[inline]
-fn cell_taps(s: &Stencil27) -> ([(i64, i64, i64); 27], [f64; 27]) {
-    let mut doffs = [(0i64, 0i64, 0i64); 27];
-    let mut n = 0;
-    for k in -1i64..=1 {
-        for j in -1i64..=1 {
-            for i in -1i64..=1 {
-                doffs[n] = (i, j, k);
-                n += 1;
-            }
-        }
-    }
-    (doffs, s.a)
-}
-
-/// Apply the stencil to the entire interior of `src`.
-pub fn apply_stencil_interior(src: &Field3, dst: &mut Field3, s: &Stencil27) {
-    let region = src.interior_range();
-    apply_stencil_region(src, dst, s, region);
+    sweep(src, &mut dst, s, region, tile);
 }
 
 #[cfg(test)]
@@ -573,45 +461,10 @@ mod tests {
     }
 
     #[test]
-    fn slab_and_shared_and_cells_match_scalar_oracles() {
-        use crate::field::SharedField;
-        let s = Stencil27::new(Velocity::new(0.9, 0.2, -0.5), 0.77);
-        let src = filled(8, |x, y, z| ((x * 5 + y * 11 + z * 3) % 7) as f64 * 0.31);
-        let region = Range3::new((1, 7), (0, 8), (2, 8));
-
-        let mut reference = Field3::new(8, 8, 8, 1);
-        apply_stencil_region_scalar(&src, &mut reference, &s, region);
-
-        // Slab path.
-        let mut via_slab = Field3::new(8, 8, 8, 1);
-        for slab in &mut via_slab.z_slabs_mut(&[4]) {
-            apply_stencil_slab(&src, slab, &s, region);
-        }
-        assert_eq!(reference.max_abs_diff(&via_slab), 0.0);
-
-        // Shared-writer path.
-        let mut via_shared = Field3::new(8, 8, 8, 1);
-        {
-            let writer = SharedField::new(&mut via_shared);
-            apply_stencil_shared(&src, &writer, &s, region);
-        }
-        assert_eq!(reference.max_abs_diff(&via_shared), 0.0);
-
-        // Cell-based path (shared src and dst).
-        let mut src_cells = src.clone();
-        let mut via_cells = Field3::new(8, 8, 8, 1);
-        {
-            let sc = SharedField::new(&mut src_cells);
-            let dc = SharedField::new(&mut via_cells);
-            apply_stencil_cells(&sc, &dc, &s, region);
-        }
-        assert_eq!(reference.max_abs_diff(&via_cells), 0.0);
-    }
-
-    #[test]
     fn shared_writer_matches_direct_under_threads() {
         use crate::field::SharedWriter;
         use crate::team::{Schedule, ThreadTeam};
+        use crate::tile::TileSpec;
         let s = Stencil27::new(Velocity::new(0.9, 0.4, -0.6), 0.85);
         let src = filled(10, |x, y, z| ((x * 5 + y * 3 + z) % 9) as f64);
         let mut direct = Field3::new(10, 10, 10, 1);
@@ -624,14 +477,14 @@ mod tests {
             let s_ref = &s;
             team.parallel_for(0..10, Schedule::guided(), |zr| {
                 let region = Range3::new((0, 10), (0, 10), (zr.start as i64, zr.end as i64));
-                apply_stencil_shared(src_ref, &writer, s_ref, region);
+                apply_stencil_shared_tiled(src_ref, &writer, s_ref, region, TileSpec::host(12));
             });
         }
         assert_eq!(direct.max_abs_diff(&shared), 0.0);
     }
 
     #[test]
-    fn tiled_and_pooled_match_scalar_oracle_exactly() {
+    fn pooled_matches_scalar_oracle_exactly() {
         use crate::sweep::SweepPool;
         use crate::tile::TileSpec;
         let s = Stencil27::new(Velocity::new(0.41, -0.73, 0.66), 0.88);
@@ -648,9 +501,6 @@ mod tests {
             TileSpec::new(5, 16),
             TileSpec::new(64, 64),
         ] {
-            let mut tiled = Field3::new(11, 11, 11, 1);
-            apply_stencil_region_tiled(&src, &mut tiled, &s, region, tile);
-            assert_eq!(tiled.data(), oracle.data(), "tile {tile:?}");
             for workers in [1usize, 2, 4, 7] {
                 let mut pooled = Field3::new(11, 11, 11, 1);
                 let pool = SweepPool::new(workers);
@@ -661,38 +511,42 @@ mod tests {
     }
 
     #[test]
-    fn tiled_slab_shared_cells_match_untiled() {
+    fn slab_shared_and_cells_views_match_scalar_oracle() {
         use crate::field::SharedField;
         use crate::tile::TileSpec;
         let s = Stencil27::new(Velocity::new(0.9, 0.2, -0.5), 0.77);
         let src = filled(8, |x, y, z| ((x * 5 + y * 11 + z * 3) % 7) as f64 * 0.31);
-        let region = Range3::new((0, 8), (1, 8), (0, 7));
-        let tile = TileSpec::new(2, 3);
+        // A row-path region and a column-path x-wall, host and tiny tiles.
+        for region in [
+            Range3::new((0, 8), (1, 8), (0, 7)),
+            Range3::new((7, 8), (0, 8), (0, 8)),
+        ] {
+            let mut reference = Field3::new(8, 8, 8, 1);
+            apply_stencil_region_scalar(&src, &mut reference, &s, region);
+            for tile in [TileSpec::host(10), TileSpec::new(2, 3)] {
+                let mut via_slab = Field3::new(8, 8, 8, 1);
+                for slab in &mut via_slab.z_slabs_mut(&[3]) {
+                    apply_stencil_slab_tiled(&src, slab, &s, region, tile);
+                }
+                assert_eq!(reference.data(), via_slab.data());
 
-        let mut reference = Field3::new(8, 8, 8, 1);
-        apply_stencil_region_scalar(&src, &mut reference, &s, region);
+                let mut via_shared = Field3::new(8, 8, 8, 1);
+                {
+                    let writer = SharedField::new(&mut via_shared);
+                    apply_stencil_shared_tiled(&src, &writer, &s, region, tile);
+                }
+                assert_eq!(reference.data(), via_shared.data());
 
-        let mut via_slab = Field3::new(8, 8, 8, 1);
-        for slab in &mut via_slab.z_slabs_mut(&[3]) {
-            apply_stencil_slab_tiled(&src, slab, &s, region, tile);
+                let mut src_cells = src.clone();
+                let mut via_cells = Field3::new(8, 8, 8, 1);
+                {
+                    let sc = SharedField::new(&mut src_cells);
+                    let dc = SharedField::new(&mut via_cells);
+                    apply_stencil_cells_tiled(&sc, &dc, &s, region, tile);
+                }
+                assert_eq!(reference.data(), via_cells.data());
+            }
         }
-        assert_eq!(reference.data(), via_slab.data());
-
-        let mut via_shared = Field3::new(8, 8, 8, 1);
-        {
-            let writer = SharedField::new(&mut via_shared);
-            apply_stencil_shared_tiled(&src, &writer, &s, region, tile);
-        }
-        assert_eq!(reference.data(), via_shared.data());
-
-        let mut src_cells = src.clone();
-        let mut via_cells = Field3::new(8, 8, 8, 1);
-        {
-            let sc = SharedField::new(&mut src_cells);
-            let dc = SharedField::new(&mut via_cells);
-            apply_stencil_cells_tiled(&sc, &dc, &s, region, tile);
-        }
-        assert_eq!(reference.data(), via_cells.data());
     }
 
     #[test]

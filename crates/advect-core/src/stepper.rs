@@ -7,15 +7,16 @@
 //! 3. copy the new state to the current state.
 //!
 //! [`SerialStepper`] runs them on one thread; [`ThreadedStepper`] is the
-//! "single task with multiple threads" baseline, parallelizing Steps 2 and
-//! 3 across a [`ThreadTeam`] by z-slab (the OpenMP `collapse(2)` outer
-//! loops of the paper collapse to the same z/y partition).
+//! "single task with multiple threads" baseline, parallelizing Step 2
+//! across a [`ThreadTeam`] by z-slab (the OpenMP `collapse(2)` outer
+//! loops of the paper collapse to the same z/y partition) and performing
+//! Step 3 as a buffer swap — no copy.
 
-use crate::analytic::{AnalyticSolution, GaussianPulse};
+use crate::analytic::GaussianPulse;
 use crate::coeffs::{Stencil27, Velocity};
 use crate::field::Field3;
 use crate::norms::Norms;
-use crate::stencil::{apply_stencil_interior, apply_stencil_slab_tiled, copy_region_slab};
+use crate::stencil::{apply_stencil_interior, apply_stencil_slab_tiled};
 use crate::team::ThreadTeam;
 use crate::tile::TileSpec;
 
@@ -109,9 +110,7 @@ impl AdvectionProblem {
     /// of copying a fresh [`AdvectionProblem::initial_field`].
     pub fn fill_initial(&self, f: &mut Field3) {
         assert_eq!(f.interior(), (self.n, self.n, self.n), "wrong grid size");
-        let pulse = self.pulse();
-        let d = self.spacing;
-        f.fill_interior(|x, y, z| pulse.eval(x as f64 * d, y as f64 * d, z as f64 * d, 0.0));
+        self.pulse().sample_initial(f, (0, 0, 0), self.spacing);
     }
 
     /// Error norms of `state` against the analytic solution after `steps`
@@ -193,8 +192,7 @@ impl SerialStepper {
 /// With [`ThreadedStepper::with_time_tile`] the per-step Steps 1–3 are
 /// replaced by fused traversals: one periodic halo fill of depth `k`
 /// licenses `k` stencil applications in a single pass over the grid
-/// ([`crate::timetile`]), and the Step 3 copy disappears entirely (the
-/// two fields swap). The results stay bit-identical to straight
+/// ([`crate::timetile`]). The results stay bit-identical to straight
 /// stepping; only the traversal count changes.
 pub struct ThreadedStepper {
     problem: AdvectionProblem,
@@ -267,7 +265,7 @@ impl ThreadedStepper {
     }
 
     /// One fused traversal advancing `b` steps: depth-`k` halo fill,
-    /// one time-tiled pass writing `new`, swap. No Step 3 copy.
+    /// one time-tiled pass writing `new`, swap.
     fn advance(&mut self, b: usize) {
         self.cur.copy_periodic_halo();
         let region = self.cur.interior_range();
@@ -289,8 +287,8 @@ impl ThreadedStepper {
         self.steps_taken += b as u64;
     }
 
-    /// Perform one time step (Steps 1–3, Steps 2 and 3 threaded; a
-    /// single fused traversal when a time tile is configured).
+    /// Perform one time step (Steps 1–3, Step 2 threaded; a single fused
+    /// traversal when a time tile is configured).
     pub fn step(&mut self) {
         if self.time_tile.is_some() {
             self.advance(1);
@@ -312,14 +310,10 @@ impl ThreadedStepper {
                 apply_stencil_slab_tiled(cur, &mut slab, stencil, region, tile);
             });
         }
-        // Step 3: copy new state to current state, threaded the same way.
-        {
-            let new = &self.new;
-            let slabs = self.cur.z_slabs_mut(&self.cuts);
-            self.team.parallel_with(slabs, |_ctx, mut slab| {
-                copy_region_slab(new, &mut slab, region);
-            });
-        }
+        // Step 3: the new state becomes the current state. The paper
+        // copies; swapping is equivalent because Step 1 refills the whole
+        // halo before anything reads it.
+        std::mem::swap(&mut self.cur, &mut self.new);
         self.steps_taken += 1;
     }
 
@@ -346,6 +340,11 @@ impl ThreadedStepper {
     /// Current state.
     pub fn state(&self) -> &Field3 {
         &self.cur
+    }
+
+    /// Consume the stepper, yielding its current state.
+    pub fn into_state(self) -> Field3 {
+        self.cur
     }
 
     /// Steps-per-traversal currently configured (1 when no time tile).

@@ -244,8 +244,7 @@ fn fuse_tile(
 }
 
 /// One output row of one sub-step: the fixed-order 27-tap accumulation
-/// against a strided source. Routes to the scalar per-point loop under
-/// `--features scalar-kernels`, like every kernel entry point.
+/// against a strided source.
 #[inline]
 fn fused_row(dst_row: &mut [f64], src: &[f64], base: i64, offs: &[i64; 27], coef: &[f64; 27]) {
     let w = dst_row.len();
@@ -253,17 +252,7 @@ fn fused_row(dst_row: &mut [f64], src: &[f64], base: i64, offs: &[i64; 27], coef
         let s0 = (base + offs[t]) as usize;
         &src[s0..s0 + w]
     });
-    if cfg!(feature = "scalar-kernels") {
-        for (x, out) in dst_row.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (t, row) in rows.iter().enumerate() {
-                acc += coef[t] * row[x];
-            }
-            *out = acc;
-        }
-    } else {
-        crate::stencil::accumulate_tap_rows(dst_row, &rows, coef);
-    }
+    crate::stencil::accumulate_tap_rows(dst_row, &rows, coef);
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use advect_core::coeffs::{Stencil27, Velocity};
 use advect_core::field::{Field3, Range3};
 use advect_core::simd::{accumulate_tap_rows_at, SimdLevel};
 use advect_core::stencil::{
-    apply_stencil_region_pooled, apply_stencil_region_scalar, apply_stencil_region_tiled,
+    apply_stencil_region_pooled, apply_stencil_region_scalar, apply_stencil_slab_tiled,
 };
 use advect_core::stepper::{AdvectionProblem, SerialStepper, ThreadedStepper};
 use advect_core::sweep::SweepPool;
@@ -63,7 +63,9 @@ proptest! {
         let mut want = Field3::new(n, n, n, 1);
         apply_stencil_region_scalar(&src, &mut want, &s, region);
         let mut got = Field3::new(n, n, n, 1);
-        apply_stencil_region_tiled(&src, &mut got, &s, region, TileSpec::new(ty, tz));
+        for slab in &mut got.z_slabs_mut(&[]) {
+            apply_stencil_slab_tiled(&src, slab, &s, region, TileSpec::new(ty, tz));
+        }
         prop_assert_eq!(got.data(), want.data(), "n {n} region {region:?} tile {ty}x{tz}");
     }
 

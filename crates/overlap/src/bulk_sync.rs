@@ -2,12 +2,13 @@
 //!
 //! Each step performs the whole halo exchange (dimension-serialized,
 //! nonblocking receives posted first), then the full local stencil, then
-//! the state copy — no overlap of communication and computation.
+//! the state advance (a buffer swap) — no overlap of communication and
+//! computation.
 
 use crate::halo::{exchange_halos, HaloBuffers};
 use crate::runner::{assemble_global, local_initial_field, RunConfig};
 use advect_core::field::Field3;
-use advect_core::stencil::{apply_stencil_slab_tiled, copy_region_slab};
+use advect_core::stencil::apply_stencil_slab_tiled;
 use advect_core::team::ThreadTeam;
 use decomp::ExchangePlan;
 use simmpi::World;
@@ -61,15 +62,10 @@ impl BulkSyncMpi {
                         apply_stencil_slab_tiled(src, &mut slab, &stencil, region, tile);
                     });
                 }
-                // Step 3: copy new state to current state.
-                {
-                    let src = &new;
-                    let slabs = cur.z_slabs_mut(&cuts);
-                    team.parallel_with(slabs, |_ctx, mut slab| {
-                        copy_region_slab(src, &mut slab, region);
-                    });
-                }
                 comm.throttle_end(throttle);
+                // Step 3: the new state becomes the current state; the
+                // next exchange refills its whole halo before any read.
+                std::mem::swap(&mut cur, &mut new);
                 step_hist.observe_since(step_t0);
             }
             comm.barrier();

@@ -125,11 +125,10 @@ impl HybridBulkSync {
             }
             comm.barrier();
             // Pull the GPU block into the host state for verification.
-            let mut final_host = cur.clone();
-            dev.region_to_host(&gpu, dev.cur, part.gpu_block, &mut final_host);
+            dev.region_to_host(&gpu, dev.cur, part.gpu_block, &mut cur);
             crate::runner::absorb_device_timeline(&tracer, &gpu);
             (
-                assemble_global(cfg, decomp_ref, comm, &final_host),
+                assemble_global(cfg, decomp_ref, comm, &cur),
                 comm.stats(),
                 comm.fault_stats(),
                 Some(gpu.stats()),

@@ -76,6 +76,14 @@ impl HybridOverlap {
             // Inner parts of walls (computable before MPI completes) vs.
             // outer boundary points (touching the MPI halo).
             let (inner1, outer_shell) = shell_and_core(full, 1);
+            // Outer boundary points of every wall: at most 36 pieces, the
+            // same every step.
+            let outer_regions: Vec<_> = part
+                .cpu_walls
+                .iter()
+                .flat_map(|w| outer_shell.iter().map(move |s| w.intersect(s)))
+                .filter(|r| !r.is_empty())
+                .collect();
             let s_halo = gpu.create_stream();
             comm.barrier();
             for _ in 0..cfg.steps {
@@ -168,15 +176,6 @@ impl HybridOverlap {
                         }
                     }
                     // 4. Outer boundary points of every wall (need halos).
-                    let mut outer_regions = Vec::new();
-                    for w in &part.cpu_walls {
-                        for s in &outer_shell {
-                            let r = w.intersect(s);
-                            if !r.is_empty() {
-                                outer_regions.push(r);
-                            }
-                        }
-                    }
                     let cur_ref = &cur_shared;
                     let writer_ref = &writer;
                     let _span = tracer.span(obs::Category::ComputeVeneer, "walls.outer");
@@ -200,11 +199,11 @@ impl HybridOverlap {
                 step_hist.observe_since(step_t0);
             }
             comm.barrier();
-            let mut final_host = cur.clone();
-            dev.region_to_host(&gpu, dev.cur, part.gpu_block, &mut final_host);
+            // Pull the GPU block into the host state for verification.
+            dev.region_to_host(&gpu, dev.cur, part.gpu_block, &mut cur);
             crate::runner::absorb_device_timeline(&tracer, &gpu);
             (
-                assemble_global(cfg, decomp_ref, comm, &final_host),
+                assemble_global(cfg, decomp_ref, comm, &cur),
                 comm.stats(),
                 comm.fault_stats(),
                 Some(gpu.stats()),

@@ -10,7 +10,7 @@
 use crate::halo::{complete_phase, post_phase_recvs, send_phase, HaloBuffers};
 use crate::runner::{assemble_global, local_initial_field, RunConfig};
 use advect_core::field::Field3;
-use advect_core::stencil::{apply_stencil_slab_tiled, copy_region_slab};
+use advect_core::stencil::apply_stencil_slab_tiled;
 use advect_core::team::ThreadTeam;
 use decomp::partition::{shell_and_core, thirds_along_z};
 use decomp::ExchangePlan;
@@ -79,14 +79,9 @@ impl NonblockingMpi {
                         }
                     });
                 }
-                // Step 3: state copy.
-                {
-                    let src = &new;
-                    let slabs = cur.z_slabs_mut(&cuts);
-                    team.parallel_with(slabs, |_ctx, mut slab| {
-                        copy_region_slab(src, &mut slab, full);
-                    });
-                }
+                // Step 3: the new state becomes the current state; each
+                // phase refills its halo before anything reads it.
+                std::mem::swap(&mut cur, &mut new);
                 step_hist.observe_since(step_t0);
             }
             comm.barrier();

@@ -444,19 +444,10 @@ pub(crate) fn absorb_device_timeline(tracer: &obs::Tracer, gpu: &simgpu::Gpu) {
 pub fn local_initial_field(cfg: &RunConfig, decomp: &Decomposition, rank: usize) -> Field3 {
     let sub = decomp.subdomains[rank];
     let (nx, ny, nz) = sub.extent;
-    let (ox, oy, oz) = sub.offset;
-    let pulse = cfg.problem.pulse();
-    let d = cfg.problem.spacing;
     let mut f = Field3::new(nx, ny, nz, 1);
-    f.fill_interior(|x, y, z| {
-        use advect_core::analytic::AnalyticSolution;
-        pulse.eval(
-            (ox as i64 + x) as f64 * d,
-            (oy as i64 + y) as f64 * d,
-            (oz as i64 + z) as f64 * d,
-            0.0,
-        )
-    });
+    cfg.problem
+        .pulse()
+        .sample_initial(&mut f, sub.offset, cfg.problem.spacing);
     f
 }
 

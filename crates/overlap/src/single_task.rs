@@ -42,6 +42,6 @@ impl SingleTask {
         if let Some(t) = crate::runner::finish_trace(&tracer) {
             report.traces.push(t);
         }
-        (stepper.state().clone(), report)
+        (stepper.into_state(), report)
     }
 }

@@ -18,7 +18,7 @@
 use crate::halo::{exchange_halos_shared, HaloBuffers};
 use crate::runner::{assemble_global, local_initial_field, RunConfig};
 use advect_core::field::{Field3, Range3, SharedField};
-use advect_core::stencil::{apply_stencil_cells_tiled, copy_region_slab};
+use advect_core::stencil::apply_stencil_cells_tiled;
 use advect_core::team::{GuidedChunks, ThreadTeam};
 use decomp::partition::shell_and_core;
 use decomp::ExchangePlan;
@@ -54,7 +54,6 @@ impl ThreadOverlapMpi {
             let tile = cfg.tile_spec(cur.extents().0);
             let full = cur.interior_range();
             let (core, shell) = shell_and_core(full, 1);
-            let cuts = crate::bulk_sync::z_cuts(sub.extent.2, cfg.threads);
             comm.barrier();
             for _ in 0..cfg.steps {
                 let step_t0 = step_hist.start();
@@ -67,11 +66,15 @@ impl ThreadOverlapMpi {
                     let new_ref = &new_shared;
                     let tracer_ref = &tracer;
                     team.parallel(|ctx| {
+                        let mut throttle = None;
                         if ctx.is_master() {
                             // Master: communicate, then join the guided loop.
                             exchange_halos_shared(
                                 cur_ref, &plan, decomp_ref, rank, comm, &halo_bufs,
                             );
+                            // The straggler-throttled section: the master's
+                            // pure compute, after its comm window.
+                            throttle = comm.throttle_start();
                         }
                         {
                             let _span =
@@ -95,19 +98,13 @@ impl ThreadOverlapMpi {
                                 );
                             }
                         }
+                        comm.throttle_end(throttle);
                     });
                 }
-                // Step 3: state copy (the straggler-throttled section:
-                // pure compute, outside the master's comm window).
-                let throttle = comm.throttle_start();
-                {
-                    let src = &new;
-                    let slabs = cur.z_slabs_mut(&cuts);
-                    team.parallel_with(slabs, |_ctx, mut slab| {
-                        copy_region_slab(src, &mut slab, full);
-                    });
-                }
-                comm.throttle_end(throttle);
+                // Step 3: the new state becomes the current state (the
+                // shared views ended with the block above); the next
+                // exchange refills its whole halo before any read.
+                std::mem::swap(&mut cur, &mut new);
                 step_hist.observe_since(step_t0);
             }
             comm.barrier();

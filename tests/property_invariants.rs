@@ -314,20 +314,19 @@ proptest! {
         cut in 1i64..5,
         seed in 0u64..1000,
     ) {
-        use advect_core::stencil::{apply_stencil_slab, apply_stencil_slab_scalar};
+        use advect_core::stencil::{apply_stencil_region_scalar, apply_stencil_slab_tiled};
+        use advect_core::tile::TileSpec;
         prop_assume!(cut < nz as i64);
         let s = Stencil27::new(Velocity::new(-0.6, 0.9, 0.2), 0.4);
         let src = seeded_field(nx, ny, nz, seed);
         let region = src.interior_range();
         let mut fast = Field3::new(nx, ny, nz, 1);
         for slab in &mut fast.z_slabs_mut(&[cut]) {
-            apply_stencil_slab(&src, slab, &s, region);
+            apply_stencil_slab_tiled(&src, slab, &s, region, TileSpec::host(nx + 2));
         }
         let mut scalar = Field3::new(nx, ny, nz, 1);
-        for slab in &mut scalar.z_slabs_mut(&[cut]) {
-            apply_stencil_slab_scalar(&src, slab, &s, region);
-        }
-        prop_assert_eq!(fast.max_abs_diff(&scalar), 0.0);
+        apply_stencil_region_scalar(&src, &mut scalar, &s, region);
+        prop_assert_eq!(fast.data(), scalar.data());
     }
 
     #[test]
@@ -338,9 +337,9 @@ proptest! {
     ) {
         use advect_core::field::SharedField;
         use advect_core::stencil::{
-            apply_stencil_cells, apply_stencil_cells_scalar, apply_stencil_shared,
-            apply_stencil_shared_scalar,
+            apply_stencil_cells_tiled, apply_stencil_region_scalar, apply_stencil_shared_tiled,
         };
+        use advect_core::tile::TileSpec;
         // An x-irregular region (possibly empty when w == 0).
         let region = Range3::new(
             (x0.min(nx as i64), (x0 + w).min(nx as i64)),
@@ -349,29 +348,20 @@ proptest! {
         );
         let s = Stencil27::new(Velocity::new(0.3, 0.3, -0.9), 1.1);
         let mut src = seeded_field(nx, ny, nz, seed);
-        let mut out = [(); 4].map(|()| Field3::new(nx, ny, nz, 1));
-        {
-            let sh = SharedField::new(&mut out[0]);
-            apply_stencil_shared(&src, &sh, &s, region);
-        }
+        let tile = TileSpec::host(nx + 2);
+        let mut out = [(); 3].map(|()| Field3::new(nx, ny, nz, 1));
+        apply_stencil_region_scalar(&src, &mut out[0], &s, region);
         {
             let sh = SharedField::new(&mut out[1]);
-            apply_stencil_shared_scalar(&src, &sh, &s, region);
-        }
-        {
-            let mut src2 = src.clone();
-            let ssh = SharedField::new(&mut src2);
-            let dsh = SharedField::new(&mut out[2]);
-            apply_stencil_cells(&ssh, &dsh, &s, region);
+            apply_stencil_shared_tiled(&src, &sh, &s, region, tile);
         }
         {
             let ssh = SharedField::new(&mut src);
-            let dsh = SharedField::new(&mut out[3]);
-            apply_stencil_cells_scalar(&ssh, &dsh, &s, region);
+            let dsh = SharedField::new(&mut out[2]);
+            apply_stencil_cells_tiled(&ssh, &dsh, &s, region, tile);
         }
-        prop_assert_eq!(out[0].max_abs_diff(&out[1]), 0.0);
-        prop_assert_eq!(out[0].max_abs_diff(&out[2]), 0.0);
-        prop_assert_eq!(out[0].max_abs_diff(&out[3]), 0.0);
+        prop_assert_eq!(out[0].data(), out[1].data());
+        prop_assert_eq!(out[0].data(), out[2].data());
     }
 
     #[test]
