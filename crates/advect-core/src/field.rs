@@ -111,59 +111,6 @@ impl Field3 {
         }
     }
 
-    /// Allocate a zero-filled field with NUMA first-touch placement:
-    /// the allocation is partitioned into contiguous z-plane slabs and
-    /// each slab is zeroed by the pool worker that will own it in
-    /// later sweeps ([`crate::sweep::SweepPool::run_partitioned`] uses
-    /// the same static partition), so under Linux's first-touch policy
-    /// each slab's pages land on that worker's NUMA node instead of
-    /// all on the allocating thread's node.
-    ///
-    /// Falls back to [`Field3::new`] on single-worker pools or when
-    /// placement is disabled (`ADVECT_NUMA=off`); the contents are
-    /// identical either way — only page placement differs.
-    pub fn new_placed(
-        nx: usize,
-        ny: usize,
-        nz: usize,
-        halo: usize,
-        pool: &crate::sweep::SweepPool,
-    ) -> Self {
-        assert!(
-            nx > 0 && ny > 0 && nz > 0,
-            "interior dimensions must be positive"
-        );
-        let (sx, sy, sz) = (nx + 2 * halo, ny + 2 * halo, nz + 2 * halo);
-        if pool.threads() <= 1 || sz < 2 || !crate::numa::placement_enabled() {
-            return Self::new(nx, ny, nz, halo);
-        }
-        let total = sx * sy * sz;
-        let plane = sx * sy;
-        let mut data: Vec<f64> = Vec::with_capacity(total);
-        let base = data.as_mut_ptr() as usize; // usize crosses threads freely
-        pool.run_partitioned(sz, |_worker, planes| {
-            let ptr = base as *mut f64;
-            // SAFETY: plane ranges are disjoint and within the reserved
-            // capacity; all-zero bytes are a valid f64 (+0.0).
-            unsafe {
-                std::ptr::write_bytes(ptr.add(planes.start * plane), 0, planes.len() * plane);
-            }
-        });
-        // SAFETY: the partition covers every plane, so all `total`
-        // elements were initialized above.
-        unsafe { data.set_len(total) };
-        Self {
-            nx,
-            ny,
-            nz,
-            h: halo,
-            sx,
-            sy,
-            sz,
-            data,
-        }
-    }
-
     /// Interior size `(nx, ny, nz)`.
     pub fn interior(&self) -> (usize, usize, usize) {
         (self.nx, self.ny, self.nz)
@@ -674,18 +621,6 @@ impl ZSlabMut<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn placed_allocation_matches_plain_allocation() {
-        for workers in [1, 2, 4, 9] {
-            let pool = crate::sweep::SweepPool::new(workers);
-            let placed = Field3::new_placed(6, 5, 7, 2, &pool);
-            let plain = Field3::new(6, 5, 7, 2);
-            assert_eq!(placed, plain, "workers={workers}");
-            assert_eq!(placed.data().len(), plain.data().len());
-            assert!(placed.data().iter().all(|v| v.to_bits() == 0));
-        }
-    }
 
     #[test]
     fn index_layout_is_x_fastest() {

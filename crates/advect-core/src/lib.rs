@@ -30,11 +30,8 @@
 //!   that preserve the per-element FP order ([`simd`]),
 //! * **cache-blocked tiling** of region sweeps with a cache-derived
 //!   tile-size heuristic ([`tile`]),
-//! * **temporal blocking** that fuses several steps into one traversal
-//!   via overlapped trapezoid tiles, bit-identical to straight
-//!   stepping ([`timetile`]),
-//! * **host NUMA topology** detection with first-touch placement and a
-//!   domain-aware worker→core map ([`numa`]).
+//! * the host's **last-level-cache size** for the benchmark harness's
+//!   fingerprint ([`numa`]).
 //!
 //! The floating-point cost model follows the paper: 53 flops per grid point
 //! per step (27 multiplications + 26 additions), see [`flops`].
@@ -51,14 +48,12 @@ pub mod stepper;
 pub mod sweep;
 pub mod team;
 pub mod tile;
-pub mod timetile;
 pub mod vonneumann;
 
 pub use analytic::{AnalyticSolution, GaussianPulse};
 pub use coeffs::{Stencil27, Velocity};
 pub use field::Field3;
 pub use norms::{l1_norm, l2_norm, linf_norm, Norms};
-pub use numa::NumaTopology;
 pub use simd::SimdLevel;
 pub use stencil::apply_stencil_region;
 pub use stepper::{AdvectionProblem, SerialStepper, ThreadedStepper};

@@ -100,17 +100,8 @@ impl AdvectionProblem {
     /// The initial state sampled on the grid (halo width 1, halos unset).
     pub fn initial_field(&self) -> Field3 {
         let mut f = Field3::new(self.n, self.n, self.n, 1);
-        self.fill_initial(&mut f);
+        self.pulse().sample_initial(&mut f, (0, 0, 0), self.spacing);
         f
-    }
-
-    /// Sample the initial condition into an existing `n³` field of any
-    /// halo width (halos left untouched) — steppers that place their
-    /// own allocations (first-touch, deep halos) fill in place instead
-    /// of copying a fresh [`AdvectionProblem::initial_field`].
-    pub fn fill_initial(&self, f: &mut Field3) {
-        assert_eq!(f.interior(), (self.n, self.n, self.n), "wrong grid size");
-        self.pulse().sample_initial(f, (0, 0, 0), self.spacing);
     }
 
     /// Error norms of `state` against the analytic solution after `steps`
@@ -188,19 +179,11 @@ impl SerialStepper {
 }
 
 /// Multithreaded single-task stepper (implementation IV-A).
-///
-/// With [`ThreadedStepper::with_time_tile`] the per-step Steps 1–3 are
-/// replaced by fused traversals: one periodic halo fill of depth `k`
-/// licenses `k` stencil applications in a single pass over the grid
-/// ([`crate::timetile`]). The results stay bit-identical to straight
-/// stepping; only the traversal count changes.
 pub struct ThreadedStepper {
     problem: AdvectionProblem,
     stencil: Stencil27,
     team: ThreadTeam,
     tile: Option<TileSpec>,
-    time_tile: Option<usize>,
-    pool: crate::sweep::SweepPool,
     /// Interior-z cut points of the static split across the team.
     cuts: Vec<i64>,
     cur: Field3,
@@ -209,30 +192,17 @@ pub struct ThreadedStepper {
 }
 
 impl ThreadedStepper {
-    /// Initialize with a team of `threads` threads. Field allocations
-    /// are first-touch placed across the team ([`Field3::new_placed`]);
-    /// `ADVECT_TIME_TILE=<k>` applies [`ThreadedStepper::with_time_tile`]
-    /// automatically.
+    /// Initialize with a team of `threads` threads.
     pub fn new(problem: AdvectionProblem, threads: usize) -> Self {
-        let pool = crate::sweep::SweepPool::new(threads);
-        let mut cur = Field3::new_placed(problem.n, problem.n, problem.n, 1, &pool);
-        problem.fill_initial(&mut cur);
-        let new = Field3::new_placed(problem.n, problem.n, problem.n, 1, &pool);
-        let stepper = Self {
+        Self {
             problem,
             stencil: problem.stencil(),
             team: ThreadTeam::new(threads),
             tile: None,
-            time_tile: None,
-            pool,
             cuts: crate::tile::z_cuts(problem.n, threads),
-            cur,
-            new,
+            cur: problem.initial_field(),
+            new: Field3::new(problem.n, problem.n, problem.n, 1),
             steps_taken: 0,
-        };
-        match crate::timetile::env_steps() {
-            Some(k) => stepper.with_time_tile(k),
-            None => stepper,
         }
     }
 
@@ -242,58 +212,8 @@ impl ThreadedStepper {
         self
     }
 
-    /// Fuse up to `k` time steps per grid traversal (temporal blocking,
-    /// [`crate::timetile`]). Reallocates the two fields at halo width
-    /// `k` — the depth-`k` periodic halo is what licenses `k` fused
-    /// steps — preserving the current state. Bit-identical to the
-    /// default path at any `k`, worker count, and tile shape.
-    pub fn with_time_tile(mut self, k: usize) -> Self {
-        assert!(
-            k >= 1 && k <= self.problem.n,
-            "time tile depth {k} must be in 1..={}",
-            self.problem.n
-        );
-        if self.cur.halo() != k {
-            let n = self.problem.n;
-            let mut cur = Field3::new_placed(n, n, n, k, &self.pool);
-            cur.copy_interior_from(&self.cur);
-            self.cur = cur;
-            self.new = Field3::new_placed(n, n, n, k, &self.pool);
-        }
-        self.time_tile = Some(k);
-        self
-    }
-
-    /// One fused traversal advancing `b` steps: depth-`k` halo fill,
-    /// one time-tiled pass writing `new`, swap.
-    fn advance(&mut self, b: usize) {
-        self.cur.copy_periodic_halo();
-        let region = self.cur.interior_range();
-        let k = self.time_tile.unwrap_or(1);
-        let tile = self.tile.unwrap_or_else(|| {
-            let (sx, _, _) = self.cur.extents();
-            crate::timetile::tile_for_host(sx, k, self.pool.threads())
-        });
-        crate::timetile::advance_pooled(
-            &self.cur,
-            &mut self.new,
-            &self.stencil,
-            region,
-            b,
-            tile,
-            &self.pool,
-        );
-        std::mem::swap(&mut self.cur, &mut self.new);
-        self.steps_taken += b as u64;
-    }
-
-    /// Perform one time step (Steps 1–3, Step 2 threaded; a single fused
-    /// traversal when a time tile is configured).
+    /// Perform one time step (Steps 1–3, Step 2 threaded).
     pub fn step(&mut self) {
-        if self.time_tile.is_some() {
-            self.advance(1);
-            return;
-        }
         // Step 1: periodic halo copy (cheap surface work).
         self.cur.copy_periodic_halo();
         let region = self.cur.interior_range();
@@ -317,23 +237,10 @@ impl ThreadedStepper {
         self.steps_taken += 1;
     }
 
-    /// Perform `n` time steps — with a time tile of depth `k`, as
-    /// `⌈n/k⌉` fused traversals (the last one partial when `k ∤ n`).
+    /// Perform `n` time steps.
     pub fn run(&mut self, n: u64) {
-        match self.time_tile {
-            Some(k) => {
-                let mut remaining = n;
-                while remaining > 0 {
-                    let b = (k as u64).min(remaining) as usize;
-                    self.advance(b);
-                    remaining -= b as u64;
-                }
-            }
-            None => {
-                for _ in 0..n {
-                    self.step();
-                }
-            }
+        for _ in 0..n {
+            self.step();
         }
     }
 
@@ -345,11 +252,6 @@ impl ThreadedStepper {
     /// Consume the stepper, yielding its current state.
     pub fn into_state(self) -> Field3 {
         self.cur
-    }
-
-    /// Steps-per-traversal currently configured (1 when no time tile).
-    pub fn time_tile(&self) -> usize {
-        self.time_tile.unwrap_or(1)
     }
 
     /// Error norms against the analytic solution at the current time.
@@ -409,51 +311,6 @@ mod tests {
                 "tile = {tile:?}"
             );
         }
-    }
-
-    #[test]
-    fn time_tiled_matches_serial_bitwise_at_every_depth() {
-        let problem = AdvectionProblem::general_case(12);
-        for steps in [1u64, 3, 5, 8] {
-            let mut serial = SerialStepper::new(problem);
-            serial.run(steps);
-            for k in [1usize, 2, 4, 7] {
-                for threads in [1usize, 3] {
-                    let mut tiled = ThreadedStepper::new(problem, threads).with_time_tile(k);
-                    tiled.run(steps);
-                    assert_eq!(tiled.time_tile(), k);
-                    let s = serial.state();
-                    let t = tiled.state();
-                    for (x, y, z) in s.interior_range().iter() {
-                        assert_eq!(
-                            t.at(x, y, z).to_bits(),
-                            s.at(x, y, z).to_bits(),
-                            "steps={steps} k={k} threads={threads} at ({x},{y},{z})"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn time_tiled_single_steps_match_serial_bitwise() {
-        // step() under a time tile advances one step per traversal and
-        // must interleave with run() without drift.
-        let problem = AdvectionProblem::general_case(10);
-        let mut serial = SerialStepper::new(problem);
-        serial.run(5);
-        let mut tiled = ThreadedStepper::new(problem, 2).with_time_tile(3);
-        tiled.step();
-        tiled.run(3);
-        tiled.step();
-        assert_eq!(tiled.state().max_abs_diff(serial.state()), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "time tile depth")]
-    fn time_tile_deeper_than_the_grid_is_rejected() {
-        let _ = ThreadedStepper::new(AdvectionProblem::general_case(4), 1).with_time_tile(5);
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //! and no queue traffic.
 
 use obs::{crew, Category, Tracer};
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -165,47 +164,6 @@ impl SweepPool {
     {
         self.steal(n, || (), |(), i| f(i), drop);
     }
-
-    /// [`SweepPool::for_each_index`] with per-worker mutable state:
-    /// each worker builds one `S` via `init` before claiming indices
-    /// and reuses it for every index it processes. This is the scratch
-    /// protocol of the time-tiled sweeps — a worker's trapezoid
-    /// buffers are allocated once per traversal, not once per tile.
-    /// Determinism is unchanged: indices still name disjoint outputs,
-    /// and the state is invisible outside the worker.
-    pub fn for_each_index_with<S, F, I>(&self, n: usize, init: I, f: F)
-    where
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) + Sync,
-    {
-        self.steal(n, init, f, drop);
-    }
-
-    /// Run `f(worker, range)` once per [`SweepPool::partition`] chunk of
-    /// `0..n`, each chunk on its own crew member. Unlike the stealing
-    /// executors, the worker→chunk assignment is *static*: worker `w`
-    /// always owns chunk `w`. That is the point — this is the
-    /// first-touch executor ([`crate::field::Field3::new_placed`]
-    /// zero-fills each z-slab from the thread that will sweep it).
-    pub fn run_partitioned<F>(&self, n: usize, f: F)
-    where
-        F: Fn(usize, Range<usize>) + Sync,
-    {
-        let parts = self.partition(n);
-        crew::run(parts.len(), |w| f(w, parts[w].clone()));
-    }
-
-    /// Evenly partition `0..n` into at most [`SweepPool::threads`]
-    /// contiguous non-empty ranges — the threads-aware static partitioner
-    /// for callers that hand each worker one owned chunk (e.g. z-slab
-    /// splits) rather than a stolen queue.
-    pub fn partition(&self, n: usize) -> Vec<Range<usize>> {
-        let parts = self.threads.min(n).max(1);
-        (0..parts)
-            .map(|p| crate::team::split_static(0..n, parts, p))
-            .filter(|r| !r.is_empty())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -290,67 +248,6 @@ mod tests {
                 hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
                 "workers={workers}"
             );
-        }
-    }
-
-    #[test]
-    fn stateful_for_each_claims_every_index_once() {
-        for workers in [1, 2, 5, 8] {
-            let pool = SweepPool::new(workers);
-            let hits: Vec<AtomicUsize> = (0..97).map(|_| AtomicUsize::new(0)).collect();
-            let states = AtomicUsize::new(0);
-            pool.for_each_index_with(
-                hits.len(),
-                || {
-                    states.fetch_add(1, Ordering::Relaxed);
-                    vec![0u8; 16] // stand-in for a scratch buffer
-                },
-                |scratch, i| {
-                    scratch[0] = scratch[0].wrapping_add(1);
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                },
-            );
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "workers={workers}"
-            );
-            // One scratch state per participating worker, not per index.
-            assert!(states.load(Ordering::Relaxed) <= workers.min(hits.len()));
-        }
-    }
-
-    #[test]
-    fn partitioned_run_covers_range_with_static_owners() {
-        for workers in [1, 3, 4] {
-            let pool = SweepPool::new(workers);
-            let owner: Vec<AtomicUsize> = (0..23).map(|_| AtomicUsize::new(usize::MAX)).collect();
-            pool.run_partitioned(owner.len(), |w, r| {
-                for i in r {
-                    owner[i].store(w, Ordering::Relaxed);
-                }
-            });
-            let owners: Vec<usize> = owner.iter().map(|o| o.load(Ordering::Relaxed)).collect();
-            assert!(owners.iter().all(|&w| w < workers), "workers={workers}");
-            // Static ownership: worker ids are non-decreasing across the
-            // range (contiguous chunks in order).
-            assert!(owners.windows(2).all(|p| p[0] <= p[1]));
-            assert_eq!(owners.last(), Some(&(pool.partition(23).len() - 1)));
-        }
-    }
-
-    #[test]
-    fn partition_covers_range_without_empties() {
-        for threads in [1usize, 3, 4, 7] {
-            for n in [0usize, 1, 2, 7, 100] {
-                let parts = SweepPool::new(threads).partition(n);
-                assert!(parts.len() <= threads.min(n.max(1)));
-                assert!(parts.iter().all(|r| !r.is_empty()) || n == 0);
-                let total: usize = parts.iter().map(|r| r.len()).sum();
-                assert_eq!(total, n, "threads={threads} n={n}");
-                for w in parts.windows(2) {
-                    assert_eq!(w[0].end, w[1].start);
-                }
-            }
         }
     }
 }

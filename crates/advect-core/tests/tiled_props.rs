@@ -14,7 +14,6 @@ use advect_core::simd::{accumulate_tap_rows_at, SimdLevel};
 use advect_core::stencil::{
     apply_stencil_region_pooled, apply_stencil_region_scalar, apply_stencil_slab_tiled,
 };
-use advect_core::stepper::{AdvectionProblem, SerialStepper, ThreadedStepper};
 use advect_core::sweep::SweepPool;
 use advect_core::tile::TileSpec;
 use proptest::prelude::*;
@@ -146,43 +145,6 @@ proptest! {
                 prop_assert_eq!(&got, &want, "level {} width {}", level.name(), width);
             }
         }
-    }
-
-    /// Time-tiled multi-step output is bitwise-equal to the same number
-    /// of straight `SerialStepper` steps, across random grid sizes,
-    /// fused depths `k` (including `k > steps`, forcing a partial final
-    /// burst, and `k = 1`), degenerate tile shapes, and worker counts.
-    /// The comparison is per-point `to_bits` over the interior — the
-    /// two fields carry different halo widths, but the physics lives in
-    /// the interior and must not differ in a single ulp.
-    #[test]
-    fn time_tiled_steps_match_serial_stepper_bitwise(
-        n in 6usize..12,
-        k in 1usize..6,
-        steps in 1u64..8,
-        ty in 1usize..40, tz in 1usize..40,
-        workers in 1usize..8,
-    ) {
-        let problem = AdvectionProblem::general_case(n);
-        let mut serial = SerialStepper::new(problem);
-        serial.run(steps);
-        let mut tiled = ThreadedStepper::new(problem, workers)
-            .with_time_tile(k.min(n))
-            .with_tile(TileSpec::new(ty, tz));
-        tiled.run(steps);
-        let want = serial.state();
-        let got = tiled.state();
-        let mut mismatches = 0usize;
-        for (x, y, z) in want.interior_range().iter() {
-            if got.at(x, y, z).to_bits() != want.at(x, y, z).to_bits() {
-                mismatches += 1;
-            }
-        }
-        prop_assert_eq!(
-            mismatches, 0,
-            "n {} k {} steps {} tile {}x{} workers {}",
-            n, k, steps, ty, tz, workers
-        );
     }
 
     /// Tiles cover the region exactly once regardless of shape: summing

@@ -5,8 +5,7 @@
 //! (`obs::causal`) must rediscover them from span traces alone — no
 //! access to the plan, only to who waited on whom. This module runs a
 //! traced bulk-synchronous exchange under a seeded straggler plan and
-//! compares the detector's verdict against the injected ground truth,
-//! the closed-loop check the `blame_run` CI gate sweeps over seeds.
+//! compares the detector's verdict against the injected ground truth.
 
 use advect_core::stepper::AdvectionProblem;
 use overlap::{BulkSyncMpi, FaultSpec, RunConfig};

@@ -128,29 +128,12 @@ impl CpuModel {
     }
 }
 
-/// The NUMA topology of the machine the code is actually running on
-/// (node count and cpus per node, detected from sysfs) — as opposed to
-/// the modeled Table II `numa_domain` parameters above. Bench snapshots
-/// record it so scaling numbers stay interpretable on multi-socket
-/// hosts.
-pub fn host_numa_topology() -> &'static advect_core::numa::NumaTopology {
-    advect_core::numa::host()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn jaguar_cpu() -> CpuModel {
         crate::catalog::jaguarpf().cpu
-    }
-
-    #[test]
-    fn host_topology_is_detected() {
-        let t = host_numa_topology();
-        assert!(t.node_count() >= 1);
-        assert!(t.cores_per_node() >= 1);
-        assert!(t.total_cpus() >= t.cores_per_node());
     }
 
     #[test]

@@ -48,7 +48,6 @@ pub mod causal;
 pub mod chrome;
 pub mod crew;
 pub mod critical;
-pub mod divergence;
 pub mod metrics;
 pub mod recorder;
 pub mod registry;

@@ -21,7 +21,6 @@
 //! | IV-I | CPU+GPU full overlap | [`hybrid_overlap`] |
 
 pub mod bulk_sync;
-pub mod deep_halo;
 pub mod gpu_bulk_sync;
 pub mod gpu_common;
 pub mod gpu_resident;
@@ -36,7 +35,6 @@ pub mod single_task;
 pub mod thread_overlap;
 
 pub use bulk_sync::BulkSyncMpi;
-pub use deep_halo::DeepHaloBulkSync;
 pub use gpu_bulk_sync::GpuBulkSyncMpi;
 pub use gpu_resident::GpuResident;
 pub use gpu_streams::GpuStreamsMpi;

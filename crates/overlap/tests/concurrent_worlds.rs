@@ -9,7 +9,7 @@
 //! The audit behind this: `simmpi::Comm` holds its tracer/metrics in
 //! per-instance `OnceLock`s created fresh by every `World::run`;
 //! `simgpu::Gpu` is per-run; the env knobs (`ADVECT_TILE`,
-//! `ADVECT_SIMD`, `ADVECT_SWEEP_THREADS`, …) are read-only — the server
+//! `ADVECT_SIMD`, `ADVECT_SWEEP_THREADS`) are read-only — the server
 //! never mutates the environment. The process-globals are
 //! `SweepPool::global()`, a stateless width, and the resident worker
 //! crew (`obs::crew`), whose workers are leased to one region at a time

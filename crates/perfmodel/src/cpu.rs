@@ -258,7 +258,8 @@ impl<'a> CpuScenario<'a> {
 
     /// Step time (amortized per step) of the deep-halo extension at halo
     /// width `w`: one exchange of `w`-wide faces per `w` steps, plus the
-    /// redundant shell computation (see `overlap::deep_halo`).
+    /// redundant computation of the shell that the wider halo stands in
+    /// for. Model only: no runner implements the scheme.
     pub fn step_deep_halo(&self, w: usize) -> f64 {
         assert!(w >= 1);
         let omp = self.region_cost();

@@ -132,7 +132,7 @@ pub struct ScalingPoint {
 }
 
 /// Modeled per-thread scaling of the threaded interior sweep on a
-/// machine: the analogue of the measured curve `bench_snapshot` records.
+/// machine: GF and parallel efficiency at each team width.
 /// The curve bends where the team leaves the compute-bound regime and
 /// hits the node's bandwidth roof (`CpuModel::stencil_points_per_second`),
 /// so efficiency is monotonically non-increasing in the team width.

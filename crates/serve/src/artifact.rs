@@ -97,8 +97,9 @@ fn render_report(key: &RunKey, state: &advect_core::field::Field3, report: &RunR
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::{validate_chrome_trace, validate_prometheus};
     use figures::json::Value;
-    use overlap::{RunLimits, RunParams};
+    use overlap::{Impl, RunLimits, RunParams};
 
     #[test]
     fn artifact_is_valid_json_with_deterministic_checksum() {
@@ -123,29 +124,27 @@ mod tests {
 
     #[test]
     fn trace_and_metrics_artifacts_embed_and_parse() {
-        let key = RunParams {
-            impl_slug: "nonblocking".into(),
-            grid: 10,
-            steps: 2,
-            tasks: 2,
-            trace: true,
-            metrics: true,
-            ..RunParams::default()
+        for slug in Impl::ALL.map(|i| i.slug()) {
+            let key = RunParams {
+                impl_slug: slug.into(),
+                grid: 10,
+                steps: 2,
+                tasks: 2,
+                trace: true,
+                metrics: true,
+                ..RunParams::default()
+            }
+            .canonicalize(&RunLimits::default())
+            .unwrap();
+            let a = render(&key);
+            let v = Value::parse(&a).expect("artifact parses");
+            let trace = validate_chrome_trace(&v["trace"].to_string())
+                .unwrap_or_else(|e| panic!("{slug}: trace: {e}"));
+            assert!(trace.complete_events >= 1, "{slug}: {trace:?}");
+            let prom = v["metrics_prometheus"].as_str().expect("metrics text");
+            let metrics =
+                validate_prometheus(prom).unwrap_or_else(|e| panic!("{slug}: metrics: {e}"));
+            assert!(metrics.non_empty_histograms >= 1, "{slug}: {metrics:?}");
         }
-        .canonicalize(&RunLimits::default())
-        .unwrap();
-        let a = render(&key);
-        let v = Value::parse(&a).expect("artifact parses");
-        let trace = v["trace"].to_string();
-        assert!(bench_like_trace_check(&trace));
-        let prom = v["metrics_prometheus"].as_str().expect("metrics text");
-        assert!(prom.contains("advect_step_ns"), "{prom}");
-    }
-
-    // Minimal structural check mirroring bench::validate_chrome_trace
-    // (bench depends on serve, so serve cannot depend back on bench).
-    fn bench_like_trace_check(doc: &str) -> bool {
-        let v = Value::parse(doc).expect("trace parses");
-        v["traceEvents"].as_array().is_some_and(|e| !e.is_empty())
     }
 }

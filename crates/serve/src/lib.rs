@@ -52,6 +52,7 @@ pub mod protocol;
 pub mod reqtrace;
 pub mod server;
 pub mod tcp;
+pub mod validate;
 
 pub use log::{Level, Log};
 pub use protocol::{Command, Request};

@@ -325,7 +325,7 @@ pub struct BundleInput<'a> {
 
 /// Render one self-contained anomaly bundle. The `trace` member is a
 /// complete Chrome-trace document (the stitched export) and must pass
-/// `bench::validate_chrome_trace`.
+/// [`crate::validate::validate_chrome_trace`].
 pub fn render_bundle(input: &BundleInput<'_>) -> String {
     let mut out = String::with_capacity(4096);
     out.push('{');

@@ -1,14 +1,11 @@
-//! Bench-suite support: the Criterion benches live in `benches/`; this
-//! library hosts the Chrome-trace validator shared by the `trace_run`
-//! binary and the CI trace smoke job. It lives here (not in `obs`) so
-//! the tracing crate stays dependency-free — the validator reuses the
+//! Structural validators for the two text artifacts this crate produces:
+//! Chrome-trace JSON (run artifacts, stitched exports, anomaly bundles)
+//! and Prometheus text expositions. They live here (not in `obs`) so the
+//! tracing crate stays dependency-free — the trace validator reuses the
 //! offline JSON parser from `figures::json`.
 
 use figures::json::Value;
 use std::collections::BTreeSet;
-
-pub mod divergence;
-pub mod history;
 
 /// Summary of a validated Chrome-trace document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,7 +35,7 @@ impl TraceCheck {
     }
 }
 
-/// Validate a Chrome-trace JSON document as `trace_run` emits it:
+/// Validate a Chrome-trace JSON document as `obs::chrome` emits it:
 /// well-formed JSON, a `traceEvents` array, every duration event carrying
 /// finite non-negative timestamps, timestamps monotone in file order
 /// within each `(pid, tid)` track (the property Perfetto's importer

@@ -1,13 +1,13 @@
 //! The flight-recorder bundle must be self-contained and loadable: its
 //! embedded stitched trace has to pass the same structural validator
-//! (`bench::validate_chrome_trace`) the per-run Chrome exports are held
+//! (`serve::validate::validate_chrome_trace`) the per-run Chrome exports are held
 //! to — per-track monotone timestamps, terminated flow chains, matched
 //! begin/end pairs.
 
-use bench::validate_chrome_trace;
 use figures::json::Value;
 use overlap::RunParams;
 use serve::server::{Server, ServerConfig};
+use serve::validate::validate_chrome_trace;
 use serve::Request;
 
 fn request(impl_slug: &str, seed: u64, trace: bool) -> Request {

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! advect --impl IV-I --grid 32 --steps 16 --tasks 8 --threads 2 \
-//!        --thickness 2 --block 32x8 --gpu c2050 [--stats] [--deep-halo W]
+//!        --thickness 2 --block 32x8 --gpu c2050 [--stats]
 //! ```
 //!
 //! Runs the chosen implementation functionally, verifies it against the
@@ -22,7 +22,6 @@ struct Args {
     block: (usize, usize),
     gpu: String,
     stats: bool,
-    deep_halo: Option<usize>,
     velocity: Velocity,
     nu: Option<f64>,
 }
@@ -39,7 +38,6 @@ impl Default for Args {
             block: (32, 8),
             gpu: "c2050".into(),
             stats: false,
-            deep_halo: None,
             velocity: Velocity::unit_diagonal(),
             nu: None,
         }
@@ -51,7 +49,7 @@ fn usage() -> ! {
         "usage: advect [--impl IV-A..IV-I] [--grid N] [--steps N] [--tasks N]\n\
          \x20             [--threads N] [--thickness N] [--block WxH]\n\
          \x20             [--gpu c1060|c2050] [--velocity cx,cy,cz] [--nu F]\n\
-         \x20             [--deep-halo W] [--stats]\n\
+         \x20             [--stats]\n\
          \n\
          implementations: IV-A single task, IV-B bulk-sync MPI, IV-C nonblocking,\n\
          IV-D thread overlap, IV-E GPU resident, IV-F GPU bulk-sync, IV-G GPU\n\
@@ -90,7 +88,6 @@ fn parse() -> Args {
                 a.velocity = Velocity::new(parts[0], parts[1], parts[2]);
             }
             "--nu" => a.nu = Some(val().parse().unwrap_or_else(|_| usage())),
-            "--deep-halo" => a.deep_halo = Some(val().parse().unwrap_or_else(|_| usage())),
             "--stats" => a.stats = true,
             "-h" | "--help" => usage(),
             _ => {
@@ -136,39 +133,22 @@ fn main() {
     reference.run(a.steps);
     let serial_s = t0.elapsed().as_secs_f64();
 
-    let (label, state, elapsed) = if let Some(w) = a.deep_halo {
-        let cfg = RunConfig::new(problem, a.steps)
-            .tasks(a.tasks)
-            .with_threads(a.threads);
-        let t0 = std::time::Instant::now();
-        let state = overlap::DeepHaloBulkSync::run(&cfg, w);
-        (
-            format!("deep-halo bulk-sync (width {w})"),
-            state,
-            t0.elapsed().as_secs_f64(),
-        )
-    } else {
-        let im = impl_by_name(&a.implementation).unwrap_or_else(|| {
-            eprintln!("unknown implementation: {}", a.implementation);
-            usage();
-        });
-        let cfg = RunConfig::new(problem, a.steps)
-            .tasks(if im.uses_mpi() { a.tasks } else { 1 })
-            .with_threads(a.threads)
-            .with_block(a.block)
-            .with_thickness(a.thickness.max(usize::from(im == Impl::HybridOverlap)));
-        let t0 = std::time::Instant::now();
-        let state = im.run(&cfg, Some(&spec));
-        (
-            format!("{} ({})", im.name(), im.section()),
-            state,
-            t0.elapsed().as_secs_f64(),
-        )
-    };
+    let im = impl_by_name(&a.implementation).unwrap_or_else(|| {
+        eprintln!("unknown implementation: {}", a.implementation);
+        usage();
+    });
+    let cfg = RunConfig::new(problem, a.steps)
+        .tasks(if im.uses_mpi() { a.tasks } else { 1 })
+        .with_threads(a.threads)
+        .with_block(a.block)
+        .with_thickness(a.thickness.max(usize::from(im == Impl::HybridOverlap)));
+    let t0 = std::time::Instant::now();
+    let state = im.run(&cfg, Some(&spec));
+    let elapsed = t0.elapsed().as_secs_f64();
 
     let diff = state.max_abs_diff(reference.state());
     let norms = problem.norms_after(&state, a.steps);
-    println!("implementation : {label}");
+    println!("implementation : {} ({})", im.name(), im.section());
     println!(
         "problem        : {n}³ grid, velocity ({cx}, {cy}, {cz}), nu {nu}, {steps} steps",
         n = a.grid,
