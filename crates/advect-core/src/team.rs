@@ -74,6 +74,12 @@ impl TeamCtx<'_> {
     pub fn static_chunk(&self, range: Range<usize>) -> Range<usize> {
         split_static(range, self.num_threads, self.tid)
     }
+
+    /// The items this thread owns when `items` are dealt round-robin
+    /// across the team (like `schedule(static, 1)`).
+    pub fn round_robin<'s, T>(&self, items: &'s [T]) -> impl Iterator<Item = &'s T> {
+        items.iter().skip(self.tid).step_by(self.num_threads)
+    }
 }
 
 /// Evenly split `range` into `parts` contiguous chunks and return chunk

@@ -8,7 +8,7 @@
 //! compares the detector's verdict against the injected ground truth.
 
 use advect_core::stepper::AdvectionProblem;
-use overlap::{BulkSyncMpi, FaultSpec, RunConfig};
+use overlap::{FaultSpec, Impl, RunConfig};
 use simmpi::FaultPlan;
 
 /// Traced runs per seeded detection verdict; the detector medians the
@@ -114,7 +114,7 @@ impl DetectConfig {
         let mut blames = Vec::with_capacity(DETECT_REPEATS);
         let mut floors = Vec::with_capacity(DETECT_REPEATS);
         for _ in 0..DETECT_REPEATS {
-            let (_, report) = BulkSyncMpi::run_with_report(&cfg);
+            let (_, report) = Impl::BulkSync.run_with_report(&cfg, None);
             blames.push(report.blame());
             floors.push(report.straggler_floor_ns());
         }
@@ -141,7 +141,7 @@ impl DetectConfig {
         let cfg = self.run_config(FaultPlan::off());
         let mut survivors: Option<Vec<usize>> = None;
         for _ in 0..CLEAN_REPEATS {
-            let (_, report) = BulkSyncMpi::run_with_report(&cfg);
+            let (_, report) = Impl::BulkSync.run_with_report(&cfg, None);
             let flagged = report.stragglers().flagged;
             survivors = Some(match survivors {
                 None => flagged,

@@ -91,7 +91,7 @@ pub fn fig02() -> FigureData {
                     .join(", ")
             ),
             "paper values 215 and 860 stated exactly; others derived from stated ratios".into(),
-            "Rust counts exclude each module's shared infrastructure (runner, halo, gpu_common)"
+            "Rust counts are each implementation's step body; the frame all nine share lives in runner.rs"
                 .into(),
         ],
     }

@@ -3,7 +3,7 @@
 //! unpack) between device state and a host mirror.
 
 use advect_core::field::{Field3, Range3};
-use simgpu::{FieldDims, Gpu, GpuBuffer, Stream};
+use simgpu::{FieldDims, Gpu, GpuBuffer, StencilLaunch, Stream};
 
 /// The first `len` values of a staging buffer, grown on demand.
 fn first_n(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
@@ -59,6 +59,29 @@ impl DeviceField {
     /// Swap current and new state (pointer flip).
     pub fn swap(&mut self) {
         std::mem::swap(&mut self.cur, &mut self.new);
+    }
+
+    /// Launch the stencil kernel `cur → new` on `stream`, once per
+    /// non-empty region.
+    pub fn launch_stencil(
+        &self,
+        gpu: &Gpu,
+        stream: Stream,
+        block: (usize, usize),
+        regions: &[Range3],
+    ) {
+        for &region in regions {
+            if region.is_empty() {
+                continue;
+            }
+            let launch = StencilLaunch {
+                dims: self.dims,
+                region,
+                block,
+                periodic: false,
+            };
+            gpu.launch_stencil(stream, self.cur, self.new, launch);
+        }
     }
 
     /// Download a set of regions of a device buffer into the host mirror:

@@ -4,7 +4,10 @@
 //! exchange (implementation IV-B's Step 1). The phase-level pieces
 //! ([`post_phase_recvs`], [`send_phase`], [`complete_phase`]) are exposed
 //! separately so the overlap implementations (IV-C, IV-I) can interleave
-//! computation between a phase's initiation and completion.
+//! computation between a phase's initiation and completion;
+//! [`send_phase_shared`] / [`complete_phase_shared`] are the same pair
+//! through a [`SharedField`], for the schedules whose threads compute on
+//! the field while its halo fills (IV-D, IV-I).
 //!
 //! All paths stage messages through [`HaloBuffers`]: persistent per-rank
 //! buffers, one slot per transfer, derived once from the
@@ -15,9 +18,9 @@
 //! nothing: no fresh `Vec` per message, no pool traffic, just six
 //! buffers circulating between a rank and its neighbors.
 //! [`exchange_halos_fresh`] keeps the old allocate-per-message path as
-//! the differential-testing and benchmarking baseline.
+//! the reference the differential tests compare against.
 
-use advect_core::field::Field3;
+use advect_core::field::{Field3, SharedField};
 use decomp::{Decomposition, ExchangePlan, PhasePlan};
 use obs::Category;
 use parking_lot::Mutex;
@@ -142,12 +145,51 @@ pub fn complete_phase(
     }
 }
 
-/// The full halo exchange operating through a
-/// [`advect_core::field::SharedField`], for the
+/// [`send_phase`] through a [`SharedField`]: the packing thread reads
+/// boundary points while other threads read the same field.
+pub fn send_phase_shared(
+    phase: &PhasePlan,
+    field: &SharedField<'_>,
+    decomp: &Decomposition,
+    rank: usize,
+    comm: &Comm,
+    bufs: &HaloBuffers,
+) {
+    for (i, t) in phase.transfers.iter().enumerate() {
+        let to = decomp.neighbor(rank, t.dim, t.send_dir);
+        let mut buf = bufs.take(phase.dim, i, t.send_region.len(), comm);
+        {
+            let _span = comm.tracer().span(Category::Pack, "halo.pack");
+            field.pack_into(t.send_region, &mut buf);
+        }
+        comm.send_pooled(to, t.send_tag, buf);
+    }
+}
+
+/// [`complete_phase`] through a [`SharedField`]: halo points are written
+/// while other threads read disjoint interior points.
+pub fn complete_phase_shared(
+    inflight: PhaseInFlight<'_>,
+    field: &SharedField<'_>,
+    comm: &Comm,
+    bufs: &HaloBuffers,
+) {
+    let phase = inflight.phase;
+    for (i, req) in inflight.recvs {
+        let data = req.wait();
+        {
+            let _span = comm.tracer().span(Category::Unpack, "halo.unpack");
+            field.unpack(phase.transfers[i].recv_region, &data);
+        }
+        bufs.deposit(phase.dim, i, data);
+    }
+}
+
+/// The full halo exchange operating through a [`SharedField`], for the
 /// thread-overlap implementation (IV-D) where the master thread exchanges
 /// halos while worker threads concurrently read disjoint interior points.
 pub fn exchange_halos_shared(
-    field: &advect_core::field::SharedField<'_>,
+    field: &SharedField<'_>,
     plan: &ExchangePlan,
     decomp: &Decomposition,
     rank: usize,
@@ -155,28 +197,9 @@ pub fn exchange_halos_shared(
     bufs: &HaloBuffers,
 ) {
     for phase in &plan.phases {
-        let mut recvs = Vec::with_capacity(2);
-        for (i, t) in phase.transfers.iter().enumerate() {
-            let from = decomp.neighbor(rank, t.dim, -t.send_dir);
-            recvs.push((i, comm.irecv(from, t.recv_tag)));
-        }
-        for (i, t) in phase.transfers.iter().enumerate() {
-            let to = decomp.neighbor(rank, t.dim, t.send_dir);
-            let mut buf = bufs.take(phase.dim, i, t.send_region.len(), comm);
-            {
-                let _span = comm.tracer().span(Category::Pack, "halo.pack");
-                field.pack_into(t.send_region, &mut buf);
-            }
-            comm.send_pooled(to, t.send_tag, buf);
-        }
-        for (i, req) in recvs {
-            let data = req.wait();
-            {
-                let _span = comm.tracer().span(Category::Unpack, "halo.unpack");
-                field.unpack(phase.transfers[i].recv_region, &data);
-            }
-            bufs.deposit(phase.dim, i, data);
-        }
+        let inflight = post_phase_recvs(phase, decomp, rank, comm);
+        send_phase_shared(phase, field, decomp, rank, comm, bufs);
+        complete_phase_shared(inflight, field, comm, bufs);
     }
 }
 
@@ -198,8 +221,8 @@ pub fn exchange_halos(
 }
 
 /// The pre-pool exchange: allocates a fresh buffer per message and drops
-/// every received payload. Kept as the differential-testing oracle and
-/// the benchmark baseline the pooled path is measured against.
+/// every received payload. Kept as the reference the differential tests
+/// compare the pooled path against.
 pub fn exchange_halos_fresh(
     field: &mut Field3,
     plan: &ExchangePlan,

@@ -20,9 +20,13 @@
 //! | IV-H | CPU+GPU, bulk-synchronous | [`hybrid_bulk_sync`] |
 //! | IV-I | CPU+GPU full overlap | [`hybrid_overlap`] |
 
+//!
+//! Each module is one step body; [`runner`] holds the frame they all run
+//! inside, and [`Impl::run_with_report`] is the only way in.
+
 pub mod bulk_sync;
 pub mod gpu_bulk_sync;
-pub mod gpu_common;
+mod gpu_common;
 pub mod gpu_resident;
 pub mod gpu_streams;
 pub mod halo;
@@ -34,18 +38,9 @@ pub mod runner;
 pub mod single_task;
 pub mod thread_overlap;
 
-pub use bulk_sync::BulkSyncMpi;
-pub use gpu_bulk_sync::GpuBulkSyncMpi;
-pub use gpu_resident::GpuResident;
-pub use gpu_streams::GpuStreamsMpi;
 pub use halo::HaloBuffers;
-pub use hybrid_bulk_sync::HybridBulkSync;
-pub use hybrid_overlap::HybridOverlap;
 pub use key::{MachineKind, RunKey, RunLimits, RunParams};
-pub use nonblocking::NonblockingMpi;
 pub use runner::{FaultSpec, RunConfig, RunReport};
-pub use single_task::SingleTask;
-pub use thread_overlap::ThreadOverlapMpi;
 
 use advect_core::field::Field3;
 use simgpu::GpuSpec;
@@ -159,35 +154,24 @@ impl Impl {
     /// Run the implementation and return the final global state.
     /// `spec` is required for GPU implementations.
     pub fn run(&self, cfg: &RunConfig, spec: Option<&GpuSpec>) -> Field3 {
-        let gpu = || spec.expect("GPU implementations need a GpuSpec");
-        match self {
-            Impl::SingleTask => SingleTask::run(cfg),
-            Impl::BulkSync => BulkSyncMpi::run(cfg),
-            Impl::Nonblocking => NonblockingMpi::run(cfg),
-            Impl::ThreadOverlap => ThreadOverlapMpi::run(cfg),
-            Impl::GpuResident => GpuResident::run(cfg, gpu()),
-            Impl::GpuBulkSync => GpuBulkSyncMpi::run(cfg, gpu()),
-            Impl::GpuStreams => GpuStreamsMpi::run(cfg, gpu()),
-            Impl::HybridBulkSync => HybridBulkSync::run(cfg, gpu()),
-            Impl::HybridOverlap => HybridOverlap::run(cfg, gpu()),
-        }
+        self.run_with_report(cfg, spec).0
     }
 
     /// Run the implementation, returning the final global state plus the
     /// per-rank [`RunReport`] (stats, and span traces when
     /// [`RunConfig::trace`] is set).
     pub fn run_with_report(&self, cfg: &RunConfig, spec: Option<&GpuSpec>) -> (Field3, RunReport) {
-        let gpu = || spec.expect("GPU implementations need a GpuSpec");
+        use runner::{run_ranks, run_single};
         match self {
-            Impl::SingleTask => SingleTask::run_with_report(cfg),
-            Impl::BulkSync => BulkSyncMpi::run_with_report(cfg),
-            Impl::Nonblocking => NonblockingMpi::run_with_report(cfg),
-            Impl::ThreadOverlap => ThreadOverlapMpi::run_with_report(cfg),
-            Impl::GpuResident => GpuResident::run_with_report(cfg, gpu()),
-            Impl::GpuBulkSync => GpuBulkSyncMpi::run_with_report(cfg, gpu()),
-            Impl::GpuStreams => GpuStreamsMpi::run_with_report(cfg, gpu()),
-            Impl::HybridBulkSync => HybridBulkSync::run_with_report(cfg, gpu()),
-            Impl::HybridOverlap => HybridOverlap::run_with_report(cfg, gpu()),
+            Impl::SingleTask => run_single(cfg, *self, spec, single_task::run),
+            Impl::BulkSync => run_ranks(cfg, *self, spec, bulk_sync::run),
+            Impl::Nonblocking => run_ranks(cfg, *self, spec, nonblocking::run),
+            Impl::ThreadOverlap => run_ranks(cfg, *self, spec, thread_overlap::run),
+            Impl::GpuResident => run_single(cfg, *self, spec, gpu_resident::run),
+            Impl::GpuBulkSync => run_ranks(cfg, *self, spec, gpu_bulk_sync::run),
+            Impl::GpuStreams => run_ranks(cfg, *self, spec, gpu_streams::run),
+            Impl::HybridBulkSync => run_ranks(cfg, *self, spec, hybrid_bulk_sync::run),
+            Impl::HybridOverlap => run_ranks(cfg, *self, spec, hybrid_overlap::run),
         }
     }
 }

@@ -1,9 +1,24 @@
-//! Shared run configuration and distributed-state assembly.
+//! Shared run configuration, the one step-loop frame every
+//! implementation runs inside, and distributed-state assembly.
+//!
+//! The frame (`run_ranks`, or `run_single` for the two
+//! implementations that need no `World`) owns everything Section IV's
+//! implementations have in common: decomposition, instrumentation, the
+//! device, the exchange plan and its staging, the barriers around the
+//! timed loop, the final gather and the report. An implementation module
+//! is only the body that runs inside it — its fields and partitions, one
+//! time step, and which region comes back from the device.
 
+use crate::halo::{exchange_halos, HaloBuffers};
+use crate::Impl;
+use advect_core::coeffs::Stencil27;
 use advect_core::field::Field3;
 use advect_core::stepper::AdvectionProblem;
-use decomp::Decomposition;
-use simmpi::Comm;
+use advect_core::team::ThreadTeam;
+use advect_core::tile::TileSpec;
+use decomp::{Decomposition, ExchangePlan, Subdomain};
+use simgpu::{Gpu, GpuSpec};
+use simmpi::{Comm, World};
 
 /// Fault injection for a run: the MPI-side plan (delivery perturbation,
 /// stragglers, bounded waits) and the GPU-side plan (launch jitter, PCIe
@@ -67,10 +82,6 @@ pub struct RunConfig {
     /// and allocate no metric state (see
     /// [`obs::registry::metric_states_allocated`]).
     pub metrics: bool,
-    /// Explicit cache-blocking tile `(ty, tz)` for the interior sweeps;
-    /// `None` (default) derives one from the host cache heuristic
-    /// ([`advect_core::tile::TileSpec::host`]).
-    pub tile: Option<(usize, usize)>,
 }
 
 impl RunConfig {
@@ -87,7 +98,6 @@ impl RunConfig {
             trace: false,
             fault: FaultSpec::off(),
             metrics: false,
-            tile: None,
         }
     }
 
@@ -131,21 +141,6 @@ impl RunConfig {
     pub fn with_metrics(mut self, on: bool) -> Self {
         self.metrics = on;
         self
-    }
-
-    /// Force a cache-blocking tile for the interior sweeps.
-    pub fn with_tile(mut self, ty: usize, tz: usize) -> Self {
-        self.tile = Some((ty, tz));
-        self
-    }
-
-    /// The tile the run's sweeps use, for x-rows of allocated width `sx`:
-    /// the explicit override when set, otherwise the host heuristic.
-    pub fn tile_spec(&self, sx: usize) -> advect_core::tile::TileSpec {
-        match self.tile {
-            Some((ty, tz)) => advect_core::tile::TileSpec::new(ty, tz),
-            None => advect_core::tile::TileSpec::host(sx),
-        }
     }
 
     /// The decomposition this configuration induces.
@@ -349,10 +344,10 @@ impl RunReport {
     }
 }
 
-/// What each rank closure hands back: the assembled global state (rank 0
+/// What the frame keeps of each rank: the assembled global state (rank 0
 /// only), its comm counters, fault observations, device counters, and
 /// span trace.
-pub(crate) type RankResult = (
+type RankResult = (
     Option<Field3>,
     simmpi::CommStats,
     simmpi::FaultStats,
@@ -360,11 +355,217 @@ pub(crate) type RankResult = (
     Option<obs::Trace>,
 );
 
-/// Assemble per-rank `(global, comm, fault, gpu, trace)` results into
-/// `(Field3, RunReport)` — shared tail of every implementation's
-/// `run_with_report`. The run's metrics registry (shared by every rank)
-/// rides along in the report.
-pub(crate) fn collect_report(
+/// Everything the frame hands one rank's step body: plain fields, so a
+/// body takes the ones its thread-team closures need as locals.
+pub(crate) struct Rank<'a> {
+    pub cfg: &'a RunConfig,
+    pub decomp: &'a Decomposition,
+    pub comm: &'a Comm,
+    pub rank: usize,
+    pub sub: Subdomain,
+    /// The rank's recorder, already installed into `comm` and `gpu`.
+    pub tracer: obs::Tracer,
+    pub plan: ExchangePlan,
+    pub halo_bufs: HaloBuffers,
+    pub stencil: Stencil27,
+    /// Host-heuristic cache-blocking tile for the rank's x-row width.
+    pub tile: TileSpec,
+    pub team: ThreadTeam,
+    gpu: Option<Gpu>,
+    step_hist: obs::registry::Histogram,
+}
+
+impl Rank<'_> {
+    /// The rank's device, instrumented and with the stencil constants
+    /// set (IV-F..I; the CPU implementations have none).
+    pub fn gpu(&self) -> &Gpu {
+        self.gpu.as_ref().expect("a GPU implementation's rank")
+    }
+
+    /// The rank's local field filled from the global initial condition.
+    pub fn initial_field(&self) -> Field3 {
+        let mut f = self.blank_field();
+        self.cfg
+            .problem
+            .pulse()
+            .sample_initial(&mut f, self.sub.offset, self.cfg.problem.spacing);
+        f
+    }
+
+    /// A zeroed field of the rank's extent (the step's "new" state).
+    pub fn blank_field(&self) -> Field3 {
+        let (nx, ny, nz) = self.sub.extent;
+        Field3::new(nx, ny, nz, 1)
+    }
+
+    /// The full bulk-synchronous halo exchange of `field` with this
+    /// rank's six neighbors.
+    pub fn exchange_halos(&self, field: &mut Field3) {
+        let (plan, bufs) = (&self.plan, &self.halo_bufs);
+        exchange_halos(field, plan, self.decomp, self.rank, self.comm, bufs);
+    }
+
+    /// The measured loop: barrier (the paper barriers before starting the
+    /// timer), `cfg.steps` timed calls of `step`, barrier.
+    pub fn timed_steps(&self, step: impl FnMut()) {
+        self.comm.barrier();
+        timed_loop(self.cfg.steps, &self.step_hist, step);
+        self.comm.barrier();
+    }
+}
+
+/// The distributed frame: run `body` once per rank of a `World` and
+/// assemble what the ranks return — each its final local state — into
+/// the global field and the run's report. `spec` is consulted only for
+/// the implementations that use a GPU.
+pub(crate) fn run_ranks(
+    cfg: &RunConfig,
+    im: Impl,
+    spec: Option<&GpuSpec>,
+    body: impl Fn(&Rank<'_>) -> Field3 + Sync,
+) -> (Field3, RunReport) {
+    let spec = device_spec(im, spec);
+    let decomp = cfg.decomposition();
+    let anchor = obs::Anchor::now();
+    let metrics = obs::registry::Metrics::enabled(cfg.metrics);
+    let results = World::run_with_faults(cfg.ntasks, cfg.fault.mpi, |comm| {
+        let rank = comm.rank();
+        let tracer = obs::Tracer::enabled(cfg.trace, rank, anchor);
+        comm.install_tracer(tracer.clone());
+        comm.install_metrics(&metrics);
+        let sub = decomp.subdomains[rank];
+        let plan = ExchangePlan::new(sub.extent, 1);
+        let fault = cfg.fault.gpu.for_rank(rank);
+        let rk = Rank {
+            cfg,
+            decomp: &decomp,
+            comm,
+            rank,
+            sub,
+            halo_bufs: HaloBuffers::new(&plan, comm),
+            plan,
+            tile: TileSpec::host(sub.extent.0 + 2),
+            team: ThreadTeam::new(cfg.threads),
+            gpu: spec.map(|s| device(s, fault, cfg, &tracer, &metrics, rank)),
+            stencil: cfg.problem.stencil(),
+            step_hist: step_histogram(&metrics, im, rank),
+            tracer,
+        };
+        let local = body(&rk);
+        let global = assemble_global(cfg, &decomp, comm, &local);
+        rank_result(
+            global,
+            comm.stats(),
+            comm.fault_stats(),
+            &rk.gpu,
+            &rk.tracer,
+        )
+    });
+    collect_report(results, metrics)
+}
+
+/// What the frame hands the step body of an implementation that runs on
+/// one task without a `World` (IV-A, IV-E).
+pub(crate) struct Single<'a> {
+    pub cfg: &'a RunConfig,
+    pub tracer: obs::Tracer,
+    gpu: Option<Gpu>,
+    step_hist: obs::registry::Histogram,
+}
+
+impl Single<'_> {
+    /// The device, instrumented and with the stencil constants set (IV-E).
+    pub fn gpu(&self) -> &Gpu {
+        self.gpu.as_ref().expect("a GPU implementation")
+    }
+
+    /// The measured loop: `cfg.steps` timed calls of `step`.
+    pub fn timed_steps(&self, step: impl FnMut()) {
+        timed_loop(self.cfg.steps, &self.step_hist, step);
+    }
+}
+
+/// The single-task frame: no `World` (its thread spawn, mailbox and
+/// gather would be pure overhead for one rank), same instrumentation,
+/// timed loop and report as [`run_ranks`]. `body` returns the final
+/// global state.
+pub(crate) fn run_single(
+    cfg: &RunConfig,
+    im: Impl,
+    spec: Option<&GpuSpec>,
+    body: impl FnOnce(&Single<'_>) -> Field3,
+) -> (Field3, RunReport) {
+    assert_eq!(cfg.ntasks, 1, "{} runs on a single task", im.section());
+    let tracer = obs::Tracer::enabled(cfg.trace, 0, obs::Anchor::now());
+    let metrics = obs::registry::Metrics::enabled(cfg.metrics);
+    let single = Single {
+        cfg,
+        gpu: device_spec(im, spec).map(|s| device(s, cfg.fault.gpu, cfg, &tracer, &metrics, 0)),
+        step_hist: step_histogram(&metrics, im, 0),
+        tracer,
+    };
+    let global = Some(body(&single));
+    let (comm, fault) = Default::default();
+    let result = rank_result(global, comm, fault, &single.gpu, &single.tracer);
+    collect_report(vec![result], metrics)
+}
+
+/// The device spec an implementation runs on: the caller's for the GPU
+/// implementations (required), none for the others.
+fn device_spec(im: Impl, spec: Option<&GpuSpec>) -> Option<&GpuSpec> {
+    im.uses_gpu()
+        .then(|| spec.expect("GPU implementations need a GpuSpec"))
+}
+
+/// A fresh device under `fault`, recording through the rank's tracer and
+/// the run's registry, with the stencil coefficients in constant memory.
+fn device(
+    spec: &GpuSpec,
+    fault: simgpu::GpuFaultPlan,
+    cfg: &RunConfig,
+    tracer: &obs::Tracer,
+    metrics: &obs::registry::Metrics,
+    rank: usize,
+) -> Gpu {
+    let gpu = Gpu::new(spec.clone()).with_fault_plan(fault);
+    gpu.install_tracer(tracer.clone());
+    gpu.install_metrics(metrics, rank);
+    gpu.set_constant(cfg.problem.stencil().a);
+    gpu
+}
+
+/// `steps` calls of `step`, each observed into the step histogram.
+fn timed_loop(steps: u64, hist: &obs::registry::Histogram, mut step: impl FnMut()) {
+    for _ in 0..steps {
+        let t0 = hist.start();
+        step();
+        hist.observe_since(t0);
+    }
+}
+
+/// Close out one rank after its threads have quiesced: read the device
+/// counters and, when traced, finish the trace with the device's virtual
+/// timeline bridged in (an untraced run skips the timeline snapshot and
+/// the span conversion altogether).
+fn rank_result(
+    global: Option<Field3>,
+    comm: simmpi::CommStats,
+    fault: simmpi::FaultStats,
+    gpu: &Option<Gpu>,
+    tracer: &obs::Tracer,
+) -> RankResult {
+    let trace = tracer.is_on().then(|| {
+        if let Some(gpu) = gpu {
+            tracer.absorb(&gpu.timeline().to_trace_events());
+        }
+        tracer.finish()
+    });
+    (global, comm, fault, gpu.as_ref().map(Gpu::stats), trace)
+}
+
+/// Assemble per-rank results into `(Field3, RunReport)`. The run's
+/// metrics registry (shared by every rank) rides along in the report.
+fn collect_report(
     results: Vec<RankResult>,
     metrics: obs::registry::Metrics,
 ) -> (Field3, RunReport) {
@@ -379,40 +580,19 @@ pub(crate) fn collect_report(
         }
         report.comm.push(c);
         report.fault.push(f);
-        if let Some(d) = d {
-            report.gpu.push(d);
-        }
-        if let Some(t) = t {
-            report.traces.push(t);
-        }
+        report.gpu.extend(d);
+        report.traces.extend(t);
     }
     (global.expect("rank 0 assembles the global state"), report)
 }
 
-/// Per-rank instrumentation setup shared by every runner: build the
-/// rank's recorder against the run's shared anchor (the no-op sink when
-/// [`RunConfig::trace`] is off) and install it — together with the run's
-/// metrics registry — into the communicator so the `mpi.*`/pack/unpack
-/// layers record through both.
-pub(crate) fn rank_instruments(
-    cfg: &RunConfig,
-    comm: &Comm,
-    anchor: obs::Anchor,
-    registry: &obs::registry::Metrics,
-) -> obs::Tracer {
-    let tracer = obs::Tracer::enabled(cfg.trace, comm.rank(), anchor);
-    comm.install_tracer(tracer.clone());
-    comm.install_metrics(registry);
-    tracer
-}
-
 /// The per-rank `advect_step_ns{impl,rank}` histogram: wall time per
-/// advection step, observed by every runner's step loop. The off handle
-/// is returned without touching the registry when metrics are disabled,
-/// so unmetered loops never render label strings.
-pub(crate) fn step_histogram(
+/// advection step, observed by the frame's timed loop. The off handle is
+/// returned without touching the registry when metrics are disabled, so
+/// unmetered loops never render label strings.
+fn step_histogram(
     registry: &obs::registry::Metrics,
-    slug: &'static str,
+    im: Impl,
     rank: usize,
 ) -> obs::registry::Histogram {
     if !registry.is_on() {
@@ -421,39 +601,13 @@ pub(crate) fn step_histogram(
     registry.histogram(
         "advect_step_ns",
         "Wall time per advection step, nanoseconds",
-        &[("impl", slug.to_string()), ("rank", rank.to_string())],
+        &[("impl", im.slug().to_string()), ("rank", rank.to_string())],
     )
-}
-
-/// The rank's contribution to [`RunReport::traces`]: `Some` only when the
-/// run was traced. Call after all rank-local threads have quiesced.
-pub(crate) fn finish_trace(tracer: &obs::Tracer) -> Option<obs::Trace> {
-    tracer.is_on().then(|| tracer.finish())
-}
-
-/// Bridge a device's virtual timeline into the rank's trace. An untraced
-/// run skips the timeline snapshot and the span conversion altogether.
-pub(crate) fn absorb_device_timeline(tracer: &obs::Tracer, gpu: &simgpu::Gpu) {
-    if tracer.is_on() {
-        tracer.absorb(&gpu.timeline().to_trace_events());
-    }
-}
-
-/// A rank's local field, allocated and filled from the global initial
-/// condition for its subdomain.
-pub fn local_initial_field(cfg: &RunConfig, decomp: &Decomposition, rank: usize) -> Field3 {
-    let sub = decomp.subdomains[rank];
-    let (nx, ny, nz) = sub.extent;
-    let mut f = Field3::new(nx, ny, nz, 1);
-    cfg.problem
-        .pulse()
-        .sample_initial(&mut f, sub.offset, cfg.problem.spacing);
-    f
 }
 
 /// Gather every rank's interior to rank 0 and assemble the global field.
 /// Returns `Some(global)` on rank 0, `None` elsewhere.
-pub fn assemble_global(
+fn assemble_global(
     cfg: &RunConfig,
     decomp: &Decomposition,
     comm: &Comm,

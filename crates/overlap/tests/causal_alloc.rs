@@ -3,7 +3,7 @@
 //! which any traced run elsewhere in the same process would perturb).
 
 use advect_core::stepper::AdvectionProblem;
-use overlap::{BulkSyncMpi, NonblockingMpi, RunConfig};
+use overlap::{Impl, RunConfig};
 
 #[test]
 fn untraced_runs_allocate_no_causal_state() {
@@ -15,9 +15,9 @@ fn untraced_runs_allocate_no_causal_state() {
     // with no trace sink there is no one to hand a causal ID to — the
     // per-channel sequence counters must never be materialized.
     for _ in 0..2 {
-        let (_, report) = BulkSyncMpi::run_with_report(&cfg);
+        let (_, report) = Impl::BulkSync.run_with_report(&cfg, None);
         assert!(report.traces.is_empty());
-        let (_, report) = NonblockingMpi::run_with_report(&cfg);
+        let (_, report) = Impl::Nonblocking.run_with_report(&cfg, None);
         assert!(report.traces.is_empty());
     }
     assert_eq!(
@@ -28,7 +28,7 @@ fn untraced_runs_allocate_no_causal_state() {
 
     // Control: a traced run does stamp messages, so the zero above is
     // meaningful — and the stamps make it into a non-empty causal graph.
-    let (_, report) = BulkSyncMpi::run_with_report(&cfg.with_trace(true));
+    let (_, report) = Impl::BulkSync.run_with_report(&cfg.with_trace(true), None);
     assert!(simmpi::causal_states_allocated() > 0);
     let g = report.causal_graph();
     assert!(!g.edges.is_empty(), "traced run produced no causal edges");

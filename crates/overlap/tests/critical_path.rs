@@ -7,7 +7,7 @@
 use advect_core::stepper::AdvectionProblem;
 use obs::metrics::{merge_intervals, union_seconds};
 use obs::{Axis, Category};
-use overlap::{BulkSyncMpi, HybridOverlap, RunConfig};
+use overlap::{Impl, RunConfig};
 use simgpu::GpuSpec;
 
 fn cfg(tasks: usize, steps: u64) -> RunConfig {
@@ -24,7 +24,7 @@ fn bulk_sync_critical_path_contains_its_full_mpi_wait() {
     // IV-B is serial within a rank: every mpi.wait window sits on the
     // critical path in its entirety — nothing runs concurrently on the
     // rank's own thread to hide it.
-    let (_, report) = BulkSyncMpi::run_with_report(&cfg(4, 3));
+    let (_, report) = Impl::BulkSync.run_with_report(&cfg(4, 3), None);
     let breakdown = report.critical_breakdown(Axis::Wall);
     assert_eq!(breakdown.ranks.len(), 4);
     for cp in &breakdown.ranks {
@@ -76,7 +76,7 @@ fn hybrid_overlap_device_critical_path_is_compute_dominated() {
             .with_block((8, 8))
             .with_thickness(thickness)
             .with_trace(true);
-        let (_, report) = HybridOverlap::run_with_report(&c, &spec);
+        let (_, report) = Impl::HybridOverlap.run_with_report(&c, Some(&spec));
         let breakdown = report.critical_breakdown(Axis::Virtual);
         let agg = breakdown.aggregate();
         println!(
@@ -124,8 +124,8 @@ fn hybrid_overlap_wall_recv_windows_carry_slack_behind_active_work() {
     // each window (attributed recv time < the windows' busy union), and
     // the veneer itself does on-path work.
     let spec = GpuSpec::tesla_c2050();
-    let (_, bulk) = BulkSyncMpi::run_with_report(&cfg(4, 3));
-    let (_, hybrid) = HybridOverlap::run_with_report(&cfg(4, 3), &spec);
+    let (_, bulk) = Impl::BulkSync.run_with_report(&cfg(4, 3), None);
+    let (_, hybrid) = Impl::HybridOverlap.run_with_report(&cfg(4, 3), Some(&spec));
     let bulk_agg = bulk.critical_breakdown(Axis::Wall).aggregate();
     let hybrid_bd = hybrid.critical_breakdown(Axis::Wall);
     let hybrid_agg = hybrid_bd.aggregate();

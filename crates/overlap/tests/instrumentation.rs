@@ -6,10 +6,7 @@
 use advect_core::stepper::AdvectionProblem;
 use decomp::ExchangePlan;
 use obs::{Axis, Category};
-use overlap::{
-    BulkSyncMpi, GpuBulkSyncMpi, GpuStreamsMpi, HybridBulkSync, HybridOverlap, NonblockingMpi,
-    RunConfig, ThreadOverlapMpi,
-};
+use overlap::{Impl, RunConfig, RunLimits, RunParams};
 use simgpu::GpuSpec;
 
 fn cfg(tasks: usize, steps: u64) -> RunConfig {
@@ -24,7 +21,7 @@ fn cfg(tasks: usize, steps: u64) -> RunConfig {
 fn bulk_sync_sends_six_messages_per_rank_per_step() {
     let steps = 4u64;
     let c = cfg(4, steps);
-    let (_, report) = BulkSyncMpi::run_with_report(&c);
+    let (_, report) = Impl::BulkSync.run_with_report(&c, None);
     for (rank, stats) in report.comm.iter().enumerate() {
         assert_eq!(stats.messages_sent, 6 * steps, "rank {rank}");
         assert_eq!(stats.messages_received, 6 * steps, "rank {rank}");
@@ -40,8 +37,8 @@ fn bulk_sync_sends_six_messages_per_rank_per_step() {
 #[test]
 fn nonblocking_moves_exactly_the_same_traffic_as_bulk_sync() {
     // The overlap is temporal, not volumetric: same messages, same bytes.
-    let (_, bulk) = BulkSyncMpi::run_with_report(&cfg(4, 3));
-    let (_, nonblocking) = NonblockingMpi::run_with_report(&cfg(4, 3));
+    let (_, bulk) = Impl::BulkSync.run_with_report(&cfg(4, 3), None);
+    let (_, nonblocking) = Impl::Nonblocking.run_with_report(&cfg(4, 3), None);
     assert_eq!(bulk.total_messages(), nonblocking.total_messages());
     assert_eq!(bulk.total_values_sent(), nonblocking.total_values_sent());
 }
@@ -51,7 +48,7 @@ fn gpu_bulk_sync_moves_the_ring_every_step() {
     let steps = 3u64;
     let spec = GpuSpec::tesla_c2050();
     let c = cfg(2, steps);
-    let (_, report) = GpuBulkSyncMpi::run_with_report(&c, &spec);
+    let (_, report) = Impl::GpuBulkSync.run_with_report(&c, Some(&spec));
     assert_eq!(report.gpu.len(), 2, "one device per rank");
     for stats in &report.gpu {
         // 6 boundary-ring faces out, 6 halo-ring faces in, per step.
@@ -76,8 +73,8 @@ fn gpu_bulk_sync_moves_the_ring_every_step() {
 #[test]
 fn gpu_streams_moves_identical_traffic_to_gpu_bulk_sync() {
     let spec = GpuSpec::tesla_c2050();
-    let (_, f) = GpuBulkSyncMpi::run_with_report(&cfg(2, 3), &spec);
-    let (_, g) = GpuStreamsMpi::run_with_report(&cfg(2, 3), &spec);
+    let (_, f) = Impl::GpuBulkSync.run_with_report(&cfg(2, 3), Some(&spec));
+    let (_, g) = Impl::GpuStreams.run_with_report(&cfg(2, 3), Some(&spec));
     assert_eq!(f.total_pcie_points(), g.total_pcie_points());
     assert_eq!(f.total_stencil_launches(), g.total_stencil_launches());
     assert_eq!(f.total_messages(), g.total_messages());
@@ -88,8 +85,12 @@ fn hybrid_moves_less_pcie_than_gpu_only_for_thick_walls() {
     // A thicker CPU box shrinks the GPU block, so its interface rings —
     // and the PCIe traffic — shrink with it.
     let spec = GpuSpec::tesla_c2050();
-    let thin = HybridBulkSync::run_with_report(&cfg(2, 2).with_thickness(1), &spec).1;
-    let thick = HybridBulkSync::run_with_report(&cfg(2, 2).with_thickness(3), &spec).1;
+    let thin = Impl::HybridBulkSync
+        .run_with_report(&cfg(2, 2).with_thickness(1), Some(&spec))
+        .1;
+    let thick = Impl::HybridBulkSync
+        .run_with_report(&cfg(2, 2).with_thickness(3), Some(&spec))
+        .1;
     assert!(
         thick.total_pcie_points() < thin.total_pcie_points(),
         "thick {} vs thin {}",
@@ -103,7 +104,7 @@ fn hybrid_overlap_pcie_traffic_is_ring_sized() {
     let steps = 2u64;
     let spec = GpuSpec::tesla_c2050();
     let c = cfg(2, steps).with_thickness(2);
-    let (_, report) = HybridOverlap::run_with_report(&c, &spec);
+    let (_, report) = Impl::HybridOverlap.run_with_report(&c, Some(&spec));
     let decomp = c.decomposition();
     let expected: u64 = (0..2)
         .map(|r| {
@@ -113,41 +114,80 @@ fn hybrid_overlap_pcie_traffic_is_ring_sized() {
         .sum();
     assert_eq!(report.total_pcie_points(), expected * steps);
     // MPI traffic is the plain one-point exchange, independent of the box.
-    let (_, cpu_only) = BulkSyncMpi::run_with_report(&cfg(2, steps));
+    let (_, cpu_only) = Impl::BulkSync.run_with_report(&cfg(2, steps), None);
     assert_eq!(report.total_values_sent(), cpu_only.total_values_sent());
 }
 
 #[test]
 fn single_node_self_exchange_still_counts_messages() {
     // One task: all six messages are self-sends, still counted.
-    let (_, report) = BulkSyncMpi::run_with_report(&cfg(1, 2));
+    let (_, report) = Impl::BulkSync.run_with_report(&cfg(1, 2), None);
     assert_eq!(report.comm[0].messages_sent, 12);
     assert_eq!(report.comm[0].messages_received, 12);
 }
 
 #[test]
 fn traced_runs_carry_one_trace_per_rank_and_untraced_none() {
-    let (_, off) = BulkSyncMpi::run_with_report(&cfg(4, 2));
-    assert!(off.traces.is_empty(), "untraced run must record no spans");
-    let (_, on) = BulkSyncMpi::run_with_report(&cfg(4, 2).with_trace(true));
-    assert_eq!(on.traces.len(), 4, "one trace per rank");
-    for t in &on.traces {
-        assert_eq!(t.dropped, 0, "rank {}: spans dropped", t.rank);
-        assert!(
-            t.spans.iter().any(|s| s.cat == Category::MpiSend),
-            "rank {}: no mpi.send spans",
-            t.rank
+    // What the shared frame guarantees for every implementation: one
+    // entry per rank in each per-rank report vector, one complete trace
+    // per rank exactly when traced, one step observation per rank and
+    // step exactly when metered.
+    let steps = 2u32;
+    for im in Impl::ALL {
+        let key = |trace: bool, metrics: bool| {
+            RunParams {
+                impl_slug: im.slug().to_string(),
+                steps,
+                tasks: 4,
+                threads: 2,
+                thickness: 1,
+                trace,
+                metrics,
+                ..RunParams::default()
+            }
+            .canonicalize(&RunLimits::default())
+            .expect("a valid request")
+        };
+        let tasks = key(false, false).tasks() as usize;
+        let slug = im.slug();
+
+        let (_, off) = key(false, false).execute();
+        assert!(off.traces.is_empty(), "{slug}: untraced run recorded spans");
+        assert_eq!(off.metrics.histogram_snapshot("advect_step_ns").count, 0);
+
+        let (_, on) = key(true, true).execute();
+        assert_eq!(on.comm.len(), tasks, "{slug}: comm stats per rank");
+        assert_eq!(on.fault.len(), tasks, "{slug}: fault stats per rank");
+        let devices = if im.uses_gpu() { tasks } else { 0 };
+        assert_eq!(on.gpu.len(), devices, "{slug}: device stats per rank");
+        let mut ranks: Vec<usize> = on.traces.iter().map(|t| t.rank).collect();
+        ranks.sort_unstable();
+        let expect: Vec<usize> = (0..tasks).collect();
+        assert_eq!(ranks, expect, "{slug}: one trace per rank");
+        assert_eq!(
+            on.metrics.histogram_snapshot("advect_step_ns").count,
+            (tasks * steps as usize) as u64,
+            "{slug}: one step observation per rank and step"
         );
-        assert!(
-            t.spans.iter().any(|s| s.cat == Category::ComputeInterior),
-            "rank {}: no compute spans",
-            t.rank
-        );
-        assert!(
-            t.spans.iter().any(|s| s.cat == Category::Pack),
-            "rank {}: no pack spans",
-            t.rank
-        );
+        for t in &on.traces {
+            assert_eq!(t.dropped, 0, "{slug} rank {}: spans dropped", t.rank);
+            let has = |cat| t.spans.iter().any(|s| s.cat == cat);
+            if im.uses_mpi() {
+                assert!(
+                    has(Category::MpiSend),
+                    "{slug} rank {}: no mpi.send",
+                    t.rank
+                );
+                assert!(has(Category::Pack), "{slug} rank {}: no pack spans", t.rank);
+            }
+            if !im.uses_gpu() {
+                let rank = t.rank;
+                assert!(
+                    has(Category::ComputeInterior),
+                    "{slug} rank {rank}: no compute"
+                );
+            }
+        }
     }
 }
 
@@ -157,7 +197,7 @@ fn bulk_sync_has_exactly_zero_mpi_compute_overlap() {
     // closes (wait returns) before the stencil block opens, on the same
     // thread, so the measured overlap is exactly zero however the ranks
     // are scheduled.
-    let (_, report) = BulkSyncMpi::run_with_report(&cfg(4, 3).with_trace(true));
+    let (_, report) = Impl::BulkSync.run_with_report(&cfg(4, 3).with_trace(true), None);
     let o = report.mpi_compute_overlap();
     assert!(o.busy_a > 0.0, "MPI busy time must be measured");
     assert!(o.busy_b > 0.0, "compute busy time must be measured");
@@ -169,14 +209,14 @@ fn bulk_sync_has_exactly_zero_mpi_compute_overlap() {
 fn nonblocking_and_thread_overlap_measure_real_mpi_compute_overlap() {
     // IV-C: the interior third is computed inside the posted-irecv
     // window of the same thread — overlap is structural there too.
-    let (_, nb) = NonblockingMpi::run_with_report(&cfg(4, 3).with_trace(true));
+    let (_, nb) = Impl::Nonblocking.run_with_report(&cfg(4, 3).with_trace(true), None);
     let o = nb.mpi_compute_overlap();
     assert!(o.both > 0.0, "IV-C overlap {o:?}");
     assert!(o.efficiency() > 0.0 && o.efficiency() <= 1.0);
 
     // IV-D: worker threads compute while the master drives the blocking
     // exchange; their spans are concurrent on the wall clock.
-    let (_, to) = ThreadOverlapMpi::run_with_report(&cfg(4, 3).with_trace(true));
+    let (_, to) = Impl::ThreadOverlap.run_with_report(&cfg(4, 3).with_trace(true), None);
     let o = to.mpi_compute_overlap();
     assert!(o.both > 0.0, "IV-D overlap {o:?}");
 }
@@ -187,8 +227,8 @@ fn hybrid_overlap_beats_bulk_sync_on_both_overlap_metrics() {
     // with CPU compute (wall clock) and PCIe with GPU compute (device
     // timeline); IV-B overlaps neither.
     let spec = GpuSpec::tesla_c2050();
-    let (_, bulk) = BulkSyncMpi::run_with_report(&cfg(4, 3).with_trace(true));
-    let (_, hybrid) = HybridOverlap::run_with_report(&cfg(4, 3).with_trace(true), &spec);
+    let (_, bulk) = Impl::BulkSync.run_with_report(&cfg(4, 3).with_trace(true), None);
+    let (_, hybrid) = Impl::HybridOverlap.run_with_report(&cfg(4, 3).with_trace(true), Some(&spec));
 
     let mpi_bulk = bulk.mpi_compute_overlap();
     let mpi_hybrid = hybrid.mpi_compute_overlap();
@@ -223,7 +263,7 @@ fn hybrid_veneer_keeps_pcie_spans_shorter_than_interior_kernels() {
             .with_block((8, 8))
             .with_thickness(thickness)
             .with_trace(true);
-        let (_, report) = HybridOverlap::run_with_report(&c, &spec);
+        let (_, report) = Impl::HybridOverlap.run_with_report(&c, Some(&spec));
         let mut max_pcie: f64 = 0.0;
         let mut max_interior: f64 = 0.0;
         for t in &report.traces {
@@ -256,7 +296,7 @@ fn hybrid_veneer_keeps_pcie_spans_shorter_than_interior_kernels() {
 fn wait_time_and_peak_in_flight_are_surfaced() {
     // The aggregation helpers work without tracing: wait_ns and the
     // mailbox high-water mark are always-on counters.
-    let (_, report) = BulkSyncMpi::run_with_report(&cfg(4, 3));
+    let (_, report) = Impl::BulkSync.run_with_report(&cfg(4, 3), None);
     assert!(report.traces.is_empty());
     assert!(
         report.total_wait_ns() > 0,
@@ -277,7 +317,7 @@ fn wait_time_and_peak_in_flight_are_surfaced() {
 
 #[test]
 fn phase_breakdown_covers_recorded_categories() {
-    let (_, report) = BulkSyncMpi::run_with_report(&cfg(4, 2).with_trace(true));
+    let (_, report) = Impl::BulkSync.run_with_report(&cfg(4, 2).with_trace(true), None);
     let wall = report.phase_breakdown(Axis::Wall);
     let agg = wall.aggregate();
     assert!(agg.get(Category::ComputeInterior) > 0.0);

@@ -4,7 +4,7 @@
 //! perturb).
 
 use advect_core::stepper::AdvectionProblem;
-use overlap::{BulkSyncMpi, HybridOverlap, RunConfig};
+use overlap::{Impl, RunConfig};
 use simgpu::GpuSpec;
 
 #[test]
@@ -20,9 +20,9 @@ fn unmetered_runs_allocate_no_metric_state() {
     // create a registry or any series cell, warm or cold.
     let baseline = obs::registry::metric_states_allocated();
     for _ in 0..2 {
-        let (_, report) = BulkSyncMpi::run_with_report(&cfg);
+        let (_, report) = Impl::BulkSync.run_with_report(&cfg, None);
         assert!(!report.metrics.is_on());
-        let (_, report) = HybridOverlap::run_with_report(&cfg, &spec);
+        let (_, report) = Impl::HybridOverlap.run_with_report(&cfg, Some(&spec));
         assert!(!report.metrics.is_on());
     }
     assert_eq!(
@@ -33,7 +33,7 @@ fn unmetered_runs_allocate_no_metric_state() {
 
     // Control: the counter does observe metered runs, so the zero above
     // is meaningful — and the registry carries the expected families.
-    let (_, report) = BulkSyncMpi::run_with_report(&cfg.with_metrics(true));
+    let (_, report) = Impl::BulkSync.run_with_report(&cfg.with_metrics(true), None);
     assert!(report.metrics.is_on());
     assert!(obs::registry::metric_states_allocated() > baseline);
     let prom = report.metrics.render_prometheus();

@@ -3,7 +3,7 @@
 //! elsewhere in the same process would perturb).
 
 use advect_core::stepper::AdvectionProblem;
-use overlap::{BulkSyncMpi, HybridOverlap, RunConfig};
+use overlap::{Impl, RunConfig};
 use simgpu::GpuSpec;
 
 #[test]
@@ -18,9 +18,9 @@ fn untraced_runs_allocate_no_trace_buffers() {
     // Steady state: untraced runs — CPU-only and hybrid — must not touch
     // the trace slab allocator at all, warm or cold.
     for _ in 0..2 {
-        let (_, report) = BulkSyncMpi::run_with_report(&cfg);
+        let (_, report) = Impl::BulkSync.run_with_report(&cfg, None);
         assert!(report.traces.is_empty());
-        let (_, report) = HybridOverlap::run_with_report(&cfg, &spec);
+        let (_, report) = Impl::HybridOverlap.run_with_report(&cfg, Some(&spec));
         assert!(report.traces.is_empty());
     }
     assert_eq!(
@@ -31,7 +31,7 @@ fn untraced_runs_allocate_no_trace_buffers() {
 
     // Control: the counter does observe traced runs, so the zero above is
     // meaningful.
-    let (_, report) = BulkSyncMpi::run_with_report(&cfg.with_trace(true));
+    let (_, report) = Impl::BulkSync.run_with_report(&cfg.with_trace(true), None);
     assert_eq!(report.traces.len(), 4);
     assert_eq!(obs::trace_buffers_allocated(), 4);
 }

@@ -1111,7 +1111,8 @@ fn worker_loop(inner: &Inner) {
                 sched.cache.insert(job.key.clone(), Arc::clone(artifact));
             }
         }
-        job.pending.publish(result);
+        // Record before publishing: a woken waiter stamps `Responded`,
+        // which the lifecycle chain orders after `Rendered`.
         inner.record(
             job.req_id,
             Stage::Rendered,
@@ -1119,6 +1120,7 @@ fn worker_loop(inner: &Inner) {
             exec_end,
             inner.now_ns(),
         );
+        job.pending.publish(result);
         // A tenant slot freed and maybe new work is eligible.
         inner.work_cv.notify_all();
     }

@@ -68,6 +68,11 @@ fn executed_requests_record_the_full_lifecycle_chain() {
     ] {
         assert!(stages.contains(&want), "missing {want:?} in {stages:?}");
     }
+    let at = |stage| stages.iter().position(|s| *s == stage);
+    assert!(
+        at(Stage::Rendered) < at(Stage::Responded),
+        "rendered must be recorded before responded: {stages:?}"
+    );
     // A repeat of the same key is a cache hit: a distinct request id,
     // and a short accepted → cache-hit chain with no execution stages.
     let ticket = server.submit(&cheap("alice", 1)).unwrap();

@@ -13,7 +13,7 @@ use obs::crew::Monitor;
 
 /// Scalar allreduce slots: one `f64` per rank, fixed at world creation,
 /// so `allreduce_sum`/`allreduce_max` never touch the heap (the vector
-/// variant, [`ReduceSlots`], clones every rank's contribution per caller).
+/// variant, [`ReduceSlots`], moves every rank's contribution to rank 0).
 ///
 /// The last contributor folds the slots **in rank order** — the same
 /// order the old vector path reduced in — so results stay bit-identical.
@@ -96,7 +96,7 @@ impl ScalarSlots {
     }
 }
 
-/// All-to-all contribution slots for reductions and gathers.
+/// Per-rank contribution slots for the gather to rank 0.
 pub(crate) struct ReduceSlots {
     n: usize,
     state: Monitor<SlotState>,
@@ -105,7 +105,8 @@ pub(crate) struct ReduceSlots {
 struct SlotState {
     /// One contribution slot per rank for the current round.
     slots: Vec<Option<Vec<f64>>>,
-    /// Completed round's data, kept until all ranks have read it.
+    /// Completed round's data (taken by rank 0), kept until all ranks
+    /// have passed it.
     result: Option<Vec<Vec<f64>>>,
     readers_left: usize,
     round: u64,
@@ -124,11 +125,12 @@ impl ReduceSlots {
         }
     }
 
-    /// Contribute `data` for `rank` and return a clone of every rank's
-    /// contribution once all have arrived. Safe to call repeatedly; rounds
-    /// cannot interleave because a new round cannot start until every rank
-    /// has read the previous result.
-    pub fn exchange(&self, rank: usize, data: Vec<f64>) -> Vec<Vec<f64>> {
+    /// Contribute `data` for `rank`; once all have arrived, rank 0 gets
+    /// every rank's contribution (moved, not copied) and the others get
+    /// `None`. Safe to call repeatedly; rounds cannot interleave because a
+    /// new round cannot start until every rank has passed the previous
+    /// result.
+    pub fn gather(&self, rank: usize, data: Vec<f64>) -> Option<Vec<Vec<f64>>> {
         let mut s = self.state.lock();
         // Wait for the previous round to be fully drained.
         while s.result.is_some() && s.slots[rank].is_some() {
@@ -159,11 +161,8 @@ impl ReduceSlots {
                 s = self.state.wait(s);
             }
         }
-        let out = s
-            .result
-            .as_ref()
-            .expect("result present for this round")
-            .clone();
+        let gathered = s.result.as_mut().expect("result present for this round");
+        let out = (rank == 0).then(|| std::mem::take(gathered));
         s.readers_left -= 1;
         if s.readers_left == 0 {
             s.result = None;

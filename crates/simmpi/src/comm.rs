@@ -506,8 +506,7 @@ impl Comm {
     /// Gather each rank's vector to rank 0. Returns `Some(all)` on rank 0
     /// (indexed by rank) and `None` elsewhere.
     pub fn gather_to_root(&self, data: Vec<f64>) -> Option<Vec<Vec<f64>>> {
-        let all = self.inner.reduce.exchange(self.rank, data);
-        (self.rank == 0).then_some(all)
+        self.inner.reduce.gather(self.rank, data)
     }
 }
 

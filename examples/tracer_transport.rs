@@ -36,7 +36,7 @@ fn main() {
         let cfg = overlap::RunConfig::new(problem, steps)
             .tasks(8)
             .with_threads(2);
-        let state = overlap::BulkSyncMpi::run(&cfg);
+        let state = overlap::Impl::BulkSync.run(&cfg, None);
         // Each tracer is checked against its own analytic solution and the
         // serial reference.
         let mut reference = SerialStepper::new(problem);

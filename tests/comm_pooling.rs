@@ -9,7 +9,7 @@ use advect_core::field::Field3;
 use advect_core::stepper::AdvectionProblem;
 use decomp::{Decomposition, ExchangePlan};
 use overlap::halo::{exchange_halos, exchange_halos_fresh};
-use overlap::{BulkSyncMpi, HaloBuffers, RunConfig};
+use overlap::{HaloBuffers, Impl, RunConfig};
 use proptest::prelude::*;
 use simmpi::World;
 
@@ -145,8 +145,12 @@ proptest! {
 #[test]
 fn bulk_sync_steady_state_allocates_no_buffers() {
     let problem = AdvectionProblem::general_case(12);
-    let warm = BulkSyncMpi::run_with_report(&RunConfig::new(problem, 1).tasks(4)).1;
-    let long = BulkSyncMpi::run_with_report(&RunConfig::new(problem, 9).tasks(4)).1;
+    let warm = Impl::BulkSync
+        .run_with_report(&RunConfig::new(problem, 1).tasks(4), None)
+        .1;
+    let long = Impl::BulkSync
+        .run_with_report(&RunConfig::new(problem, 9).tasks(4), None)
+        .1;
     for rank in 0..4 {
         let w = &warm.comm[rank];
         let l = &long.comm[rank];

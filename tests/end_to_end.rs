@@ -76,9 +76,9 @@ fn gpu_device_stats_reflect_the_schedule() {
     // move no PCIe traffic during the measured loop.
     let problem = AdvectionProblem::general_case(10);
     let cfg = RunConfig::new(problem, 5).with_block((8, 8));
-    let gpu = Gpu::new(GpuSpec::tesla_c2050());
-    let state = overlap::GpuResident::run_on(&cfg, &gpu);
-    let stats = gpu.stats();
+    let spec = GpuSpec::tesla_c2050();
+    let (state, report) = Impl::GpuResident.run_with_report(&cfg, Some(&spec));
+    let stats = report.gpu[0];
     assert_eq!(stats.stencil_launches, 5);
     assert_eq!(stats.h2d_transfers, 0, "resident run must not touch PCIe");
     assert_eq!(stats.d2h_transfers, 0);
