@@ -181,9 +181,7 @@ impl Field3 {
     }
 
     /// The contiguous x-row starting at interior-relative `(x0, y, z)`,
-    /// spanning `w` points. Rows are the unit of work for the
-    /// row-vectorized stencil kernels: slicing once per row removes the
-    /// per-element bounds checks from the inner loops.
+    /// spanning `w` points.
     #[inline]
     pub fn row(&self, x0: i64, y: i64, z: i64, w: usize) -> &[f64] {
         let i = self.idx(x0, y, z);
@@ -491,19 +489,15 @@ impl<'a> SharedField<'a> {
     /// just one access.
     #[inline]
     pub unsafe fn row(&self, x0: i64, y: i64, z: i64, w: usize) -> &[f64] {
-        self.window(self.index(x0, y, z), w)
+        let cells = &self.cells[self.index(x0, y, z)..][..w];
+        std::slice::from_raw_parts(std::cell::UnsafeCell::raw_get(cells.as_ptr()), w)
     }
 
-    /// The `w` contiguous cells starting at flat index `i`, as a shared
-    /// slice.
-    ///
-    /// # Safety
-    ///
-    /// As for [`SharedField::row`].
-    #[inline]
-    pub(crate) unsafe fn window(&self, i: usize, w: usize) -> &[f64] {
-        let cells = &self.cells[i..i + w];
-        std::slice::from_raw_parts(std::cell::UnsafeCell::raw_get(cells.as_ptr()), w)
+    /// The whole allocation as a raw pointer and length, for stencil
+    /// sweeps whose multi-row spans no slice may cover.
+    pub(crate) fn raw(&self) -> (*mut f64, usize) {
+        let cells = self.cells;
+        (std::cell::UnsafeCell::raw_get(cells.as_ptr()), cells.len())
     }
 
     /// A contiguous x-row as an exclusive slice, starting at
@@ -577,7 +571,8 @@ pub struct ZSlabMut<'a> {
     pub z1: i64,
     /// Contiguous backing storage for planes `z_lo ..` of the parent field.
     pub data: &'a mut [f64],
-    sx: usize,
+    /// Allocated x extent of the parent field (the row stride).
+    pub(crate) sx: usize,
     sy: usize,
     h: usize,
 }

@@ -1,13 +1,23 @@
-//! Explicit SIMD for the 27-tap accumulation.
+//! Explicit SIMD for the 27-tap accumulation: one block kernel.
 //!
-//! The row-vectorized fast path of [`crate::stencil`] historically relied
-//! on the autovectorizer turning its fixed-width chunk loop into vector
-//! code. On the default `x86-64` target that means SSE2 — two lanes —
-//! no matter what the host actually supports. This module makes the
-//! vector width explicit: small `f64x4` / `f64x8` wrapper types over the
-//! AVX / AVX-512 register types whose `mul` / `add` methods compile to
-//! single instructions *by construction*, plus a portable fallback that
-//! is exactly the old chunk loop.
+//! A call of the kernel computes a **block** of `rows` output rows, each
+//! `w` points wide ([`TapBlock`]): output row `r` starts `r · dst_stride`
+//! past the block's first output, and tap `t`'s window for that row
+//! starts `r · src_stride` past tap `t`'s window for row 0. That one shape
+//! covers every sweep in the workspace — a tile's z-plane of x-rows on
+//! the CPU row path, the ≤ 3 staged columns of a plane on the column
+//! path, a thread block's staged plane in `simgpu`. The row loop, the 27
+//! coefficient broadcasts and the chunk/tail split all live inside one
+//! `#[target_feature]` body, and the bounds are checked once per call, so
+//! a row costs its arithmetic and nothing else. (Per-row set-up —
+//! building and checking 27 windows, dispatching — measured ≈ 38 ns
+//! against ≈ 26 ns per 16-wide chunk on the reference host; see DESIGN
+//! §11.)
+//!
+//! The vector width is explicit: small `f64x4` / `f64x8` wrapper types
+//! over the AVX / AVX-512 register types whose `mul` / `add` methods
+//! compile to single instructions *by construction*, plus a portable
+//! chunk loop for every other target.
 //!
 //! # Bit-identity
 //!
@@ -18,55 +28,35 @@
 //! scalar `mulsd`/`addsd`. No FMA is used (fusing would change the
 //! rounding and break the oracle), no horizontal operation reorders a
 //! sum. The dispatch level therefore never changes results, only speed —
-//! asserted by the differential proptests in `tests/tiled_props.rs`.
+//! asserted by the differential tests here and in `tests/tiled_props.rs`.
 //!
 //! # Tails
 //!
-//! Rows are processed in 16-wide chunks; the remaining `w mod 16` outputs
-//! are one more chunk of **masked** vectors on the `f64x4`/`f64x8` tiers
-//! (`vmaskmovpd`, `vmovupd {k}`), never a scalar loop: a masked-off lane
-//! touches no memory, so the chunk stays inside the row, and a live lane
-//! runs the identical mul-then-add chain. This matters for narrow rows —
-//! the 30- and 18-wide tiles of a 32×8 GPU block, the `n-2`-wide interior
-//! rows of the overlap runners — where the tail is up to half the row.
-//! Only the portable tier finishes with scalar code.
+//! Each row is processed in 16-wide chunks; the remaining `w mod 16`
+//! outputs are one more chunk of **masked** vectors on the `f64x4`/`f64x8`
+//! tiers (`vmaskmovpd`, `vmovupd {k}`), never a scalar loop: a masked-off
+//! lane touches no memory, so the chunk stays inside the row, and a live
+//! lane runs the identical mul-then-add chain. This matters for narrow
+//! rows — the 30- and 18-wide tiles of a 32×8 GPU block, the `n-2`-wide
+//! interior rows of the overlap runners, the staged columns of a thin
+//! wall — where the tail is up to all of the row.
 //!
 //! # Dispatch
 //!
-//! [`level`] picks the widest supported tier once per process (runtime
-//! CPUID detection, overridable with `ADVECT_SIMD=portable|f64x4|f64x8`
-//! for differential testing) and [`accumulate_tap_rows`] routes through
-//! it. Non-x86-64 targets always take the portable tier.
+//! [`level`] is the widest tier the host supports, detected once per
+//! process; [`accumulate_block`] routes through it and
+//! [`accumulate_block_at`] takes an explicit tier (differential testing).
+//! Non-x86-64 targets always take the portable tier.
 
 /// Vector tier used for the tap accumulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdLevel {
-    /// Fixed-width chunk loop left to the autovectorizer (any target).
+    /// Chunk loop left to the autovectorizer (any target).
     Portable,
     /// Explicit 4-lane AVX `f64x4` kernel (x86-64 with `avx`).
     F64x4,
     /// Explicit 8-lane AVX-512 `f64x8` kernel (x86-64 with `avx512f`).
     F64x8,
-}
-
-impl SimdLevel {
-    /// Lane width of this tier.
-    pub fn lanes(&self) -> usize {
-        match self {
-            SimdLevel::Portable => 1,
-            SimdLevel::F64x4 => 4,
-            SimdLevel::F64x8 => 8,
-        }
-    }
-
-    /// Stable name (accepted by the `ADVECT_SIMD` override).
-    pub fn name(&self) -> &'static str {
-        match self {
-            SimdLevel::Portable => "portable",
-            SimdLevel::F64x4 => "f64x4",
-            SimdLevel::F64x8 => "f64x8",
-        }
-    }
 }
 
 /// The widest tier the host supports.
@@ -83,119 +73,147 @@ fn detect() -> SimdLevel {
     SimdLevel::Portable
 }
 
-/// Parse an `ADVECT_SIMD` value into a dispatch tier. Aliases follow
-/// the instruction-set names: `avx`/`avx2` → `f64x4`, `avx512` →
-/// `f64x8`, `scalar` → `portable`.
-pub fn parse_level(v: &str) -> Result<SimdLevel, String> {
-    match v {
-        "portable" | "scalar" => Ok(SimdLevel::Portable),
-        "f64x4" | "avx" | "avx2" => Ok(SimdLevel::F64x4),
-        "f64x8" | "avx512" => Ok(SimdLevel::F64x8),
-        other => Err(format!(
-            "ADVECT_SIMD={other:?}: expected one of portable|scalar|f64x4|avx|avx2|f64x8|avx512"
-        )),
-    }
-}
-
-/// The process-wide dispatch tier: the widest supported level, or the
-/// `ADVECT_SIMD` override (clamped to what the host supports — asking
-/// for `f64x8` on an AVX-only machine yields `f64x4`).
-///
-/// # Panics
-///
-/// On an unknown `ADVECT_SIMD` value — a mistyped knob must fail the
-/// run, not silently measure the auto-detected tier.
+/// The process-wide dispatch tier: the widest supported level, detected
+/// once.
 pub fn level() -> SimdLevel {
     use std::sync::OnceLock;
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
-    *LEVEL.get_or_init(|| {
-        let best = detect();
-        let Ok(want) = std::env::var("ADVECT_SIMD") else {
-            return best;
-        };
-        let want = parse_level(&want).unwrap_or_else(|e| panic!("{e}"));
-        if want.lanes() <= best.lanes() {
-            want
-        } else {
-            best
-        }
-    })
+    *LEVEL.get_or_init(detect)
 }
 
-/// Accumulate 27 tap rows into a destination row on the process-wide
-/// dispatch tier: `dst[x] = Σₜ coef[t] · rows[t][x]`, taps in order.
+/// Geometry of one block-kernel call, as flat indices into the
+/// destination and source allocations the call is handed: output row
+/// `r ∈ 0..rows` is the `w` points at `dst + r · dst_stride`, and its
+/// tap `t` window the `w` points at `taps[t] + r · src_stride`, taps in
+/// coefficient order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TapBlock {
+    /// Output rows.
+    pub rows: usize,
+    /// Points per output row.
+    pub w: usize,
+    /// First point of output row 0.
+    pub dst: usize,
+    /// Distance between consecutive output rows.
+    pub dst_stride: usize,
+    /// First point of each tap's window for row 0.
+    pub taps: [usize; 27],
+    /// Distance between consecutive rows' tap windows.
+    pub src_stride: usize,
+}
+
+/// One past the last point of `rows ≥ 1` rows of `w` points, `stride`
+/// apart from `first`; `None` on overflow.
+pub(crate) fn rows_end(first: usize, rows: usize, stride: usize, w: usize) -> Option<usize> {
+    let last = (rows - 1).checked_mul(stride)?.checked_add(first)?;
+    last.checked_add(w)
+}
+
+/// Compute block `b` on the process-wide dispatch tier: for every output
+/// row `r` and point `x`, `dst[b.dst + r·dst_stride + x] =
+/// Σₜ coef[t] · src[b.taps[t] + r·src_stride + x]`, taps in order.
 ///
 /// # Panics
 ///
-/// If any `rows[t]` is shorter than `dst_row`.
+/// If an output row or tap window of a non-empty block leaves its slice.
 #[inline]
-pub fn accumulate_tap_rows(dst_row: &mut [f64], rows: &[&[f64]; 27], coef: &[f64; 27]) {
-    accumulate_tap_rows_at(level(), dst_row, rows, coef)
+pub fn accumulate_block(dst: &mut [f64], src: &[f64], b: &TapBlock, coef: &[f64; 27]) {
+    accumulate_block_at(level(), dst, src, b, coef)
 }
 
-/// [`accumulate_tap_rows`] on an explicit tier (differential testing; a
-/// tier the host lacks falls back to the portable path).
-pub fn accumulate_tap_rows_at(
+/// [`accumulate_block`] on an explicit tier (differential testing; a
+/// tier the host lacks falls back to the next narrower one).
+pub fn accumulate_block_at(
     level: SimdLevel,
-    dst_row: &mut [f64],
-    rows: &[&[f64]; 27],
+    dst: &mut [f64],
+    src: &[f64],
+    b: &TapBlock,
     coef: &[f64; 27],
 ) {
-    let w = dst_row.len();
-    for row in rows {
-        assert!(row.len() >= w, "tap row shorter than destination row");
+    let (d, s) = ((dst.as_mut_ptr(), dst.len()), (src.as_ptr(), src.len()));
+    // SAFETY: each slice is valid for its length; `&mut` excludes every
+    // other access to `dst` and `&` every write to `src`.
+    unsafe { accumulate_block_raw(level, d, s, b, coef) }
+}
+
+/// [`accumulate_block_at`] through raw `(pointer, length)` allocations,
+/// for views whose rows other threads write between the block's rows
+/// (the halo columns `SharedField`'s master unpacks while workers sweep
+/// the core), so no slice may span the block. Checks the bounds, then
+/// dispatches.
+///
+/// # Safety
+///
+/// Both allocations must be valid for their lengths, and for the
+/// duration of the call no other thread may write a point a tap window
+/// of `b` reads, nor read or write a point an output row of `b` writes,
+/// and the two sets must not overlap. Points between the block's rows
+/// are not accessed.
+pub(crate) unsafe fn accumulate_block_raw(
+    level: SimdLevel,
+    (dst, dst_len): (*mut f64, usize),
+    (src, src_len): (*const f64, usize),
+    b: &TapBlock,
+    coef: &[f64; 27],
+) {
+    if b.rows == 0 || b.w == 0 {
+        return;
     }
+    let last_tap = *b.taps.iter().max().expect("27 taps");
+    assert!(
+        rows_end(b.dst, b.rows, b.dst_stride, b.w).is_some_and(|e| e <= dst_len),
+        "tap block overruns its destination ({dst_len} values): {b:?}"
+    );
+    assert!(
+        rows_end(last_tap, b.rows, b.src_stride, b.w).is_some_and(|e| e <= src_len),
+        "tap block overruns its source ({src_len} values): {b:?}"
+    );
     match level {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::F64x8 if std::arch::is_x86_feature_detected!("avx512f") => {
-            // SAFETY: `avx512f` was just detected; row lengths checked above.
-            unsafe { x86::accumulate_f64x8(dst_row, rows, coef) }
+            // SAFETY: `avx512f` was just detected; bounds checked above.
+            unsafe { x86::block_f64x8(dst, src, b, coef) }
         }
         #[cfg(target_arch = "x86_64")]
         SimdLevel::F64x4 | SimdLevel::F64x8 if std::arch::is_x86_feature_detected!("avx") => {
-            // SAFETY: `avx` was just detected; row lengths checked above.
-            unsafe { x86::accumulate_f64x4(dst_row, rows, coef) }
+            // SAFETY: `avx` was just detected; bounds checked above.
+            unsafe { x86::block_f64x4(dst, src, b, coef) }
         }
-        _ => accumulate_portable(dst_row, rows, coef),
+        // SAFETY: bounds checked above.
+        _ => unsafe { block_portable(dst, src, b, coef) },
     }
 }
 
-/// Scalar tail of the portable tier: elements `x0..` of the row.
-#[inline]
-fn accumulate_tail(dst_row: &mut [f64], rows: &[&[f64]; 27], coef: &[f64; 27], x0: usize) {
-    for (i, d) in dst_row[x0..].iter_mut().enumerate() {
-        let mut acc = 0.0;
-        for t in 0..27 {
-            acc += coef[t] * rows[t][x0 + i];
-        }
-        *d = acc;
-    }
-}
-
-/// Portable tier: the fixed-chunk loop the autovectorizer handles on any
-/// target (16-wide local accumulator array kept in registers).
-fn accumulate_portable(dst_row: &mut [f64], rows: &[&[f64]; 27], coef: &[f64; 27]) {
-    const ROW_CHUNK: usize = 16;
-    let w = dst_row.len();
-    let mut x = 0;
-    while x + ROW_CHUNK <= w {
-        let mut acc = [0.0f64; ROW_CHUNK];
-        for t in 0..27 {
-            let c = coef[t];
-            let src = &rows[t][x..x + ROW_CHUNK];
-            for l in 0..ROW_CHUNK {
-                acc[l] += c * src[l];
+/// Portable tier: each row in 16-wide chunks accumulated in a local
+/// array, the last chunk partial; vectorizing is left to the compiler.
+///
+/// # Safety
+///
+/// Every output row and tap window of `b` must lie inside `dst` / `src`.
+unsafe fn block_portable(dst: *mut f64, src: *const f64, b: &TapBlock, coef: &[f64; 27]) {
+    const CHUNK: usize = 16;
+    for r in 0..b.rows {
+        let d = dst.add(b.dst + r * b.dst_stride);
+        let s = src.add(r * b.src_stride);
+        let mut x = 0;
+        while x < b.w {
+            let n = CHUNK.min(b.w - x);
+            let mut acc = [0.0f64; CHUNK];
+            for (t, &c) in coef.iter().enumerate() {
+                let p = s.add(b.taps[t] + x);
+                for (l, a) in acc[..n].iter_mut().enumerate() {
+                    *a += c * *p.add(l);
+                }
             }
+            std::ptr::copy_nonoverlapping(acc.as_ptr(), d.add(x), n);
+            x += n;
         }
-        dst_row[x..x + ROW_CHUNK].copy_from_slice(&acc);
-        x += ROW_CHUNK;
     }
-    accumulate_tail(dst_row, rows, coef, x);
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! The `f64x4` / `f64x8` wrappers and their kernels.
+    //! The `f64x4` / `f64x8` wrappers and their block kernels.
     //!
     //! Each wrapper is a `#[repr(transparent)]` newtype over the
     //! architectural register type whose methods are single-instruction
@@ -203,6 +221,7 @@ mod x86 {
     //! the (equally attributed) kernels they inline to bare `vmulpd` /
     //! `vaddpd` with no per-call dispatch.
 
+    use super::TapBlock;
     use std::arch::x86_64::*;
 
     /// Four f64 lanes in one AVX register.
@@ -373,164 +392,142 @@ mod x86 {
         }
     }
 
-    /// 4-lane kernel: 16-wide chunks as four `f64x4` accumulators (four
-    /// independent dependency chains hide the `vaddpd` latency).
+    /// 4-lane block kernel: each row in 16-wide chunks as four `f64x4`
+    /// accumulators (four independent dependency chains hide the
+    /// `vaddpd` latency), then one masked tail chunk.
     ///
     /// # Safety
     ///
-    /// The caller must have verified `avx` support and that every
-    /// `rows[t]` covers `dst_row`'s width.
+    /// The caller must have verified `avx` support and that every output
+    /// row and tap window of `b` lies inside `dst` / `src`.
     #[target_feature(enable = "avx")]
-    pub unsafe fn accumulate_f64x4(dst_row: &mut [f64], rows: &[&[f64]; 27], coef: &[f64; 27]) {
-        let w = dst_row.len();
-        let mut x = 0;
-        while x + 16 <= w {
-            let mut a0 = F64x4::zero();
-            let mut a1 = F64x4::zero();
-            let mut a2 = F64x4::zero();
-            let mut a3 = F64x4::zero();
-            for t in 0..27 {
-                let c = F64x4::splat(coef[t]);
-                // SAFETY: rows[t][x..x+16] is in bounds (checked by caller).
-                let p = unsafe { rows[t].as_ptr().add(x) };
-                unsafe {
-                    a0 = a0.accum(c, F64x4::load(p));
-                    a1 = a1.accum(c, F64x4::load(p.add(4)));
-                    a2 = a2.accum(c, F64x4::load(p.add(8)));
-                    a3 = a3.accum(c, F64x4::load(p.add(12)));
+    pub unsafe fn block_f64x4(dst: *mut f64, src: *const f64, b: &TapBlock, coef: &[f64; 27]) {
+        for r in 0..b.rows {
+            // SAFETY (all accesses below): lanes `x..x+16`, resp. the
+            // live tail lanes, of row `r` lie inside the checked block.
+            let d = dst.add(b.dst + r * b.dst_stride);
+            let s = src.add(r * b.src_stride);
+            let mut x = 0;
+            while x + 16 <= b.w {
+                let mut a = [F64x4::zero(); 4];
+                for (t, &k) in coef.iter().enumerate() {
+                    let c = F64x4::splat(k);
+                    let p = s.add(b.taps[t] + x);
+                    for (j, a) in a.iter_mut().enumerate() {
+                        *a = a.accum(c, F64x4::load(p.add(4 * j)));
+                    }
                 }
+                for (j, a) in a.iter().enumerate() {
+                    a.store(d.add(x + 4 * j));
+                }
+                x += 16;
             }
-            // SAFETY: dst_row[x..x+16] is in bounds.
-            unsafe {
-                let d = dst_row.as_mut_ptr().add(x);
-                a0.store(d);
-                a1.store(d.add(4));
-                a2.store(d.add(8));
-                a3.store(d.add(12));
-            }
-            x += 16;
-        }
-        // Masked tail: the last `w − x < 16` outputs as one chunk of one
-        // to four partial vectors.
-        // SAFETY: `avx` per this function's contract; x..w is in bounds of
-        // `dst_row` and (checked by the caller) of every tap row.
-        unsafe {
-            match (w - x).div_ceil(4) {
+            let (d, s, n) = (d.add(x), s.add(x), b.w - x);
+            match n.div_ceil(4) {
                 0 => {}
-                1 => tail_f64x4::<1>(dst_row, rows, coef, x),
-                2 => tail_f64x4::<2>(dst_row, rows, coef, x),
-                3 => tail_f64x4::<3>(dst_row, rows, coef, x),
-                _ => tail_f64x4::<4>(dst_row, rows, coef, x),
+                1 => tail_f64x4::<1>(d, s, &b.taps, coef, n),
+                2 => tail_f64x4::<2>(d, s, &b.taps, coef, n),
+                3 => tail_f64x4::<3>(d, s, &b.taps, coef, n),
+                _ => tail_f64x4::<4>(d, s, &b.taps, coef, n),
             }
         }
     }
 
-    /// Outputs `x..` of the row as `K` interleaved `f64x4` accumulators,
-    /// the last of them partial: masked loads and stores keep every access
-    /// inside `x..w`. Live lanes run the same mul-then-add chain as the
-    /// full-width chunks; dead lanes accumulate zeros and are never stored.
+    /// The last `n` outputs of a row as `K` interleaved `f64x4`
+    /// accumulators, the last of them partial: masked loads and stores
+    /// keep every access inside the row. Live lanes run the same
+    /// mul-then-add chain as the full-width chunks; dead lanes accumulate
+    /// zeros and are never stored.
     ///
     /// # Safety
     ///
-    /// As [`accumulate_f64x4`], plus `4(K-1) < dst_row.len() - x <= 4K`.
+    /// As [`block_f64x4`] for `n` outputs at `d` and windows at
+    /// `s + taps[t]`, with `4(K-1) < n ≤ 4K`.
     #[target_feature(enable = "avx")]
     #[inline]
     unsafe fn tail_f64x4<const K: usize>(
-        dst_row: &mut [f64],
-        rows: &[&[f64]; 27],
+        d: *mut f64,
+        s: *const f64,
+        taps: &[usize; 27],
         coef: &[f64; 27],
-        x: usize,
+        n: usize,
     ) {
-        let n = dst_row.len() - x;
         let live = |j: usize| (n - 4 * j).min(4);
         let mut a = [F64x4::zero(); K];
-        for t in 0..27 {
-            let c = F64x4::splat(coef[t]);
+        for (t, &k) in coef.iter().enumerate() {
+            let c = F64x4::splat(k);
             for (j, a) in a.iter_mut().enumerate() {
-                // SAFETY: lanes `..live(j)` at `x + 4j` lie inside rows[t].
-                let v = unsafe { F64x4::load_first(rows[t].as_ptr().add(x + 4 * j), live(j)) };
-                *a = a.accum(c, v);
+                *a = a.accum(c, F64x4::load_first(s.add(taps[t] + 4 * j), live(j)));
             }
         }
         for (j, a) in a.iter().enumerate() {
-            // SAFETY: lanes `..live(j)` at `x + 4j` lie inside dst_row.
-            unsafe { a.store_first(dst_row.as_mut_ptr().add(x + 4 * j), live(j)) };
+            a.store_first(d.add(4 * j), live(j));
         }
     }
 
-    /// 8-lane kernel: 16-wide chunks as two `f64x8` accumulators (two
-    /// chains balance register pressure against `vaddpd` latency — wider
-    /// chunks measured slower on the zmm register file).
+    /// 8-lane block kernel: each row in 16-wide chunks as two `f64x8`
+    /// accumulators, then one masked tail chunk. (32-wide chunks of four
+    /// accumulators measured no faster on the reference host: 1.9–2.0
+    /// against 1.8–1.9 ns per point sweeping a 64×64×32 block.)
     ///
     /// # Safety
     ///
     /// The caller must have verified `avx512f` support and that every
-    /// `rows[t]` covers `dst_row`'s width.
+    /// output row and tap window of `b` lies inside `dst` / `src`.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn accumulate_f64x8(dst_row: &mut [f64], rows: &[&[f64]; 27], coef: &[f64; 27]) {
-        let w = dst_row.len();
-        let mut x = 0;
-        while x + 16 <= w {
-            let mut a0 = F64x8::zero();
-            let mut a1 = F64x8::zero();
-            for t in 0..27 {
-                let c = F64x8::splat(coef[t]);
-                // SAFETY: rows[t][x..x+16] is in bounds (checked by caller).
-                let p = unsafe { rows[t].as_ptr().add(x) };
-                unsafe {
+    pub unsafe fn block_f64x8(dst: *mut f64, src: *const f64, b: &TapBlock, coef: &[f64; 27]) {
+        for r in 0..b.rows {
+            // SAFETY (all accesses below): as in `block_f64x4`.
+            let d = dst.add(b.dst + r * b.dst_stride);
+            let s = src.add(r * b.src_stride);
+            let mut x = 0;
+            while x + 16 <= b.w {
+                let (mut a0, mut a1) = (F64x8::zero(), F64x8::zero());
+                for (t, &k) in coef.iter().enumerate() {
+                    let c = F64x8::splat(k);
+                    let p = s.add(b.taps[t] + x);
                     a0 = a0.accum(c, F64x8::load(p));
                     a1 = a1.accum(c, F64x8::load(p.add(8)));
                 }
+                a0.store(d.add(x));
+                a1.store(d.add(x + 8));
+                x += 16;
             }
-            // SAFETY: dst_row[x..x+16] is in bounds.
-            unsafe {
-                let d = dst_row.as_mut_ptr().add(x);
-                a0.store(d);
-                a1.store(d.add(8));
-            }
-            x += 16;
-        }
-        // Masked tail: the last `w − x < 16` outputs as one chunk of one
-        // or two partial vectors.
-        // SAFETY: `avx512f` per this function's contract; x..w is in bounds
-        // of `dst_row` and (checked by the caller) of every tap row.
-        unsafe {
-            match (w - x).div_ceil(8) {
+            let (d, s, n) = (d.add(x), s.add(x), b.w - x);
+            match n.div_ceil(8) {
                 0 => {}
-                1 => tail_f64x8::<1>(dst_row, rows, coef, x),
-                _ => tail_f64x8::<2>(dst_row, rows, coef, x),
+                1 => tail_f64x8::<1>(d, s, &b.taps, coef, n),
+                _ => tail_f64x8::<2>(d, s, &b.taps, coef, n),
             }
         }
     }
 
-    /// Outputs `x..` of the row as `K` interleaved `f64x8` accumulators,
-    /// the last of them partial (see [`tail_f64x4`]).
+    /// The last `n` outputs of a row as `K` interleaved `f64x8`
+    /// accumulators, the last of them partial (see [`tail_f64x4`]).
     ///
     /// # Safety
     ///
-    /// As [`accumulate_f64x8`], plus `8(K-1) < dst_row.len() - x <= 8K`.
+    /// As [`block_f64x8`] for `n` outputs at `d` and windows at
+    /// `s + taps[t]`, with `8(K-1) < n ≤ 8K`.
     #[target_feature(enable = "avx512f")]
     #[inline]
     unsafe fn tail_f64x8<const K: usize>(
-        dst_row: &mut [f64],
-        rows: &[&[f64]; 27],
+        d: *mut f64,
+        s: *const f64,
+        taps: &[usize; 27],
         coef: &[f64; 27],
-        x: usize,
+        n: usize,
     ) {
-        let n = dst_row.len() - x;
         let live = |j: usize| (n - 8 * j).min(8);
         let mut a = [F64x8::zero(); K];
-        for t in 0..27 {
-            let c = F64x8::splat(coef[t]);
+        for (t, &k) in coef.iter().enumerate() {
+            let c = F64x8::splat(k);
             for (j, a) in a.iter_mut().enumerate() {
-                // SAFETY: lanes `..live(j)` at `x + 8j` lie inside rows[t].
-                let v = unsafe { F64x8::load_first(rows[t].as_ptr().add(x + 8 * j), live(j)) };
-                *a = a.accum(c, v);
+                *a = a.accum(c, F64x8::load_first(s.add(taps[t] + 8 * j), live(j)));
             }
         }
         for (j, a) in a.iter().enumerate() {
-            // SAFETY: lanes `..live(j)` at `x + 8j` lie inside dst_row.
-            unsafe { a.store_first(dst_row.as_mut_ptr().add(x + 8 * j), live(j)) };
+            a.store_first(d.add(8 * j), live(j));
         }
     }
 }
@@ -539,89 +536,94 @@ mod x86 {
 mod tests {
     use super::*;
 
-    /// 27 tap rows of exactly `w` values, each in an allocation of its own
-    /// that ends with the row — a lane that read past a row would leave
-    /// its allocation. Payloads mix ordinary values with −0.0, subnormals
-    /// and payload-carrying NaNs. At most one tap per column is NaN: which
-    /// payload survives the sum of two NaNs depends on operand order, and
-    /// that the compiler may commute.
-    fn sample_inputs(w: usize) -> (Vec<Box<[f64]>>, [f64; 27]) {
-        let rows = (0..27)
-            .map(|t| {
-                (0..w)
-                    .map(|x| match (x * 11 + t * 7) % 29 {
-                        0 => -0.0,
-                        1 => f64::from_bits(1),
-                        2 => -f64::MIN_POSITIVE / 4.0,
-                        _ if x % 5 == 3 && t == x * 4 % 27 => {
-                            f64::from_bits(0xfff8_0000_0000_0000 | (x as u64 + 1))
-                        }
-                        v => v as f64 * 0.173 - 1.9,
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut coef = [0.0f64; 27];
-        for (t, c) in coef.iter_mut().enumerate() {
-            *c = (t as f64 * 0.41).sin() * 0.2 + 1.0 / 27.0;
+    const LEVELS: [SimdLevel; 3] = [SimdLevel::Portable, SimdLevel::F64x4, SimdLevel::F64x8];
+
+    /// One source value per flat index: ordinary values mixed with −0.0,
+    /// subnormals and payload-carrying NaNs. At most one tap per output
+    /// reads a NaN — which payload survives the sum of two NaNs depends
+    /// on operand order, and that the compiler may commute: NaNs sit at
+    /// `i % 53 == 17`, the taps of one output in `block` below lie
+    /// `k · w` or `k · (w + 2)` apart for `k ≤ 26`, and the prime 53
+    /// divides no such distance at the widths tested.
+    fn sample(i: usize) -> f64 {
+        match i % 29 {
+            _ if i % 53 == 17 => f64::from_bits(0xfff8_0000_0000_0000 | (i as u64 + 1)),
+            0 => -0.0,
+            1 => f64::from_bits(1),
+            2 => -f64::MIN_POSITIVE / 4.0,
+            v => v as f64 * 0.173 - 1.9,
         }
-        (rows, coef)
     }
 
-    fn scalar_reference(rows: &[&[f64]; 27], coef: &[f64; 27], w: usize) -> Vec<u64> {
-        (0..w)
-            .map(|x| {
-                let mut acc = 0.0f64;
-                for t in 0..27 {
-                    acc += coef[t] * rows[t][x];
-                }
-                acc.to_bits()
-            })
-            .collect()
+    fn coef() -> [f64; 27] {
+        std::array::from_fn(|t| (t as f64 * 0.41).sin() * 0.2 + 1.0 / 27.0)
+    }
+
+    /// A block of `rows` rows of width `w`: dense (outputs and tap
+    /// windows packed back to back, strides `w` and `27 w`) or strided
+    /// (gaps between tap windows and between rows). Source and
+    /// destination are exact-length allocations: the last tap window and
+    /// the last output row end at the end of theirs, so a lane or a row
+    /// past either leaves the allocation.
+    fn block(rows: usize, w: usize, strided: bool) -> (TapBlock, Box<[f64]>, usize) {
+        let (gap, pitch) = if strided { (5, w + 2) } else { (0, w) };
+        let b = TapBlock {
+            rows,
+            w,
+            dst: gap,
+            dst_stride: w + gap,
+            taps: std::array::from_fn(|t| t * pitch),
+            src_stride: 27 * pitch + gap,
+        };
+        let src_len = (rows - 1) * b.src_stride + b.taps[26] + w;
+        let dst_len = b.dst + (rows - 1) * b.dst_stride + w;
+        (b, (0..src_len).map(sample).collect(), dst_len)
     }
 
     #[test]
     fn every_level_matches_scalar_bitwise() {
-        // Every width through three 16-wide chunks: each tail length, on
-        // each tier, alone and behind one or two full chunks.
-        for w in (0..=48).chain([100, 128]) {
-            let (rows, coef) = sample_inputs(w);
-            let rows: [&[f64]; 27] = std::array::from_fn(|t| &*rows[t]);
-            let expect = scalar_reference(&rows, &coef, w);
-            for lvl in [SimdLevel::Portable, SimdLevel::F64x4, SimdLevel::F64x8] {
-                // Exact-length destination too: a masked store past the
-                // row would leave the allocation.
-                let mut dst = vec![1.5f64; w].into_boxed_slice();
-                accumulate_tap_rows_at(lvl, &mut dst, &rows, &coef);
-                let got: Vec<u64> = dst.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got, expect, "level {lvl:?} width {w}");
+        // Rows 1..=4 at every width through three 16-wide chunks — each
+        // tail length, on each tier, alone and behind full chunks — dense
+        // and strided.
+        let coef = coef();
+        for rows in 1..=4 {
+            for w in (0..=48).chain([100, 128]) {
+                for strided in [false, true] {
+                    let (b, src, dst_len) = block(rows, w, strided);
+                    let mut expect = vec![1.5f64; dst_len];
+                    for r in 0..rows {
+                        for x in 0..w {
+                            let mut acc = 0.0f64;
+                            for t in 0..27 {
+                                acc += coef[t] * src[b.taps[t] + r * b.src_stride + x];
+                            }
+                            expect[b.dst + r * b.dst_stride + x] = acc;
+                        }
+                    }
+                    let expect: Vec<u64> = expect.iter().map(|v| v.to_bits()).collect();
+                    for lvl in LEVELS {
+                        let mut dst = vec![1.5f64; dst_len].into_boxed_slice();
+                        accumulate_block_at(lvl, &mut dst, &src, &b, &coef);
+                        let got: Vec<u64> = dst.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(got, expect, "{lvl:?} rows {rows} w {w} strided {strided}");
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "overruns its destination")]
+    fn a_block_whose_last_row_overruns_its_destination_panics() {
+        let (b, src, dst_len) = block(3, 20, true);
+        let mut dst = vec![0.0; dst_len - 1];
+        accumulate_block(&mut dst, &src, &b, &coef());
     }
 
     #[test]
     fn dispatch_level_is_cached_and_supported() {
         let l = level();
         assert_eq!(l, level());
-        assert!(l.lanes() <= detect().lanes());
-    }
-
-    #[test]
-    fn level_names_roundtrip() {
-        for l in [SimdLevel::Portable, SimdLevel::F64x4, SimdLevel::F64x8] {
-            assert!(!l.name().is_empty());
-            assert!(l.lanes().is_power_of_two());
-            assert_eq!(parse_level(l.name()), Ok(l));
-        }
-    }
-
-    #[test]
-    fn level_parse_is_strict() {
-        assert_eq!(parse_level("avx2"), Ok(SimdLevel::F64x4));
-        assert_eq!(parse_level("avx512"), Ok(SimdLevel::F64x8));
-        assert_eq!(parse_level("scalar"), Ok(SimdLevel::Portable));
-        assert!(parse_level("sse").is_err());
-        assert!(parse_level("F64X4").is_err());
-        assert!(parse_level("").is_err());
+        assert_eq!(l, detect());
     }
 }

@@ -11,21 +11,20 @@
 //! Every entry point is a view (plain field, z-slab, shared writer,
 //! shared source and writer) over **one** private sweep body, which
 //! visits its region in cache-sized y/z tiles ([`TileSpec`]) and
-//! computes each tile on one of two paths:
+//! computes each tile on one of two paths, both built on the block
+//! kernel of [`crate::simd`] (`rows` output rows per call, the row loop
+//! inside the vector body):
 //!
-//! * The **row path**: each x-row of the tile is one call of
-//!   [`accumulate_tap_rows`], which dispatches at runtime to explicit
-//!   `f64x4`/`f64x8` vector kernels (or a portable chunked loop) over
-//!   27 pre-sliced windows of the tap's source rows, accumulating in
-//!   registers.
+//! * The **row path**: each z-plane of the tile is one
+//!   [`accumulate_block`] call whose rows are the tile's x-rows, tap
+//!   windows at fixed offsets from each row's own index.
 //! * The **column path**, for tiles at most three points wide in x
 //!   (the x-walls of an interior/boundary split, the CPU veneer of the
-//!   hybrid runners): a one-element row would pay the 27-window set-up
-//!   per *point*, so the `w + 2` neighbouring columns are staged
-//!   contiguously along y in a three-plane ring over z — the way
-//!   `simgpu::kernels` stages rows — and the same
-//!   [`accumulate_tap_rows`] runs on y-contiguous tap windows, one call
-//!   per output column and plane.
+//!   hybrid runners): rows of one to three points are mostly masked
+//!   tail, so the `w + 2` neighbouring columns are staged contiguously
+//!   along y in a three-plane ring over z — the way `simgpu::kernels`
+//!   stages rows — and each staged plane is one call whose `w` rows are
+//!   the y-contiguous output columns.
 //!
 //! The **scalar oracle** [`apply_stencil_region_scalar`] is the original
 //! per-point loop, kept as the one reference the differential tests
@@ -35,7 +34,7 @@
 //! sequence of floating-point operations everywhere: start from `0.0`,
 //! then add `coef[t] * src[...]` for taps `t = 0..27` in fixed order.
 //! Both paths merely interchange the (point, tap) loops — lane-chunked in
-//! the SIMD kernels — which never reorders the additions *within* one
+//! the SIMD kernel — which never reorders the additions *within* one
 //! output element (see the [`crate::simd`] module docs); tiling only
 //! permutes the order in which whole tiles are produced.
 //! [`apply_stencil_region_pooled`] fans the tiles out over a
@@ -44,6 +43,7 @@
 
 use crate::coeffs::Stencil27;
 use crate::field::{Field3, Range3, SharedField, ZSlabMut};
+use crate::simd::{accumulate_block, accumulate_block_raw, level, rows_end, TapBlock};
 use crate::sweep::SweepPool;
 use crate::tile::TileSpec;
 
@@ -68,25 +68,6 @@ pub(crate) fn tap_offsets(sx: usize, sy: usize) -> [i64; 27] {
     offs
 }
 
-/// Accumulate 27 tap rows into a destination row:
-/// `dst[x] = Σₜ coef[t] · rows[t][x]`, taps added in order `t = 0..27`.
-///
-/// Per output element this performs exactly the scalar sequence
-/// `acc = 0.0; acc += coef[0]·v₀; …; acc += coef[26]·v₂₆;`, so the result
-/// is bit-identical to the scalar oracle. Delegates to the runtime-
-/// dispatched SIMD kernels of [`crate::simd`], which keep that per-lane
-/// operation order on every dispatch level.
-///
-/// Shared with the `simgpu` functional kernels, which feed it rows of
-/// their staged shared-memory tiles.
-///
-/// # Panics
-///
-/// If any `rows[t]` is shorter than `dst_row`.
-pub fn accumulate_tap_rows(dst_row: &mut [f64], rows: &[&[f64]; 27], coef: &[f64; 27]) {
-    crate::simd::accumulate_tap_rows(dst_row, rows, coef);
-}
-
 /// What a sweep reads: an x-fastest, halo'd allocation addressed by flat
 /// index, so the 27 taps of a row are 27 windows at fixed offsets from
 /// the row's own index.
@@ -95,8 +76,11 @@ trait TapSource {
     fn strides(&self) -> (usize, usize);
     /// Flat index of interior-relative `(x, y, z)`.
     fn index(&self, x: i64, y: i64, z: i64) -> usize;
-    /// The `w` contiguous values starting at flat index `i`.
-    fn window(&self, i: usize, w: usize) -> &[f64];
+    /// The whole allocation as a pointer and length. The sweep reads
+    /// through it, checking bounds once per plane: a span of several rows
+    /// holds points between them that another thread may be writing (the
+    /// halo columns IV-D's master unpacks), so no slice may cover it.
+    fn raw(&self) -> (*const f64, usize);
 }
 
 impl TapSource for Field3 {
@@ -108,9 +92,8 @@ impl TapSource for Field3 {
     fn index(&self, x: i64, y: i64, z: i64) -> usize {
         self.idx(x, y, z)
     }
-    #[inline]
-    fn window(&self, i: usize, w: usize) -> &[f64] {
-        &self.data()[i..i + w]
+    fn raw(&self) -> (*const f64, usize) {
+        (self.data().as_ptr(), self.data().len())
     }
 }
 
@@ -122,44 +105,45 @@ impl TapSource for SharedField<'_> {
     fn index(&self, x: i64, y: i64, z: i64) -> usize {
         SharedField::index(self, x, y, z)
     }
-    #[inline]
-    fn window(&self, i: usize, w: usize) -> &[f64] {
-        // SAFETY: a sweep reads exactly the points a stencil application
-        // over its region reads, which per the `SharedField` contract no
-        // thread writes concurrently.
-        unsafe { SharedField::window(self, i, w) }
+    fn raw(&self) -> (*const f64, usize) {
+        let (p, len) = SharedField::raw(self);
+        (p.cast_const(), len)
     }
 }
 
-/// What a sweep writes: whole or partial x-rows of the region it was
-/// handed.
+/// What a sweep writes: x-rows of the region it was handed.
 trait RowSink {
-    /// The `w` points of the row starting at interior-relative
-    /// `(x0, y, z)`.
-    fn row_mut(&mut self, x0: i64, y: i64, z: i64, w: usize) -> &mut [f64];
+    /// The plane of rows starting at interior-relative `(x0, y0, z)`: a
+    /// pointer to that point, the values from it to the end of the
+    /// allocation, and the distance between rows. As for
+    /// [`TapSource::raw`], the sweep writes through the pointer, checking
+    /// bounds once per plane.
+    fn plane_mut(&mut self, x0: i64, y0: i64, z: i64) -> (*mut f64, usize, usize);
 }
 
 impl RowSink for Field3 {
-    #[inline]
-    fn row_mut(&mut self, x0: i64, y: i64, z: i64, w: usize) -> &mut [f64] {
-        Field3::row_mut(self, x0, y, z, w)
+    fn plane_mut(&mut self, x0: i64, y0: i64, z: i64) -> (*mut f64, usize, usize) {
+        let (i, sx) = (self.idx(x0, y0, z), self.extents().0);
+        let rest = &mut self.data_mut()[i..];
+        (rest.as_mut_ptr(), rest.len(), sx)
     }
 }
 
 impl RowSink for ZSlabMut<'_> {
-    #[inline]
-    fn row_mut(&mut self, x0: i64, y: i64, z: i64, w: usize) -> &mut [f64] {
-        ZSlabMut::row_mut(self, x0, y, z, w)
+    fn plane_mut(&mut self, x0: i64, y0: i64, z: i64) -> (*mut f64, usize, usize) {
+        let i = self.idx(x0, y0, z);
+        let rest = &mut self.data[i..];
+        (rest.as_mut_ptr(), rest.len(), self.sx)
     }
 }
 
 impl RowSink for &SharedField<'_> {
-    #[inline]
-    fn row_mut(&mut self, x0: i64, y: i64, z: i64, w: usize) -> &mut [f64] {
-        // SAFETY: the caller's disjoint-region contract gives this thread
-        // exclusive access to every point of the region it sweeps,
-        // including this row.
-        unsafe { SharedField::row_mut(self, x0, y, z, w) }
+    fn plane_mut(&mut self, x0: i64, y0: i64, z: i64) -> (*mut f64, usize, usize) {
+        let (p, len) = SharedField::raw(self);
+        let i = SharedField::index(self, x0, y0, z);
+        assert!(i <= len, "plane start outside the field");
+        // SAFETY: `i` is at most one past the end of the allocation.
+        (unsafe { p.add(i) }, len - i, self.strides().0)
     }
 }
 
@@ -190,13 +174,22 @@ fn sweep_tile<S: TapSource, D: RowSink>(src: &S, dst: &mut D, s: &Stencil27, t: 
     }
     let (sx, sy) = src.strides();
     let offs = tap_offsets(sx, sy);
+    let (sp, slen) = src.raw();
     for z in t.z.0..t.z.1 {
-        for y in t.y.0..t.y.1 {
-            let base = src.index(t.x.0, y, z) as i64;
-            let rows: [&[f64]; 27] =
-                std::array::from_fn(|tap| src.window((base + offs[tap]) as usize, w));
-            accumulate_tap_rows(dst.row_mut(t.x.0, y, z, w), &rows, &s.a);
-        }
+        let base = src.index(t.x.0, t.y.0, z) as i64;
+        let (dp, dlen, dst_stride) = dst.plane_mut(t.x.0, t.y.0, z);
+        let b = TapBlock {
+            rows: h,
+            w,
+            dst: 0,
+            dst_stride,
+            taps: std::array::from_fn(|tap| (base + offs[tap]) as usize),
+            src_stride: sx,
+        };
+        // SAFETY: the block reads exactly the points a stencil application
+        // over this tile plane reads and writes exactly its points; each
+        // view's contract keeps other threads off both for the sweep.
+        unsafe { accumulate_block_raw(level(), (dp, dlen), (sp, slen), &b, &s.a) }
     }
 }
 
@@ -208,6 +201,8 @@ fn sweep_tile<S: TapSource, D: RowSink>(src: &S, dst: &mut D, s: &Stencil27, t: 
 /// column `c` is the length-`h` window starting at `dy` of column
 /// `c + dx` in plane `z + dz − 1` — taps still in coefficient order
 /// (plane slowest, then y, then x), hence bit-identical to the row path.
+/// One block call per plane computes all `w` columns: its rows are the
+/// columns, `ch` apart in the ring and `h` apart in `out`.
 fn sweep_columns<S: TapSource, D: RowSink>(src: &S, dst: &mut D, s: &Stencil27, r: Range3) {
     let w = (r.x.1 - r.x.0) as usize;
     let h = (r.y.1 - r.y.0) as usize;
@@ -215,14 +210,22 @@ fn sweep_columns<S: TapSource, D: RowSink>(src: &S, dst: &mut D, s: &Stencil27, 
     let plane = cols * ch;
     let mut scratch = vec![0.0f64; 3 * plane + w * h];
     let (ring, out) = scratch.split_at_mut(3 * plane);
+    let (sx, _) = src.strides();
+    let (sp, slen) = src.raw();
     // Plane `z` lives in slot `(z - r.z.0 + 1) % 3`: a transpose of its
     // `h + 2` source rows, each `w + 2` wide.
     let stage = |ring: &mut [f64], k: usize, z: i64| {
         let slot = &mut ring[k % 3 * plane..][..plane];
-        for (j, y) in (r.y.0 - 1..r.y.1 + 1).enumerate() {
-            let row = src.window(src.index(r.x.0 - 1, y, z), cols);
-            for (c, &v) in row.iter().enumerate() {
-                slot[c * ch + j] = v;
+        let i0 = src.index(r.x.0 - 1, r.y.0 - 1, z);
+        assert!(
+            rows_end(i0, ch, sx, cols).is_some_and(|e| e <= slen),
+            "staged plane outside the source"
+        );
+        for j in 0..ch {
+            for c in 0..cols {
+                // SAFETY: inside the rows checked above, which a stencil
+                // over `r` reads; the view's contract keeps writers off.
+                slot[c * ch + j] = unsafe { *sp.add(i0 + j * sx + c) };
             }
         }
     };
@@ -230,16 +233,28 @@ fn sweep_columns<S: TapSource, D: RowSink>(src: &S, dst: &mut D, s: &Stencil27, 
     stage(ring, 1, r.z.0);
     for (k, z) in (r.z.0..r.z.1).enumerate() {
         stage(ring, k + 2, z + 1);
-        for (c, col) in out.chunks_mut(h).enumerate() {
-            let taps: [&[f64]; 27] = std::array::from_fn(|t| {
+        let b = TapBlock {
+            rows: w,
+            w: h,
+            dst: 0,
+            dst_stride: h,
+            taps: std::array::from_fn(|t| {
                 let (dz, dy, dx) = (t / 9, t / 3 % 3, t % 3);
-                &ring[(k + dz) % 3 * plane + (c + dx) * ch + dy..][..h]
-            });
-            accumulate_tap_rows(col, &taps, &s.a);
-        }
-        for (j, y) in (r.y.0..r.y.1).enumerate() {
-            for (c, v) in dst.row_mut(r.x.0, y, z, w).iter_mut().enumerate() {
-                *v = out[c * h + j];
+                (k + dz) % 3 * plane + dx * ch + dy
+            }),
+            src_stride: ch,
+        };
+        accumulate_block(out, ring, &b, &s.a);
+        let (dp, dlen, stride) = dst.plane_mut(r.x.0, r.y.0, z);
+        assert!(
+            rows_end(0, h, stride, w).is_some_and(|e| e <= dlen),
+            "column scatter outside the destination"
+        );
+        for j in 0..h {
+            for c in 0..w {
+                // SAFETY: inside the rows checked above, all points of `r`
+                // this thread owns per the view's contract.
+                unsafe { *dp.add(j * stride + c) = out[c * h + j] };
             }
         }
     }

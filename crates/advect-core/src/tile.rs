@@ -64,12 +64,8 @@ impl TileSpec {
     }
 
     /// The host heuristic: [`TileSpec::for_cache`] at
-    /// [`HOST_L2_BUDGET_BYTES`] for rows of allocated width `sx`,
-    /// overridable with `ADVECT_TILE=<ty>x<tz>`.
+    /// [`HOST_L2_BUDGET_BYTES`] for rows of allocated width `sx`.
     pub fn host(sx: usize) -> Self {
-        if let Some(spec) = env_override() {
-            return spec;
-        }
         Self::for_cache(HOST_L2_BUDGET_BYTES, sx)
     }
 
@@ -103,31 +99,6 @@ impl TileSpec {
             })
             .filter(move |_| !empty)
     }
-}
-
-/// Parse an `ADVECT_TILE` value of the form `<ty>x<tz>`, both bands
-/// positive integers.
-pub fn parse_tile(v: &str) -> Result<TileSpec, String> {
-    let malformed = || format!("ADVECT_TILE={v:?}: expected <ty>x<tz>, e.g. 40x16");
-    let (ty, tz) = v.split_once('x').ok_or_else(malformed)?;
-    let ty: usize = ty.trim().parse().map_err(|_| malformed())?;
-    let tz: usize = tz.trim().parse().map_err(|_| malformed())?;
-    if ty >= 1 && tz >= 1 {
-        Ok(TileSpec { ty, tz })
-    } else {
-        Err(malformed())
-    }
-}
-
-/// The `ADVECT_TILE=<ty>x<tz>` override, if set.
-///
-/// # Panics
-///
-/// On a malformed value — a mistyped knob must fail the run, not
-/// silently measure the default tiles.
-pub(crate) fn env_override() -> Option<TileSpec> {
-    let v = std::env::var("ADVECT_TILE").ok()?;
-    Some(parse_tile(&v).unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// Evenly split the interior z-extent `nz` into cut points for a team of
@@ -213,17 +184,6 @@ mod tests {
         let spec = TileSpec::host(130);
         assert!(spec.ty < 128, "128³ should be y-blocked, got {spec:?}");
         assert!(spec.ty >= MIN_TY && spec.tz >= 1);
-    }
-
-    #[test]
-    fn tile_parse_is_strict() {
-        assert_eq!(parse_tile("40x16"), Ok(TileSpec::new(40, 16)));
-        assert_eq!(parse_tile("1x1"), Ok(TileSpec::new(1, 1)));
-        assert!(parse_tile("40").is_err());
-        assert!(parse_tile("0x16").is_err());
-        assert!(parse_tile("40x").is_err());
-        assert!(parse_tile("axb").is_err());
-        assert!(parse_tile("").is_err());
     }
 
     #[test]

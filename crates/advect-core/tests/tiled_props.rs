@@ -10,7 +10,7 @@
 
 use advect_core::coeffs::{Stencil27, Velocity};
 use advect_core::field::{Field3, Range3};
-use advect_core::simd::{accumulate_tap_rows_at, SimdLevel};
+use advect_core::simd::{accumulate_block_at, SimdLevel, TapBlock};
 use advect_core::stencil::{
     apply_stencil_region_pooled, apply_stencil_region_scalar, apply_stencil_slab_tiled,
 };
@@ -98,51 +98,78 @@ proptest! {
 
     /// Every SIMD tier (portable chunked loop, 4-lane AVX, 8-lane
     /// AVX-512 — unavailable tiers fall back) produces bitwise the naive
-    /// per-element accumulation at **every** row width through three
-    /// 16-wide chunks, i.e. every masked-tail length alone and behind
-    /// full chunks. Each tap row is an exact-length allocation of its
-    /// own, so a masked lane reading past the row would leave it; the
-    /// payloads mix in −0.0, subnormals and (at most one per column —
-    /// which of two NaN payloads a sum keeps is operand-order dependent)
-    /// payload-carrying NaNs.
+    /// per-element accumulation on blocks of one to four rows at
+    /// **every** row width through three 16-wide chunks (and 100, 128),
+    /// i.e. every masked-tail length alone and behind full chunks, in a
+    /// dense layout (outputs and tap windows packed back to back) and a
+    /// strided one (gaps between windows and rows). Source and
+    /// destination are exact-length allocations ending with the last tap
+    /// window and the last output row, so a lane or a row past either
+    /// would leave its allocation; the payloads mix in −0.0, subnormals
+    /// and (at most one per output — which of two NaN payloads a sum
+    /// keeps is operand-order dependent) payload-carrying NaNs.
     #[test]
     fn every_simd_level_matches_the_naive_accumulation(
         seed in 1u64..u64::MAX,
     ) {
         let mut rng = TestRng::new(seed);
         let coef: [f64; 27] = std::array::from_fn(|_| rng.next_f64() * 2.0 - 1.0);
-        for width in 0usize..=48 {
-            let mut storage: Vec<Box<[f64]>> = (0..27)
-                .map(|_| {
-                    (0..width)
+        for rows in 1usize..=4 {
+            for width in (0usize..=48).chain([100, 128]) {
+                for strided in [false, true] {
+                    let (gap, pitch) = if strided {
+                        (1 + (rng.next_u64() % 7) as usize, width + 3)
+                    } else {
+                        (0, width)
+                    };
+                    let b = TapBlock {
+                        rows,
+                        w: width,
+                        dst: gap,
+                        dst_stride: width + gap,
+                        taps: std::array::from_fn(|t| t * pitch),
+                        src_stride: 27 * pitch + gap,
+                    };
+                    let src_len = (rows - 1) * b.src_stride + b.taps[26] + width;
+                    let dst_len = b.dst + (rows - 1) * b.dst_stride + width;
+                    let mut src: Box<[f64]> = (0..src_len)
                         .map(|_| match rng.next_u64() % 16 {
                             0 => -0.0,
                             1 => f64::from_bits(rng.next_u64() >> 12),
                             _ => rng.next_f64() * 4.0 - 2.0,
                         })
-                        .collect()
-                })
-                .collect();
-            for x in (0..width).filter(|x| x % 4 == 1) {
-                let t = (rng.next_u64() % 27) as usize;
-                storage[t][x] = f64::from_bits(0x7ff8_0000_0000_0000 | rng.next_u64() >> 13);
-            }
-            let rows: [&[f64]; 27] = std::array::from_fn(|t| &*storage[t]);
-
-            let want: Vec<u64> = (0..width)
-                .map(|x| {
-                    let mut acc = 0.0f64;
-                    for t in 0..27 {
-                        acc += coef[t] * rows[t][x];
+                        .collect();
+                    // Tap windows are disjoint, so each source value feeds
+                    // one output: poisoning one tap of an output leaves it
+                    // exactly one NaN.
+                    for r in 0..rows {
+                        for x in (0..width).filter(|x| x % 4 == 1) {
+                            let t = (rng.next_u64() % 27) as usize;
+                            src[b.taps[t] + r * b.src_stride + x] =
+                                f64::from_bits(0x7ff8_0000_0000_0000 | rng.next_u64() >> 13);
+                        }
                     }
-                    acc.to_bits()
-                })
-                .collect();
-            for level in [SimdLevel::Portable, SimdLevel::F64x4, SimdLevel::F64x8] {
-                let mut got = vec![1.5f64; width].into_boxed_slice();
-                accumulate_tap_rows_at(level, &mut got, &rows, &coef);
-                let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(&got, &want, "level {} width {}", level.name(), width);
+
+                    let mut want = vec![1.5f64.to_bits(); dst_len];
+                    for r in 0..rows {
+                        for x in 0..width {
+                            let mut acc = 0.0f64;
+                            for t in 0..27 {
+                                acc += coef[t] * src[b.taps[t] + r * b.src_stride + x];
+                            }
+                            want[b.dst + r * b.dst_stride + x] = acc.to_bits();
+                        }
+                    }
+                    for level in [SimdLevel::Portable, SimdLevel::F64x4, SimdLevel::F64x8] {
+                        let mut got = vec![1.5f64; dst_len].into_boxed_slice();
+                        accumulate_block_at(level, &mut got, &src, &b, &coef);
+                        let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                        prop_assert_eq!(
+                            &got, &want,
+                            "level {:?} rows {} width {} strided {}", level, rows, width, strided
+                        );
+                    }
+                }
             }
         }
     }

@@ -8,10 +8,11 @@
 //!
 //! The audit behind this: `simmpi::Comm` holds its tracer/metrics in
 //! per-instance `OnceLock`s created fresh by every `World::run`;
-//! `simgpu::Gpu` is per-run; the env knobs (`ADVECT_TILE`,
-//! `ADVECT_SIMD`, `ADVECT_SWEEP_THREADS`) are read-only — the server
-//! never mutates the environment. The process-globals are
-//! `SweepPool::global()`, a stateless width, and the resident worker
+//! `simgpu::Gpu` is per-run; the one env knob (`ADVECT_SWEEP_THREADS`)
+//! is read-only — the server never mutates the environment. The
+//! process-globals are the cached SIMD tier (`simd::level`, detected
+//! once from the CPU), `SweepPool::global()`, a stateless width, and
+//! the resident worker
 //! crew (`obs::crew`), whose workers are leased to one region at a time
 //! and carry nothing from one region to the next.
 

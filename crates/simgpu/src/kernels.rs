@@ -28,7 +28,7 @@
 //! the cross-implementation tests can require exact equality.
 
 use advect_core::field::Range3;
-use advect_core::stencil::accumulate_tap_rows;
+use advect_core::simd::{accumulate_block, TapBlock};
 
 /// Device-side field layout: interior extent plus halo width, x fastest —
 /// identical to `advect_core::Field3` so host fields map 1:1 to buffers.
@@ -227,23 +227,25 @@ pub fn run_stencil(
                 // load only plane z+1, over the slot plane z-2 vacated;
                 // planes z-1 and z are reused from the previous step.
                 stage(shared, k + 2, z + 1);
-                // Row-vectorized tap accumulation: the 27 taps are rows
-                // of the staged planes (tap order matches the coefficient
-                // order: plane slowest, y, x fastest), accumulated with
-                // the same register-chunked helper as the CPU fast path,
-                // so results stay bit-identical to the scalar reference.
-                for y in by0..by1 {
-                    let ly = (y - by0 + 1) as usize;
-                    let d0 = d.idx(bx0, y, z);
-                    let rows: [&[f64]; 27] = std::array::from_fn(|t| {
+                // Plane z of the block is one call of the block kernel
+                // the CPU sweep uses: its rows are the tile's x-rows, each
+                // tap a window of the staged planes (tap order matches the
+                // coefficient order: plane slowest, y, x fastest), so
+                // results stay bit-identical to the scalar reference.
+                // Row 0 (ly = 1, lx = 1) reads tap (dz, dy, dx) at row dy,
+                // column dx of plane z + dz − 1.
+                let b = TapBlock {
+                    rows: (by1 - by0) as usize,
+                    w,
+                    dst: d.idx(bx0, by0, z),
+                    dst_stride: d.nx + 2 * d.halo,
+                    taps: std::array::from_fn(|t| {
                         let (dz, dy, dx) = (t / 9, t / 3 % 3, t % 3);
-                        // lx for x = bx0 is 1, so the tap's first read
-                        // sits at column 1 + dx - 1 = dx.
-                        let s0 = (k + dz) % 3 * plane + (ly + dy - 1) * sw + dx;
-                        &shared[s0..s0 + w]
-                    });
-                    accumulate_tap_rows(&mut dst[d0..d0 + w], &rows, coeffs);
-                }
+                        (k + dz) % 3 * plane + dy * sw + dx
+                    }),
+                    src_stride: sw,
+                };
+                accumulate_block(dst, shared, &b, coeffs);
             }
             bx0 = bx1;
         }
@@ -313,19 +315,20 @@ pub fn run_stencil_3d(
                     let slot = &mut shared[sz * plane..][..plane];
                     source.stage_plane(slot, sw, (bx0, bx1), (by0, by1), z);
                 }
-                // Row-vectorized tap accumulation (see `run_stencil`).
-                let w = (bx1 - bx0) as usize;
-                for z in bz0..bz1 {
-                    for y in by0..by1 {
-                        let (ly, lz) = ((y - by0 + 1) as usize, (z - bz0 + 1) as usize);
-                        let d0 = d.idx(bx0, y, z);
-                        let rows: [&[f64]; 27] = std::array::from_fn(|t| {
+                // One block-kernel call per plane (see `run_stencil`).
+                for (lz, z) in (bz0..bz1).enumerate() {
+                    let b = TapBlock {
+                        rows: (by1 - by0) as usize,
+                        w: (bx1 - bx0) as usize,
+                        dst: d.idx(bx0, by0, z),
+                        dst_stride: d.nx + 2 * d.halo,
+                        taps: std::array::from_fn(|t| {
                             let (dz, dy, dx) = (t / 9, t / 3 % 3, t % 3);
-                            let s0 = (lz + dz - 1) * plane + (ly + dy - 1) * sw + dx;
-                            &shared[s0..s0 + w]
-                        });
-                        accumulate_tap_rows(&mut dst[d0..d0 + w], &rows, coeffs);
-                    }
+                            (lz + dz) * plane + dy * sw + dx
+                        }),
+                        src_stride: sw,
+                    };
+                    accumulate_block(dst, shared, &b, coeffs);
                 }
                 bx0 = bx1;
             }
