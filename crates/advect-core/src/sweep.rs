@@ -16,24 +16,9 @@
 //! degrades to inline evaluation on the calling thread with no hand-off
 //! and no queue traffic.
 
-use obs::{crew, Category, Tracer};
+use obs::crew;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-
-static SWEEP_TRACER: OnceLock<Tracer> = OnceLock::new();
-
-/// Install a process-wide span recorder for sweep batches: each worker
-/// records one `compute.interior` span covering its share of the batch
-/// (label `sweep.worker`, or `sweep.inline` on the one-worker path).
-/// Idempotent; without an install, sweeps trace into the no-op sink.
-pub fn install_tracer(tracer: Tracer) {
-    let _ = SWEEP_TRACER.set(tracer);
-}
-
-fn tracer() -> &'static Tracer {
-    static OFF: Tracer = Tracer::off();
-    SWEEP_TRACER.get().unwrap_or(&OFF)
-}
 
 /// A fixed-width pool for embarrassingly parallel sweeps.
 ///
@@ -98,14 +83,8 @@ impl SweepPool {
         finish: impl Fn(S) + Sync,
     ) {
         let workers = self.threads.min(n).max(1);
-        let label = if workers == 1 {
-            "sweep.inline"
-        } else {
-            "sweep.worker"
-        };
         let next = AtomicUsize::new(0);
         crew::run(workers, |_| {
-            let _span = tracer().span(Category::ComputeInterior, label);
             let mut state = init();
             loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);

@@ -4,15 +4,15 @@
 //! zero-allocation guarantee the tracing subsystem makes in
 //! `tests/trace_alloc.rs`.
 //!
-//! This lives in its own test binary so no concurrently-running chaos
-//! test can bump the process-global counter mid-measurement.
+//! One test in its own binary: the counter is process-global, so the
+//! off loop and the chaos control run in sequence, never side by side.
 
 use advect_core::stepper::AdvectionProblem;
 use overlap::{Impl, RunConfig};
 use simgpu::GpuSpec;
 
 #[test]
-fn fault_off_runs_allocate_no_fault_state() {
+fn fault_state_is_allocated_only_by_chaos_runs() {
     let spec = GpuSpec::tesla_c2050();
     for im in Impl::ALL {
         let mut cfg = RunConfig::new(AdvectionProblem::general_case(12), 2)
@@ -32,12 +32,9 @@ fn fault_off_runs_allocate_no_fault_state() {
             im.slug()
         );
     }
-}
 
-#[test]
-fn chaos_runs_do_allocate_fault_state() {
-    // Sanity check on the counter itself: with a perturbing plan, each
-    // rank's mailbox carries a limbo allocation.
+    // Control on the counter itself: with a perturbing plan, each rank's
+    // mailbox carries a limbo allocation.
     let cfg = RunConfig::new(AdvectionProblem::general_case(12), 1)
         .tasks(4)
         .with_threads(2)

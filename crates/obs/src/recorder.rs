@@ -2,18 +2,15 @@
 //! happened" evidence.
 //!
 //! The run service keeps an always-on recorder of recent request events
-//! and the last few run traces, so an anomaly (deadline miss, rejection
-//! burst, straggler flag, SLO burn) can dump a self-contained bundle
-//! without having had tracing "turned on" beforehand. This module is the
-//! service-agnostic substrate: a generic overwrite ring for small `Copy`
-//! records and a trace ring for whole [`Trace`] sets. The request
-//! lifecycle schema on top lives in `serve::reqtrace`.
+//! and the last few run traces, so an anomaly (deadline miss, straggler
+//! flag) can dump a self-contained bundle without having had tracing
+//! "turned on" beforehand. This module is the service-agnostic
+//! substrate: a generic overwrite ring for small `Copy` records and a
+//! trace ring for whole [`Trace`] sets. The request lifecycle schema on
+//! top lives in `serve::reqtrace`.
 //!
-//! The zero-cost-off contract matches the tracing / metrics / fault /
-//! causal layers: a disabled ring is `None` inside and every operation
-//! returns immediately; [`recorder_states_allocated`] counts ring-state
-//! constructions process-wide so a test can prove the off path allocates
-//! nothing.
+//! There is no off switch: both rings are allocated once, at a capacity
+//! of at least one, and every operation records.
 //!
 //! The event ring is overwrite-on-wrap with a lock-free slot claim: a
 //! writer claims a global index with one `fetch_add` and writes the slot
@@ -26,15 +23,6 @@
 use crate::Trace;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-static RECORDER_STATES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of recorder ring states ever constructed. A
-/// disabled ring never bumps this; the `recorder_alloc` test asserts the
-/// count stays flat across a server lifetime with the recorder off.
-pub fn recorder_states_allocated() -> u64 {
-    RECORDER_STATES_ALLOCATED.load(Ordering::SeqCst)
-}
 
 struct Slot<T> {
     /// 1-based global sequence of the value held, 0 = never written.
@@ -49,30 +37,21 @@ struct RingInner<T> {
 
 /// A fixed-capacity overwrite ring of small `Copy` records.
 pub struct Ring<T: Copy + Default> {
-    inner: Option<Arc<RingInner<T>>>,
+    inner: Arc<RingInner<T>>,
 }
 
 impl<T: Copy + Default> Clone for Ring<T> {
     fn clone(&self) -> Self {
         Ring {
-            inner: self.inner.clone(),
+            inner: Arc::clone(&self.inner),
         }
     }
 }
 
 impl<T: Copy + Default> Ring<T> {
-    /// A disabled ring: every operation is a no-op, nothing allocated.
-    pub const fn off() -> Self {
-        Ring { inner: None }
-    }
-
-    /// An enabled ring holding the most recent `capacity` records.
-    /// `capacity == 0` yields a disabled ring.
+    /// A ring holding the most recent `capacity` (≥ 1) records.
     pub fn with_capacity(capacity: usize) -> Self {
-        if capacity == 0 {
-            return Ring::off();
-        }
-        RECORDER_STATES_ALLOCATED.fetch_add(1, Ordering::SeqCst);
+        assert!(capacity > 0, "a recorder ring needs at least one slot");
         let slots: Box<[Mutex<Slot<T>>]> = (0..capacity)
             .map(|_| {
                 Mutex::new(Slot {
@@ -82,33 +61,21 @@ impl<T: Copy + Default> Ring<T> {
             })
             .collect();
         Ring {
-            inner: Some(Arc::new(RingInner {
+            inner: Arc::new(RingInner {
                 next: AtomicU64::new(0),
                 slots,
-            })),
+            }),
         }
-    }
-
-    /// Whether the ring records anything.
-    pub fn is_on(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Ring capacity (0 when disabled).
-    pub fn capacity(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.slots.len())
     }
 
     /// Total records ever pushed (including overwritten ones).
     pub fn pushed(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.next.load(Ordering::SeqCst))
+        self.inner.next.load(Ordering::SeqCst)
     }
 
     /// Record one value, overwriting the oldest once full.
     pub fn push(&self, value: T) {
-        let Some(inner) = &self.inner else { return };
+        let inner = &self.inner;
         let i = inner.next.fetch_add(1, Ordering::SeqCst);
         let cap = inner.slots.len() as u64;
         let mut slot = inner.slots[(i % cap) as usize].lock().unwrap();
@@ -125,9 +92,7 @@ impl<T: Copy + Default> Ring<T> {
     /// overtaken by a concurrent writer mid-snapshot are skipped rather
     /// than torn.
     pub fn snapshot(&self) -> Vec<T> {
-        let Some(inner) = &self.inner else {
-            return Vec::new();
-        };
+        let inner = &self.inner;
         let next = inner.next.load(Ordering::SeqCst);
         let cap = inner.slots.len() as u64;
         let lo = next.saturating_sub(cap);
@@ -163,43 +128,27 @@ struct TraceSlots {
     next: usize,
 }
 
-/// A small ring of the last N traced runs. Storing clones the traces, so
-/// callers on the hot path should check [`TraceRing::is_on`] before
-/// building a [`StoredRun`]; a disabled ring stores nothing.
+/// A small ring of the last N traced runs.
 #[derive(Clone)]
 pub struct TraceRing {
-    inner: Option<Arc<Mutex<TraceSlots>>>,
+    inner: Arc<Mutex<TraceSlots>>,
 }
 
 impl TraceRing {
-    /// A disabled trace ring.
-    pub const fn off() -> Self {
-        TraceRing { inner: None }
-    }
-
-    /// An enabled ring keeping the `capacity` most recent traced runs.
+    /// A ring keeping the `capacity` (≥ 1) most recent traced runs.
     pub fn with_capacity(capacity: usize) -> Self {
-        if capacity == 0 {
-            return TraceRing::off();
-        }
-        RECORDER_STATES_ALLOCATED.fetch_add(1, Ordering::SeqCst);
+        assert!(capacity > 0, "a trace ring needs at least one slot");
         TraceRing {
-            inner: Some(Arc::new(Mutex::new(TraceSlots {
+            inner: Arc::new(Mutex::new(TraceSlots {
                 entries: vec![None; capacity],
                 next: 0,
-            }))),
+            })),
         }
-    }
-
-    /// Whether the ring stores anything.
-    pub fn is_on(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// Keep one traced run, evicting the oldest once full.
     pub fn store(&self, run: StoredRun) {
-        let Some(inner) = &self.inner else { return };
-        let mut slots = inner.lock().unwrap();
+        let mut slots = self.inner.lock().unwrap();
         let cap = slots.entries.len();
         let at = slots.next % cap;
         slots.entries[at] = Some(run);
@@ -208,10 +157,7 @@ impl TraceRing {
 
     /// Stored runs, oldest to newest.
     pub fn snapshot(&self) -> Vec<StoredRun> {
-        let Some(inner) = &self.inner else {
-            return Vec::new();
-        };
-        let slots = inner.lock().unwrap();
+        let slots = self.inner.lock().unwrap();
         let cap = slots.entries.len();
         let lo = slots.next.saturating_sub(cap);
         (lo..slots.next)
@@ -224,25 +170,6 @@ impl TraceRing {
 mod tests {
     use super::*;
     use crate::{Category, Span};
-
-    #[test]
-    fn off_rings_do_nothing() {
-        let r: Ring<u64> = Ring::off();
-        r.push(7);
-        assert!(!r.is_on());
-        assert_eq!(r.capacity(), 0);
-        assert_eq!(r.pushed(), 0);
-        assert!(r.snapshot().is_empty());
-        let t = TraceRing::off();
-        t.store(StoredRun {
-            request_id: 0,
-            exec_tid: 0,
-            exec_start_ns: 0,
-            traces: Vec::new(),
-        });
-        assert!(t.snapshot().is_empty());
-        assert_eq!(Ring::<u64>::with_capacity(0).capacity(), 0);
-    }
 
     #[test]
     fn ring_keeps_newest_window_in_push_order() {
@@ -322,13 +249,5 @@ mod tests {
         assert_eq!(snap[0].request_id, 1);
         assert_eq!(snap[1].request_id, 2);
         assert_eq!(snap[1].traces.len(), 1);
-    }
-
-    #[test]
-    fn construction_bumps_the_state_counter() {
-        let before = recorder_states_allocated();
-        let _r: Ring<u64> = Ring::with_capacity(2);
-        let _t = TraceRing::with_capacity(2);
-        assert!(recorder_states_allocated() >= before + 2);
     }
 }

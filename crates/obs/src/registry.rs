@@ -268,8 +268,8 @@ impl HistogramSnapshot {
         bucket_floor(HISTOGRAM_BUCKETS - 1)
     }
 
-    /// The 99.9th percentile — the tail the run service's SLO and
-    /// per-tenant fairness gates watch.
+    /// The 99.9th percentile — the tail the run service's per-tenant
+    /// fairness gates watch.
     pub fn p999(&self) -> u64 {
         self.quantile(0.999)
     }

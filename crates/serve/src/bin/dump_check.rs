@@ -6,7 +6,7 @@
 //!
 //! For each `dump_*.json` bundle: parse it, check the required members
 //! (`kind`, `seq`, `captured_at_ns`, `request_events`, `trace`,
-//! `metrics`, `slo`, `stats`), and run the embedded stitched trace
+//! `metrics`, `stats`), and run the embedded stitched trace
 //! through [`serve::validate::validate_chrome_trace`]. Exits non-zero if any
 //! bundle fails, or if no bundle was found at all — the CI
 //! recorder-smoke job points this at the server's `--dump-dir` after
@@ -33,10 +33,8 @@ fn check_bundle(path: &std::path::Path) -> Result<String, String> {
     if events.is_empty() {
         return Err("bundle has no request events".to_string());
     }
-    for key in ["slo", "stats"] {
-        if !matches!(v[key], Value::Object(_)) {
-            return Err(format!("missing object member {key:?}"));
-        }
+    if !matches!(v["stats"], Value::Object(_)) {
+        return Err("missing object member \"stats\"".to_string());
     }
     if matches!(v["metrics"], Value::Null) {
         return Err("missing member \"metrics\"".to_string());

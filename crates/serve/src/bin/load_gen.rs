@@ -268,7 +268,6 @@ fn main() {
         None
     };
 
-    let limits = RunLimits::default();
     let started = Instant::now();
     let mut threads = Vec::new();
     for t in 0..tenants {
@@ -319,7 +318,6 @@ fn main() {
         errors.extend(e);
     }
     let wall_s = started.elapsed().as_secs_f64();
-    let _ = limits;
 
     // Byte-identity: every repeated key must have returned exactly one
     // distinct artifact byte string.

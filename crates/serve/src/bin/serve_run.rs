@@ -3,87 +3,61 @@
 //!
 //! ```text
 //! serve_run [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
-//!           [--tenant-running N] [--deadline-ms MS]
-//!           [--dump-dir PATH] [--recorder N] [--trace-ring N]
-//!           [--log-capacity N] [--log-rate N] [--log-stderr]
-//!           [--slo-threshold-ms MS] [--cooldown-s S] [--overload-burst N]
+//!           [--dump-dir PATH] [--log-stderr]
 //! ```
 //!
-//! `--dump-dir` enables anomaly bundles on disk; `--recorder 0` turns
-//! the flight recorder off entirely (the zero-cost-off path).
-//! `--log-stderr` mirrors the structured event log to stderr as JSON
-//! lines for supervised deployments.
+//! `--dump-dir` writes anomaly bundles to disk; `--log-stderr` mirrors
+//! the structured event log to stderr as JSON lines for supervised
+//! deployments. An unknown flag or a malformed value exits 2 with the
+//! usage line rather than starting a server the caller did not ask for.
 //!
 //! Prints `serve_run listening on <addr>` once bound, so scripts can
 //! wait for readiness by watching stdout (or probing the port).
 
-use serve::reqtrace::SloConfig;
 use serve::server::{Server, ServerConfig};
 use serve::tcp;
-use std::time::Duration;
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+const USAGE: &str = "usage: serve_run [--addr HOST:PORT] [--workers N] [--queue N] \
+                     [--cache N] [--dump-dir PATH] [--log-stderr]";
+
+fn usage_exit(problem: &str) -> ! {
+    eprintln!("serve_run: {problem}\n{USAGE}");
+    std::process::exit(2);
+}
+
+fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    args.next()
+        .unwrap_or_else(|| usage_exit(&format!("{flag} needs a value")))
+}
+
+fn count(args: &mut impl Iterator<Item = String>, flag: &str) -> usize {
+    let v = value(args, flag);
+    v.parse()
+        .unwrap_or_else(|_| usage_exit(&format!("{flag} {v:?}: expected a non-negative integer")))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: serve_run [--addr HOST:PORT] [--workers N] [--queue N] [--cache N] \
-             [--tenant-running N] [--deadline-ms MS] [--dump-dir PATH] [--recorder N] \
-             [--trace-ring N] [--log-capacity N] [--log-rate N] [--log-stderr] \
-             [--slo-threshold-ms MS] [--cooldown-s S] [--overload-burst N]"
-        );
-        return;
+    let mut addr = "127.0.0.1:7071".to_string();
+    let mut cfg = ServerConfig::default();
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--help" | "-h" => {
+                eprintln!("{USAGE}");
+                return;
+            }
+            "--addr" => addr = value(&mut args, &flag),
+            "--workers" => cfg.workers = count(&mut args, &flag),
+            "--queue" => cfg.queue_capacity = count(&mut args, &flag),
+            "--cache" => cfg.cache_capacity = count(&mut args, &flag),
+            "--dump-dir" => cfg.dump_dir = Some(value(&mut args, &flag).into()),
+            "--log-stderr" => cfg.log_stderr = true,
+            _ => usage_exit(&format!("unknown flag {flag:?}")),
+        }
     }
-    let addr = parse_flag(&args, "--addr", "127.0.0.1:7071".to_string());
-    let dump_dir: Option<String> = args
-        .iter()
-        .position(|a| a == "--dump-dir")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let defaults = ServerConfig::default();
-    let cfg = ServerConfig {
-        workers: parse_flag(&args, "--workers", 2usize),
-        queue_capacity: parse_flag(&args, "--queue", 64usize),
-        cache_capacity: parse_flag(&args, "--cache", 128usize),
-        tenant_max_running: parse_flag(&args, "--tenant-running", 1usize),
-        default_deadline: Duration::from_millis(parse_flag(&args, "--deadline-ms", 30_000u64)),
-        recorder_capacity: parse_flag(&args, "--recorder", defaults.recorder_capacity),
-        trace_ring_capacity: parse_flag(&args, "--trace-ring", defaults.trace_ring_capacity),
-        log_capacity: parse_flag(&args, "--log-capacity", defaults.log_capacity),
-        log_rate_per_sec: parse_flag(&args, "--log-rate", defaults.log_rate_per_sec),
-        log_stderr: args.iter().any(|a| a == "--log-stderr"),
-        slo: SloConfig {
-            threshold: Duration::from_millis(parse_flag(
-                &args,
-                "--slo-threshold-ms",
-                defaults.slo.threshold.as_millis() as u64,
-            )),
-            ..defaults.slo
-        },
-        overload_burst: parse_flag(&args, "--overload-burst", defaults.overload_burst),
-        anomaly_cooldown: Duration::from_secs(parse_flag(
-            &args,
-            "--cooldown-s",
-            defaults.anomaly_cooldown.as_secs(),
-        )),
-        dump_dir: dump_dir.map(std::path::PathBuf::from),
-        ..ServerConfig::default()
-    };
     eprintln!(
-        "serve_run: workers={} queue={} cache={} tenant_running={} recorder={} dump_dir={:?}",
-        cfg.workers,
-        cfg.queue_capacity,
-        cfg.cache_capacity,
-        cfg.tenant_max_running,
-        cfg.recorder_capacity,
-        cfg.dump_dir
+        "serve_run: workers={} queue={} cache={} dump_dir={:?}",
+        cfg.workers, cfg.queue_capacity, cfg.cache_capacity, cfg.dump_dir
     );
     let server = Server::start(cfg);
     let result = tcp::serve(server, &addr, |bound| {

@@ -18,9 +18,9 @@
 //!    running joins that execution's waiter list instead of enqueueing a
 //!    second copy.
 //! 4. **Fair scheduling** ([`server`]): a bounded queue feeding a fixed
-//!    worker pool, drained round-robin across tenant ids with a
-//!    configurable per-tenant running cap, so one tenant's flood cannot
-//!    starve the others.
+//!    worker pool, drained round-robin across tenant ids with a fixed
+//!    per-tenant running cap, so one tenant's flood cannot starve the
+//!    others.
 //! 5. **Artifact render**: the final state's checksum plus comm/GPU
 //!    counters, optional Prometheus metrics text, and an optional Chrome
 //!    trace, rendered once per execution so every waiter — and every
@@ -39,11 +39,11 @@
 //!   span chain on a dedicated service track, stitched to the executed
 //!   run's own trace in one Chrome/Perfetto export.
 //! * An always-on **flight recorder** (`obs::recorder` rings inside the
-//!   server) that dumps a self-contained JSON bundle on anomalies:
-//!   deadline misses, `Overloaded` bursts, straggler flags, SLO burn.
-//! * [`log`] — leveled, rate-limited JSON-lines events, queryable over
-//!   the wire via `{"cmd":"events"}` alongside `{"cmd":"health"}` and
-//!   `{"cmd":"dump"}`.
+//!   server) that dumps a self-contained JSON bundle on two anomalies:
+//!   deadline misses and straggler flags.
+//! * [`log`] — leveled JSON-lines events in a bounded ring, queryable
+//!   over the wire via `{"cmd":"events"}` alongside `{"cmd":"health"}`
+//!   and `{"cmd":"dump"}`.
 
 pub mod artifact;
 pub mod cache;
@@ -56,5 +56,5 @@ pub mod validate;
 
 pub use log::{Level, Log};
 pub use protocol::{Command, Request};
-pub use reqtrace::{Anomaly, ReqEvent, RequestId, SloConfig, SloTracker, Stage};
+pub use reqtrace::{Anomaly, ReqEvent, RequestId, Stage};
 pub use server::{Response, ServeError, Server, ServerConfig, ServerStats, Ticket};

@@ -1,4 +1,4 @@
-//! Structured event log: leveled, rate-limited JSON lines.
+//! Structured event log: leveled JSON lines in a bounded ring.
 //!
 //! The server and TCP front end used to be silent — nothing recorded an
 //! admission, a rejection, a timeout, or a connection error anywhere.
@@ -6,20 +6,13 @@
 //! queryable over the wire via `{"cmd":"events"}` and optionally teed to
 //! stderr for operators running `serve_run` in a terminal.
 //!
-//! Three rules keep it safe to call from the request path:
-//!
-//! * **Off is free.** A disabled log is `None` inside; `event` returns
-//!   before touching the field closure, so call sites pay one branch.
-//! * **Rate-limited per event kind.** At most `per_sec` lines of one
-//!   kind are rendered per second; excess lines increment a suppression
-//!   counter that is reported in a synthetic `suppressed` line when the
-//!   window rolls over, so a reject storm cannot melt the log.
-//! * **Bounded memory.** The ring keeps the newest `capacity` lines and
-//!   counts evictions (`dropped`), surfaced through `{"cmd":"health"}`.
+//! The log is always on. Memory is bounded: the ring keeps the newest
+//! `capacity` lines and counts evictions (`dropped`), surfaced through
+//! `{"cmd":"health"}`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Event severity.
@@ -76,26 +69,12 @@ impl Fields {
     }
 }
 
-struct RateState {
-    window_s: u64,
-    emitted: u32,
-    suppressed: u64,
-}
-
-struct LogInner {
+/// A bounded JSON-lines event log.
+pub struct Log {
     ring: Mutex<VecDeque<String>>,
-    rate: Mutex<HashMap<&'static str, RateState>>,
     capacity: usize,
-    per_sec: u32,
     stderr: bool,
     dropped: AtomicU64,
-}
-
-/// A bounded, rate-limited JSON-lines event log. Cloning shares the
-/// ring.
-#[derive(Clone)]
-pub struct Log {
-    inner: Option<Arc<LogInner>>,
 }
 
 fn wall_ms() -> u64 {
@@ -106,112 +85,50 @@ fn wall_ms() -> u64 {
 }
 
 impl Log {
-    /// A disabled log: every call is a cheap no-op.
-    pub const fn off() -> Self {
-        Log { inner: None }
-    }
-
-    /// An enabled log keeping the newest `capacity` lines, rendering at
-    /// most `per_sec` lines per event kind per second. `capacity == 0`
-    /// yields a disabled log.
-    pub fn on(capacity: usize, per_sec: u32, stderr: bool) -> Self {
-        if capacity == 0 {
-            return Log::off();
-        }
+    /// A log keeping the newest `capacity` (≥ 1) lines, teeing each to
+    /// stderr when `stderr` is set.
+    pub fn new(capacity: usize, stderr: bool) -> Self {
+        assert!(capacity > 0, "the event log needs at least one line");
         Log {
-            inner: Some(Arc::new(LogInner {
-                ring: Mutex::new(VecDeque::with_capacity(capacity)),
-                rate: Mutex::new(HashMap::new()),
-                capacity,
-                per_sec: per_sec.max(1),
-                stderr,
-                dropped: AtomicU64::new(0),
-            })),
+            ring: Mutex::new(VecDeque::with_capacity(capacity)),
+            capacity,
+            stderr,
+            dropped: AtomicU64::new(0),
         }
-    }
-
-    /// Whether events are recorded at all.
-    pub fn is_on(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// Lines evicted from the ring so far.
     pub fn dropped(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.dropped.load(Ordering::Relaxed))
+        self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Record one event. The closure fills in event-specific fields and
-    /// runs only when the log is enabled and the kind is under its rate
-    /// limit this second.
+    /// Record one event. The closure fills in event-specific fields.
     pub fn event(&self, level: Level, kind: &'static str, fill: impl FnOnce(&mut Fields)) {
-        let Some(inner) = &self.inner else { return };
-        let now_ms = wall_ms();
-        let now_s = now_ms / 1000;
-        // Rate gate first, so a storm costs a map lookup, not a render.
-        let rollover_suppressed = {
-            let mut rate = inner.rate.lock().unwrap();
-            let st = rate.entry(kind).or_insert(RateState {
-                window_s: now_s,
-                emitted: 0,
-                suppressed: 0,
-            });
-            let mut rolled = None;
-            if st.window_s != now_s {
-                if st.suppressed > 0 {
-                    rolled = Some(st.suppressed);
-                }
-                st.window_s = now_s;
-                st.emitted = 0;
-                st.suppressed = 0;
-            }
-            if st.emitted >= inner.per_sec {
-                st.suppressed += 1;
-                return;
-            }
-            st.emitted += 1;
-            rolled
-        };
-        if let Some(n) = rollover_suppressed {
-            self.push_line(
-                inner,
-                format!(
-                    "{{\"ts_ms\":{now_ms},\"level\":\"warn\",\"event\":\"suppressed\",\"kind\":{},\"count\":{n}}}",
-                    figures::json::escape(kind)
-                ),
-            );
-        }
         let mut fields = Fields {
             buf: String::with_capacity(96),
         };
         fill(&mut fields);
         let line = format!(
-            "{{\"ts_ms\":{now_ms},\"level\":\"{}\",\"event\":{}{}}}",
+            "{{\"ts_ms\":{},\"level\":\"{}\",\"event\":{}{}}}",
+            wall_ms(),
             level.as_str(),
             figures::json::escape(kind),
             fields.buf
         );
-        self.push_line(inner, line);
-    }
-
-    fn push_line(&self, inner: &LogInner, line: String) {
-        if inner.stderr {
+        if self.stderr {
             eprintln!("{line}");
         }
-        let mut ring = inner.ring.lock().unwrap();
-        if ring.len() >= inner.capacity {
+        let mut ring = self.ring.lock().unwrap();
+        if ring.len() >= self.capacity {
             ring.pop_front();
-            inner.dropped.fetch_add(1, Ordering::Relaxed);
+            self.dropped.fetch_add(1, Ordering::Relaxed);
         }
         ring.push_back(line);
     }
 
     /// The retained lines, oldest to newest.
     pub fn lines(&self) -> Vec<String> {
-        self.inner.as_ref().map_or_else(Vec::new, |i| {
-            i.ring.lock().unwrap().iter().cloned().collect()
-        })
+        self.ring.lock().unwrap().iter().cloned().collect()
     }
 
     /// The retained lines as one JSON array (each line is already a
@@ -227,20 +144,8 @@ mod tests {
     use figures::json::Value;
 
     #[test]
-    fn off_log_records_and_costs_nothing() {
-        let log = Log::off();
-        log.event(Level::Info, "x", |f| {
-            f.str("never", "called");
-            panic!("closure must not run when off");
-        });
-        assert!(log.lines().is_empty());
-        assert_eq!(log.render_json_array(), "[]");
-        assert!(!Log::on(0, 10, false).is_on());
-    }
-
-    #[test]
     fn events_render_as_json_lines() {
-        let log = Log::on(8, 100, false);
+        let log = Log::new(8, false);
         log.event(Level::Warn, "reject", |f| {
             f.str("tenant", "al\"ice").num("queued", 64);
         });
@@ -257,7 +162,7 @@ mod tests {
 
     #[test]
     fn ring_keeps_newest_and_counts_drops() {
-        let log = Log::on(3, 1000, false);
+        let log = Log::new(3, false);
         for i in 0..5u64 {
             log.event(Level::Info, "tick", |f| {
                 f.num("i", i);
@@ -267,18 +172,5 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert_eq!(log.dropped(), 2);
         assert!(lines[2].contains("\"i\":4"));
-    }
-
-    #[test]
-    fn rate_limit_suppresses_within_a_second() {
-        let log = Log::on(64, 2, false);
-        for _ in 0..10 {
-            log.event(Level::Info, "spam", |f| {
-                f.num("x", 1);
-            });
-        }
-        // At most 2 rendered this second (a window rollover mid-test
-        // could admit 2 more, but never all 10).
-        assert!(log.lines().len() <= 4, "{:?}", log.lines());
     }
 }

@@ -12,7 +12,7 @@
 //! `trace`, `metrics`, `timeout_ms`. Control commands use `cmd`:
 //! `{"cmd":"ping"}`, `{"cmd":"metrics"}` (server self-metrics as
 //! Prometheus text), `{"cmd":"events"}` (the structured event log),
-//! `{"cmd":"health"}` (liveness + SLO + recorder summary),
+//! `{"cmd":"health"}` (liveness + recorder summary),
 //! `{"cmd":"dump"}` (an on-demand flight-recorder bundle), and
 //! `{"cmd":"shutdown"}` (drain and exit).
 //!
@@ -45,7 +45,7 @@ pub enum Command {
     Metrics,
     /// The structured event log's retained lines.
     Events,
-    /// Liveness + SLO + flight-recorder summary.
+    /// Liveness + flight-recorder summary.
     Health,
     /// An on-demand flight-recorder bundle.
     Dump,

@@ -1,5 +1,5 @@
-//! Request-scoped tracing: lifecycle events, the service track, SLO
-//! burn accounting, and the anomaly dump bundle.
+//! Request-scoped tracing: lifecycle events, the service track, and
+//! the anomaly dump bundle.
 //!
 //! Every submission gets a [`RequestId`] and a chain of lifecycle
 //! events — `accepted → queued → dedup-joined | cache-hit | executing →
@@ -18,18 +18,10 @@
 //! Tenants appear in events as an FNV-1a hash, not a string: events
 //! must stay `Copy` for the lock-free ring, and the hash is enough to
 //! group rows; the structured log carries the readable names.
-//!
-//! [`SloTracker`] keeps per-second good/total buckets over a fixed
-//! preallocated window and reports multiwindow burn rates: the rate at
-//! which the error budget (`1 - target`) is being consumed over a fast
-//! and a slow window. Both burning past the trigger is the classic
-//! page-worthy signal and one of the four anomaly triggers.
 
 use obs::chrome::{chrome_trace_stitched, SERVICE_PID};
 use obs::recorder::StoredRun;
 use obs::{Category, Span, Trace};
-use std::sync::Mutex;
-use std::time::Duration;
 
 /// Identifies one submission for its whole lifetime (1-based,
 /// process-local).
@@ -149,154 +141,25 @@ pub fn service_trace(events: &[ReqEvent]) -> Trace {
 pub enum Anomaly {
     /// A waiter's deadline expired.
     DeadlineMiss,
-    /// Too many `Overloaded` rejections within one second.
-    OverloadBurst,
     /// `obs::causal` flagged a straggler rank in an executed run.
     Straggler,
-    /// Fast and slow SLO burn rates both crossed the trigger.
-    SloBurn,
 }
 
 impl Anomaly {
     /// Every trigger kind, in dump/array order.
-    pub const ALL: [Anomaly; 4] = [
-        Anomaly::DeadlineMiss,
-        Anomaly::OverloadBurst,
-        Anomaly::Straggler,
-        Anomaly::SloBurn,
-    ];
+    pub const ALL: [Anomaly; 2] = [Anomaly::DeadlineMiss, Anomaly::Straggler];
 
     /// Wire/file-name slug.
     pub fn as_str(self) -> &'static str {
         match self {
             Anomaly::DeadlineMiss => "deadline_miss",
-            Anomaly::OverloadBurst => "overload_burst",
             Anomaly::Straggler => "straggler",
-            Anomaly::SloBurn => "slo_burn",
         }
     }
 
     /// Index into per-kind arrays.
     pub fn index(self) -> usize {
         Anomaly::ALL.iter().position(|a| *a == self).unwrap()
-    }
-}
-
-/// SLO burn-rate configuration.
-#[derive(Debug, Clone)]
-pub struct SloConfig {
-    /// A request slower than this is "bad".
-    pub threshold: Duration,
-    /// Availability target over the window (e.g. 0.99 ⇒ 1% budget).
-    pub target: f64,
-    /// Fast burn window, seconds.
-    pub fast_window_s: u64,
-    /// Slow burn window, seconds (also the bucket retention).
-    pub slow_window_s: u64,
-    /// Both windows burning at or above this rate trips [`Anomaly::SloBurn`].
-    pub burn_trigger: f64,
-}
-
-impl Default for SloConfig {
-    fn default() -> Self {
-        Self {
-            threshold: Duration::from_millis(250),
-            target: 0.99,
-            fast_window_s: 60,
-            slow_window_s: 300,
-            burn_trigger: 10.0,
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct SloBucket {
-    epoch_s: u64,
-    total: u64,
-    bad: u64,
-}
-
-/// Per-second good/total buckets with multiwindow burn-rate queries.
-/// Fixed storage, allocated once at construction.
-pub struct SloTracker {
-    cfg: SloConfig,
-    buckets: Mutex<Vec<SloBucket>>,
-}
-
-impl SloTracker {
-    /// Preallocate buckets covering the slow window.
-    pub fn new(cfg: SloConfig) -> Self {
-        let n = (cfg.slow_window_s as usize + 8).max(16);
-        SloTracker {
-            cfg,
-            buckets: Mutex::new(vec![SloBucket::default(); n]),
-        }
-    }
-
-    /// Threshold in nanoseconds.
-    pub fn threshold_ns(&self) -> u64 {
-        self.cfg.threshold.as_nanos() as u64
-    }
-
-    /// The configured target.
-    pub fn target(&self) -> f64 {
-        self.cfg.target
-    }
-
-    /// Record one completed request at `now_s` (seconds on the service
-    /// clock). Returns whether the request breached the threshold.
-    pub fn observe(&self, now_s: u64, latency_ns: u64) -> bool {
-        let bad = latency_ns > self.threshold_ns();
-        let mut buckets = self.buckets.lock().unwrap();
-        let n = buckets.len() as u64;
-        let b = &mut buckets[(now_s % n) as usize];
-        if b.epoch_s != now_s {
-            *b = SloBucket {
-                epoch_s: now_s,
-                total: 0,
-                bad: 0,
-            };
-        }
-        b.total += 1;
-        b.bad += bad as u64;
-        bad
-    }
-
-    /// Burn rate over the trailing `window_s` seconds ending at `now_s`:
-    /// bad-fraction divided by the error budget (`1 - target`). 1.0
-    /// means the budget is being spent exactly as fast as allowed; 0
-    /// when no data.
-    pub fn burn(&self, now_s: u64, window_s: u64) -> f64 {
-        let buckets = self.buckets.lock().unwrap();
-        let lo = now_s.saturating_sub(window_s.saturating_sub(1));
-        let (mut total, mut bad) = (0u64, 0u64);
-        for b in buckets.iter() {
-            if b.total > 0 && b.epoch_s >= lo && b.epoch_s <= now_s {
-                total += b.total;
-                bad += b.bad;
-            }
-        }
-        if total == 0 {
-            return 0.0;
-        }
-        let budget = (1.0 - self.cfg.target).max(1e-9);
-        (bad as f64 / total as f64) / budget
-    }
-
-    /// Fast-window burn rate at `now_s`.
-    pub fn fast_burn(&self, now_s: u64) -> f64 {
-        self.burn(now_s, self.cfg.fast_window_s)
-    }
-
-    /// Slow-window burn rate at `now_s`.
-    pub fn slow_burn(&self, now_s: u64) -> f64 {
-        self.burn(now_s, self.cfg.slow_window_s)
-    }
-
-    /// Whether both windows are at or past the trigger.
-    pub fn burning(&self, now_s: u64) -> bool {
-        self.fast_burn(now_s) >= self.cfg.burn_trigger
-            && self.slow_burn(now_s) >= self.cfg.burn_trigger
     }
 }
 
@@ -317,8 +180,6 @@ pub struct BundleInput<'a> {
     pub metrics_json: &'a str,
     /// Blame matrix of the newest stored run, if any run was traced.
     pub blame_json: Option<&'a str>,
-    /// `(fast_burn, slow_burn, threshold_ns, target)`.
-    pub slo: (f64, f64, u64, f64),
     /// Server counter snapshot as a JSON object.
     pub stats_json: &'a str,
 }
@@ -362,10 +223,6 @@ pub fn render_bundle(input: &BundleInput<'_>) -> String {
         }
         None => out.push_str(",\"blame\":null"),
     }
-    let (fast, slow, threshold_ns, target) = input.slo;
-    out.push_str(&format!(
-        ",\"slo\":{{\"fast_burn\":{fast:.3},\"slow_burn\":{slow:.3},\"threshold_ns\":{threshold_ns},\"target\":{target}}}"
-    ));
     out.push_str(",\"stats\":");
     out.push_str(input.stats_json.trim_end());
     out.push('}');
@@ -418,46 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn slo_burn_rates_scale_with_bad_fraction() {
-        let slo = SloTracker::new(SloConfig {
-            threshold: Duration::from_millis(1),
-            target: 0.99,
-            fast_window_s: 10,
-            slow_window_s: 60,
-            burn_trigger: 10.0,
-        });
-        // 100 requests in second 5, 20 bad ⇒ bad fraction 0.2 ⇒ burn 20x.
-        for i in 0..100u64 {
-            let bad = i < 20;
-            let breached = slo.observe(5, if bad { 2_000_000 } else { 10_000 });
-            assert_eq!(breached, bad);
-        }
-        let fast = slo.fast_burn(5);
-        assert!((fast - 20.0).abs() < 1e-9, "fast={fast}");
-        assert!(slo.burning(5));
-        // Outside the fast window the fast burn decays to zero.
-        assert_eq!(slo.fast_burn(30), 0.0);
-        assert!(!slo.burning(30));
-        // Still inside the slow window.
-        assert!(slo.slow_burn(30) > 0.0);
-    }
-
-    #[test]
-    fn slo_buckets_reset_on_lap() {
-        let slo = SloTracker::new(SloConfig {
-            threshold: Duration::from_millis(1),
-            target: 0.9,
-            fast_window_s: 4,
-            slow_window_s: 8,
-            burn_trigger: 10.0,
-        });
-        slo.observe(1, 5_000_000);
-        let n = 16; // preallocation floor
-        slo.observe(1 + n, 1_000); // same slot, later epoch: resets
-        assert_eq!(slo.fast_burn(1 + n), 0.0);
-    }
-
-    #[test]
     fn bundle_renders_parseable_json() {
         let events = [ReqEvent {
             id: 1,
@@ -474,7 +291,6 @@ mod tests {
             runs: &[],
             metrics_json: "{\n  \"metrics\": [\n\n  ]\n}\n",
             blame_json: None,
-            slo: (0.0, 0.0, 250_000_000, 0.99),
             stats_json: "{\"requests\":1}",
         };
         let bundle = render_bundle(&input);
@@ -483,7 +299,6 @@ mod tests {
         assert_eq!(v["blame"], Value::Null);
         assert!(v["trace"]["traceEvents"].as_array().is_some());
         assert_eq!(v["request_events"].as_array().map(|a| a.len()), Some(1));
-        assert_eq!(v["slo"]["threshold_ns"], Value::Number(250_000_000.0));
     }
 
     #[test]

@@ -36,20 +36,18 @@
 //! the always-on flight recorder (see [`crate::reqtrace`]): `accepted →
 //! queued → executing → rendered → responded`, with `cache-hit`,
 //! `dedup-join`, `timed-out`, and `rejected` branches. Traced runs park
-//! their spans in a small trace ring. On an anomaly — deadline miss,
-//! `Overloaded` burst, straggler flag, or SLO burn — the server dumps a
-//! self-contained JSON bundle (request timeline stitched to run traces,
-//! metrics, blame matrix) to `dump_dir`, at most once per kind per
-//! cooldown. Notable transitions also land in the structured event log
-//! ([`crate::log`]), queryable via `{"cmd":"events"}`.
+//! their spans in a small trace ring. On an anomaly — a deadline miss or
+//! a straggler flag — the server dumps a self-contained JSON bundle
+//! (request timeline stitched to run traces, metrics, blame matrix) to
+//! `dump_dir`, at most once per kind per cooldown. Notable transitions
+//! also land in the structured event log ([`crate::log`]), queryable via
+//! `{"cmd":"events"}`.
 
 use crate::artifact;
 use crate::cache::LruCache;
 use crate::log::{Level, Log};
 use crate::protocol::Request;
-use crate::reqtrace::{
-    self, Anomaly, BundleInput, ReqEvent, RequestId, SloConfig, SloTracker, Stage,
-};
+use crate::reqtrace::{self, Anomaly, BundleInput, ReqEvent, RequestId, Stage};
 use obs::recorder::{Ring, StoredRun, TraceRing};
 use obs::registry::{Counter, Gauge, Histogram, Metrics};
 use overlap::{RunKey, RunLimits};
@@ -62,7 +60,20 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Server tuning knobs.
+/// Max jobs from one tenant running concurrently.
+const TENANT_MAX_RUNNING: usize = 1;
+/// Deadline applied when a request carries no `timeout_ms`.
+const DEFAULT_DEADLINE: Duration = Duration::from_secs(30);
+/// Flight-recorder event ring capacity.
+const RECORDER_CAPACITY: usize = 256;
+/// Traced runs kept for stitching.
+const TRACE_RING_CAPACITY: usize = 4;
+/// Structured-log ring capacity.
+const LOG_CAPACITY: usize = 256;
+/// Minimum spacing between dumps of the same anomaly kind.
+const ANOMALY_COOLDOWN: Duration = Duration::from_secs(60);
+
+/// Server settings.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads executing runs.
@@ -71,31 +82,8 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Artifacts held in the LRU cache.
     pub cache_capacity: usize,
-    /// Max jobs from one tenant running concurrently.
-    pub tenant_max_running: usize,
-    /// Deadline applied when a request carries no `timeout_ms`.
-    pub default_deadline: Duration,
-    /// Per-request validation bounds.
-    pub limits: RunLimits,
-    /// Flight-recorder event ring capacity (0 disables the recorder —
-    /// no rings are allocated and no anomaly bundles are produced).
-    pub recorder_capacity: usize,
-    /// Traced runs kept for stitching (ignored when the recorder is
-    /// off).
-    pub trace_ring_capacity: usize,
-    /// Structured-log ring capacity (0 disables the log).
-    pub log_capacity: usize,
-    /// Max rendered log lines per event kind per second.
-    pub log_rate_per_sec: u32,
     /// Tee log lines to stderr (for `serve_run` in a terminal).
     pub log_stderr: bool,
-    /// SLO threshold / target / burn windows.
-    pub slo: SloConfig,
-    /// `Overloaded` rejections within one second that trip the
-    /// overload-burst anomaly (0 disables the trigger).
-    pub overload_burst: usize,
-    /// Minimum spacing between dumps of the same anomaly kind.
-    pub anomaly_cooldown: Duration,
     /// Where anomaly bundles are written; `None` keeps them queryable
     /// via `{"cmd":"dump"}` only.
     pub dump_dir: Option<PathBuf>,
@@ -107,17 +95,7 @@ impl Default for ServerConfig {
             workers: 2,
             queue_capacity: 64,
             cache_capacity: 128,
-            tenant_max_running: 1,
-            default_deadline: Duration::from_secs(30),
-            limits: RunLimits::default(),
-            recorder_capacity: 256,
-            trace_ring_capacity: 4,
-            log_capacity: 256,
-            log_rate_per_sec: 50,
             log_stderr: false,
-            slo: SloConfig::default(),
-            overload_burst: 16,
-            anomaly_cooldown: Duration::from_secs(60),
             dump_dir: None,
         }
     }
@@ -227,7 +205,7 @@ struct Sched {
     /// Aggregate queued count (bounded by `queue_capacity`).
     queued: usize,
     /// Jobs running right now, per tenant (bounded by
-    /// `tenant_max_running`).
+    /// `TENANT_MAX_RUNNING`).
     running: HashMap<String, usize>,
     /// Round-robin cursor: the tenant served last.
     cursor: Option<String>,
@@ -250,35 +228,18 @@ struct SelfMetrics {
     /// end-to-end `latency`: queue wait is the signal round-robin
     /// fairness actually controls.
     queue_wait: Histogram,
-    slo_fast_burn: Gauge,
-    slo_slow_burn: Gauge,
-    slo_breaches: Counter,
     /// One counter per [`Anomaly`] kind, labelled by `kind`.
     anomalies: Vec<Counter>,
 }
 
-/// Fixed-size window of recent `Overloaded` rejection timestamps for
-/// burst detection (0 = empty slot; real stamps are clamped to ≥ 1).
-struct RejectWindow {
-    stamps: [u64; 64],
-    next: usize,
-}
-
-/// Request-scoped tracing + flight-recorder state. Allocated once at
-/// server start; with `recorder_capacity == 0` the rings are `off()`
-/// and every recording call returns immediately.
+/// Request-scoped tracing + flight-recorder state, allocated once at
+/// server start.
 struct ServiceObs {
     anchor: obs::Anchor,
     next_id: AtomicU64,
     events: Ring<ReqEvent>,
     traces: TraceRing,
     log: Log,
-    slo: SloTracker,
-    /// Wall second of the last burn-rate evaluation: the gauges and the
-    /// SLO-burn trigger re-check at most once per second (plus on every
-    /// breach), keeping the bucket scans off the cache-hit fast path.
-    last_burn_eval_s: AtomicU64,
-    rejects: Mutex<RejectWindow>,
     /// Service-clock ns of the last dump per anomaly kind (0 = never),
     /// claimed by CAS so concurrent triggers produce exactly one dump.
     last_dump_ns: [AtomicU64; Anomaly::ALL.len()],
@@ -289,6 +250,8 @@ struct ServiceObs {
 
 struct Inner {
     cfg: ServerConfig,
+    /// Per-request validation bounds.
+    limits: RunLimits,
     sched: Mutex<Sched>,
     /// Wakes workers when work or a tenant slot appears, and the
     /// drain-waiter at shutdown.
@@ -303,8 +266,7 @@ impl Inner {
         self.obs.anchor.elapsed_ns()
     }
 
-    /// Record one lifecycle event into the flight recorder (no-op when
-    /// the recorder is off).
+    /// Record one lifecycle event into the flight recorder.
     fn record(&self, id: u64, stage: Stage, tenant: u64, start_ns: u64, end_ns: u64) {
         self.obs.events.push(ReqEvent {
             id,
@@ -335,65 +297,20 @@ impl Inner {
         )
     }
 
-    /// Close out one request: record the terminal event, feed the SLO
-    /// tracker, refresh the burn gauges, and maybe trip the burn
-    /// anomaly.
-    fn finish_request(&self, id: u64, tenant: u64, latency_ns: u64, stage: Stage) {
+    /// Close out one request: record its terminal event.
+    fn finish_request(&self, id: u64, tenant: u64, stage: Stage) {
         let now = self.now_ns();
         self.record(id, stage, tenant, now, now);
-        let now_s = now / 1_000_000_000;
-        let breached = self.obs.slo.observe(now_s, latency_ns);
-        if breached {
-            self.metrics.slo_breaches.inc();
-        }
-        // The burn windows are 60s/300s wide, so the gauges and the
-        // SLO-burn trigger cannot change meaningfully within a wall
-        // second: re-evaluate once per second (and on every breach),
-        // not on every request — the bucket scans would otherwise tax
-        // the cache-hit fast path.
-        if breached || self.obs.last_burn_eval_s.load(Ordering::Relaxed) != now_s {
-            self.obs.last_burn_eval_s.store(now_s, Ordering::Relaxed);
-            let fast = self.obs.slo.fast_burn(now_s);
-            let slow = self.obs.slo.slow_burn(now_s);
-            self.metrics.slo_fast_burn.set((fast * 1000.0) as i64);
-            self.metrics.slo_slow_burn.set((slow * 1000.0) as i64);
-            if self.obs.slo.burning(now_s) {
-                self.trigger_anomaly(Anomaly::SloBurn, None);
-            }
-        }
-    }
-
-    /// Note one `Overloaded` rejection and trip the burst anomaly when
-    /// the one-second window fills past the configured threshold.
-    fn note_reject(&self, now_ns: u64) {
-        let burst = self.cfg.overload_burst;
-        if burst == 0 {
-            return;
-        }
-        let count = {
-            let mut w = self.obs.rejects.lock();
-            let at = w.next % w.stamps.len();
-            w.stamps[at] = now_ns.max(1);
-            w.next += 1;
-            let cutoff = now_ns.saturating_sub(1_000_000_000);
-            w.stamps.iter().filter(|&&s| s != 0 && s >= cutoff).count()
-        };
-        if count >= burst {
-            self.trigger_anomaly(Anomaly::OverloadBurst, None);
-        }
     }
 
     /// Dump a bundle for `kind` unless one was produced within the
     /// cooldown. The per-kind CAS guarantees exactly one dump per
     /// trigger even when several threads observe the anomaly at once.
     fn trigger_anomaly(&self, kind: Anomaly, blame_json: Option<String>) {
-        if !self.obs.events.is_on() {
-            return;
-        }
         let now = self.now_ns().max(1);
         let slot = &self.obs.last_dump_ns[kind.index()];
         let last = slot.load(Ordering::SeqCst);
-        let cooldown = self.cfg.anomaly_cooldown.as_nanos() as u64;
+        let cooldown = ANOMALY_COOLDOWN.as_nanos() as u64;
         if last != 0 && now.saturating_sub(last) < cooldown {
             return;
         }
@@ -442,22 +359,14 @@ impl Inner {
             runs.last()
                 .map(|r| obs::causal::blame(&obs::causal::build(&r.traces)).render_json())
         });
-        let now = self.now_ns();
-        let now_s = now / 1_000_000_000;
         reqtrace::render_bundle(&BundleInput {
             kind,
             seq,
-            now_ns: now,
+            now_ns: self.now_ns(),
             events: &events,
             runs: &runs,
             metrics_json: &self.registry.render_json(),
             blame_json: blame.as_deref(),
-            slo: (
-                self.obs.slo.fast_burn(now_s),
-                self.obs.slo.slow_burn(now_s),
-                self.obs.slo.threshold_ns(),
-                self.obs.slo.target(),
-            ),
             stats_json: &self.stats_json(),
         })
     }
@@ -537,21 +446,6 @@ impl Server {
                 "Enqueue to worker-pick wait (the fairness signal)",
                 &[],
             ),
-            slo_fast_burn: registry.gauge(
-                "serve_slo_fast_burn_milli",
-                "Fast-window SLO burn rate, thousandths",
-                &[],
-            ),
-            slo_slow_burn: registry.gauge(
-                "serve_slo_slow_burn_milli",
-                "Slow-window SLO burn rate, thousandths",
-                &[],
-            ),
-            slo_breaches: registry.counter(
-                "serve_slo_breaches_total",
-                "Requests slower than the SLO threshold",
-                &[],
-            ),
             anomalies: Anomaly::ALL
                 .iter()
                 .map(|a| {
@@ -566,20 +460,9 @@ impl Server {
         let obs_state = ServiceObs {
             anchor: obs::Anchor::now(),
             next_id: AtomicU64::new(0),
-            events: Ring::with_capacity(cfg.recorder_capacity),
-            traces: TraceRing::with_capacity(if cfg.recorder_capacity == 0 {
-                0
-            } else {
-                cfg.trace_ring_capacity
-            }),
-            log: Log::on(cfg.log_capacity, cfg.log_rate_per_sec, cfg.log_stderr),
-            slo: SloTracker::new(cfg.slo.clone()),
-            // MAX: the very first request always evaluates the gauges.
-            last_burn_eval_s: AtomicU64::new(u64::MAX),
-            rejects: Mutex::new(RejectWindow {
-                stamps: [0; 64],
-                next: 0,
-            }),
+            events: Ring::with_capacity(RECORDER_CAPACITY),
+            traces: TraceRing::with_capacity(TRACE_RING_CAPACITY),
+            log: Log::new(LOG_CAPACITY, cfg.log_stderr),
             last_dump_ns: std::array::from_fn(|_| AtomicU64::new(0)),
             dumps: std::array::from_fn(|_| AtomicU64::new(0)),
             dump_seq: AtomicU64::new(0),
@@ -599,6 +482,7 @@ impl Server {
             registry,
             metrics,
             obs: obs_state,
+            limits: RunLimits::default(),
             cfg,
         });
         let handles = (0..workers)
@@ -622,7 +506,7 @@ impl Server {
         let t0 = self.inner.now_ns();
         let req_id = self.inner.obs.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         let tenant_hash = reqtrace::tenant_hash(&req.tenant);
-        let key = match req.params.canonicalize(&self.inner.cfg.limits) {
+        let key = match req.params.canonicalize(&self.inner.limits) {
             Ok(key) => key,
             Err(msg) => {
                 let now = self.inner.now_ns();
@@ -639,7 +523,7 @@ impl Server {
         let deadline = req
             .timeout_ms
             .map(Duration::from_millis)
-            .unwrap_or(self.inner.cfg.default_deadline);
+            .unwrap_or(DEFAULT_DEADLINE);
         let submitted = Instant::now();
         let m = &self.inner.metrics;
         let mut sched = self.inner.sched.lock();
@@ -712,7 +596,6 @@ impl Server {
                     .str("tenant", &req.tenant)
                     .num("queued", queued as u64);
             });
-            self.inner.note_reject(now);
             return Err(ServeError::Overloaded);
         }
         let enqueued_ns = self.inner.now_ns();
@@ -786,11 +669,10 @@ impl Server {
         self.inner.obs.log.render_json_array()
     }
 
-    /// Liveness + SLO + recorder summary as a JSON object
+    /// Liveness + recorder summary as a JSON object
     /// (`{"cmd":"health"}`).
     pub fn health_json(&self) -> String {
         let now = self.inner.now_ns();
-        let now_s = now / 1_000_000_000;
         let dumps = Anomaly::ALL
             .iter()
             .map(|a| {
@@ -804,17 +686,11 @@ impl Server {
             .join(",");
         format!(
             "{{\"uptime_s\":{:.1},\"queue_depth\":{},\"stats\":{},\
-             \"slo\":{{\"fast_burn\":{:.3},\"slow_burn\":{:.3},\"threshold_ns\":{},\"target\":{}}},\
-             \"recorder\":{{\"enabled\":{},\"events_recorded\":{},\"dumps\":{{{}}}}},\
+             \"recorder\":{{\"events_recorded\":{},\"dumps\":{{{}}}}},\
              \"log_dropped\":{}}}",
             now as f64 / 1e9,
             self.queue_depth(),
             self.inner.stats_json(),
-            self.inner.obs.slo.fast_burn(now_s),
-            self.inner.obs.slo.slow_burn(now_s),
-            self.inner.obs.slo.threshold_ns(),
-            self.inner.obs.slo.target(),
-            self.inner.obs.events.is_on(),
             self.inner.obs.events.pushed(),
             dumps,
             self.inner.obs.log.dropped(),
@@ -823,13 +699,10 @@ impl Server {
 
     /// Render a flight-recorder bundle on demand (`{"cmd":"dump"}`).
     /// Bypasses the anomaly cooldown and writes no file; `kind` is
-    /// `"manual"`. Returns an error string when the recorder is off.
-    pub fn dump_json(&self) -> Result<String, String> {
-        if !self.inner.obs.events.is_on() {
-            return Err("flight recorder disabled (recorder_capacity = 0)".to_string());
-        }
+    /// `"manual"`.
+    pub fn dump_json(&self) -> String {
         let seq = self.inner.obs.dump_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        Ok(self.inner.render_dump("manual", seq, None))
+        self.inner.render_dump("manual", seq, None)
     }
 
     /// Flight-recorder event snapshot, oldest to newest (tests, tools).
@@ -899,7 +772,7 @@ impl Ticket {
             let latency = self.submitted.elapsed().as_nanos() as u64;
             self.inner.metrics.latency.observe(latency);
             self.inner
-                .finish_request(self.req_id, self.tenant_hash, latency, Stage::Responded);
+                .finish_request(self.req_id, self.tenant_hash, Stage::Responded);
             return Ok(ready);
         }
         let deadline = self.submitted + self.deadline;
@@ -911,7 +784,7 @@ impl Ticket {
                 let latency = self.submitted.elapsed().as_nanos() as u64;
                 self.inner.metrics.latency.observe(latency);
                 self.inner
-                    .finish_request(self.req_id, self.tenant_hash, latency, Stage::Responded);
+                    .finish_request(self.req_id, self.tenant_hash, Stage::Responded);
                 return result.map(|artifact| Response {
                     cached: false,
                     artifact,
@@ -922,9 +795,8 @@ impl Ticket {
                 drop(state);
                 self.abandon();
                 self.inner.metrics.timeouts.inc();
-                let latency = self.submitted.elapsed().as_nanos() as u64;
                 self.inner
-                    .finish_request(self.req_id, self.tenant_hash, latency, Stage::TimedOut);
+                    .finish_request(self.req_id, self.tenant_hash, Stage::TimedOut);
                 self.inner.obs.log.event(Level::Warn, "deadline_miss", |f| {
                     f.num("id", self.req_id)
                         .str("key", &self.key.tag())
@@ -980,7 +852,7 @@ impl Drop for Ticket {
 
 /// Pick the next runnable job: round-robin over tenant ids starting
 /// after the cursor, skipping tenants at their running cap.
-fn pick_next(sched: &mut Sched, tenant_max_running: usize) -> Option<Job> {
+fn pick_next(sched: &mut Sched) -> Option<Job> {
     let tenants: Vec<String> = sched.queues.keys().cloned().collect();
     if tenants.is_empty() {
         return None;
@@ -992,7 +864,7 @@ fn pick_next(sched: &mut Sched, tenant_max_running: usize) -> Option<Job> {
     for offset in 0..tenants.len() {
         let tenant = &tenants[(start + offset) % tenants.len()];
         let running = sched.running.get(tenant).copied().unwrap_or(0);
-        if running >= tenant_max_running {
+        if running >= TENANT_MAX_RUNNING {
             continue;
         }
         let queue = sched.queues.get_mut(tenant)?;
@@ -1015,7 +887,7 @@ fn worker_loop(inner: &Inner) {
         let job = {
             let mut sched = inner.sched.lock();
             loop {
-                if let Some(job) = pick_next(&mut sched, inner.cfg.tenant_max_running) {
+                if let Some(job) = pick_next(&mut sched) {
                     inner.metrics.queue_depth.set(sched.queued as i64);
                     break job;
                 }
@@ -1058,14 +930,12 @@ fn worker_loop(inner: &Inner) {
                     } else {
                         Some(report.blame().render_json())
                     };
-                    if inner.obs.traces.is_on() {
-                        inner.obs.traces.store(StoredRun {
-                            request_id: job.req_id,
-                            exec_tid: job.req_id as u32,
-                            exec_start_ns: exec_start,
-                            traces: report.traces,
-                        });
-                    }
+                    inner.obs.traces.store(StoredRun {
+                        request_id: job.req_id,
+                        exec_tid: job.req_id as u32,
+                        exec_start_ns: exec_start,
+                        traces: report.traces,
+                    });
                     if let Some(blame) = blame {
                         inner.obs.log.event(Level::Warn, "straggler", |f| {
                             f.num("id", job.req_id)

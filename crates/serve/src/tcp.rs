@@ -100,10 +100,9 @@ fn handle_connection(stream: TcpStream, server: &Server, stop: &AtomicBool) -> s
             Ok(Command::Health) => {
                 format!("{{\"status\":\"ok\",\"health\":{}}}", server.health_json())
             }
-            Ok(Command::Dump) => match server.dump_json() {
-                Ok(bundle) => format!("{{\"status\":\"ok\",\"dump\":{bundle}}}"),
-                Err(e) => protocol::render_error(&e),
-            },
+            Ok(Command::Dump) => {
+                format!("{{\"status\":\"ok\",\"dump\":{}}}", server.dump_json())
+            }
             Ok(Command::Shutdown) => {
                 server
                     .log()

@@ -38,7 +38,7 @@ fn manual_dump_bundle_round_trips_the_trace_validator() {
     server.run(&request("bulk_sync", 12, true)).unwrap();
     server.run(&request("bulk_sync", 13, false)).unwrap();
 
-    let bundle = server.dump_json().expect("recorder is on");
+    let bundle = server.dump_json();
     let v = Value::parse(&bundle).expect("bundle is valid JSON");
     assert_eq!(v["kind"].as_str(), Some("manual"));
     assert!(
@@ -48,10 +48,6 @@ fn manual_dump_bundle_round_trips_the_trace_validator() {
         "bundle carries the request timeline"
     );
     assert!(v["metrics"].as_array().is_some() || matches!(v["metrics"], Value::Object(_)));
-    assert!(
-        matches!(v["slo"], Value::Object(_)),
-        "bundle carries SLO state"
-    );
 
     // The embedded trace is a complete Chrome document: re-render it
     // and push it through the full validator.
