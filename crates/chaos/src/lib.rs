@@ -317,16 +317,10 @@ mod tests {
                     f.max_stall_ns
                 );
             }
-            // A latency sample lands only when a blocked receive's own
-            // window observes the redelivery (drops resolved between
-            // receives leave no waiter to measure), so the distribution
-            // is bounded by — not equal to — the redelivery count.
-            assert!(
-                f.redeliver_latency.count <= f.redelivered,
-                "{}: {} latency samples for {} redeliveries",
-                f.slug,
-                f.redeliver_latency.count,
-                f.redelivered
+            assert_eq!(
+                f.redeliver_latency.count, f.redelivered,
+                "{}: one latency sample per redelivered message",
+                f.slug
             );
         }
     }

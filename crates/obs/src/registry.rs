@@ -8,10 +8,6 @@
 //!   it hands out ([`Counter`], [`Gauge`], [`Histogram`]) is an
 //!   `Option<Arc<..>>` whose `None` arm makes `inc`/`set`/`observe` a
 //!   single branch and no memory traffic.
-//! * Every allocation of registry state bumps a process-global counter
-//!   readable via [`metric_states_allocated`], so tests can *prove*
-//!   a metrics-off run allocated nothing (the `metrics_alloc` test in
-//!   `overlap`, mirroring `trace_alloc`/`fault_alloc`).
 //! * Recording on a live handle is lock-free: counters and gauges are a
 //!   single atomic RMW; a histogram observation is three relaxed
 //!   `fetch_add`s (count, sum, bucket). The registry mutex is taken only
@@ -31,15 +27,6 @@ use std::time::Instant;
 /// Number of histogram buckets: values 0–3 exactly, then 4 sub-buckets
 /// per octave up to the top of the `u64` range.
 pub const HISTOGRAM_BUCKETS: usize = 252;
-
-/// Process-global count of metric-state allocations (registries plus
-/// registered series). A metrics-off run must leave it untouched.
-static METRIC_STATES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-/// How many metric states (registries + series) this process allocated.
-pub fn metric_states_allocated() -> u64 {
-    METRIC_STATES_ALLOCATED.load(Ordering::Relaxed)
-}
 
 /// Bucket index of a value: exact for 0–3, then log-linear with 4
 /// sub-buckets per octave, clamped into the top bucket.
@@ -331,9 +318,8 @@ impl Metrics {
         Metrics { inner: None }
     }
 
-    /// A live registry (counted by [`metric_states_allocated`]).
+    /// A live registry.
     pub fn on() -> Self {
-        METRIC_STATES_ALLOCATED.fetch_add(1, Ordering::Relaxed);
         Metrics {
             inner: Some(Arc::new(Mutex::new(Tables::default()))),
         }
@@ -378,13 +364,10 @@ impl Metrics {
         Some(
             t.series
                 .entry((name, labels))
-                .or_insert_with(|| {
-                    METRIC_STATES_ALLOCATED.fetch_add(1, Ordering::Relaxed);
-                    match kind {
-                        Kind::Counter => Cell::Counter(Arc::new(AtomicU64::new(0))),
-                        Kind::Gauge => Cell::Gauge(Arc::new(AtomicI64::new(0))),
-                        Kind::Histogram => Cell::Histogram(Arc::new(HistCell::new())),
-                    }
+                .or_insert_with(|| match kind {
+                    Kind::Counter => Cell::Counter(Arc::new(AtomicU64::new(0))),
+                    Kind::Gauge => Cell::Gauge(Arc::new(AtomicI64::new(0))),
+                    Kind::Histogram => Cell::Histogram(Arc::new(HistCell::new())),
                 })
                 .clone(),
         )
@@ -609,13 +592,6 @@ fn with_le(lbl: &str, le: &str) -> String {
 mod tests {
     use super::*;
 
-    /// Serialises tests that assert on the process-wide allocation
-    /// counter (they would race under the parallel test runner).
-    fn counter_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn bucket_index_and_floor_are_inverse() {
         for i in 0..HISTOGRAM_BUCKETS {
@@ -637,8 +613,6 @@ mod tests {
 
     #[test]
     fn off_registry_allocates_nothing_and_handles_are_inert() {
-        let _guard = counter_lock();
-        let before = metric_states_allocated();
         let m = Metrics::off();
         let c = m.counter("t_c", "help", &[]);
         let g = m.gauge("t_g", "help", &[]);
@@ -653,23 +627,16 @@ mod tests {
         assert!(h.start().is_none());
         assert_eq!(m.render_prometheus(), "");
         assert!(m.render_json().contains("\"metrics\""));
-        assert_eq!(metric_states_allocated(), before);
     }
 
     #[test]
-    fn live_registry_counts_allocations_and_shares_cells() {
-        let _guard = counter_lock();
-        let before = metric_states_allocated();
+    fn live_registry_registers_a_series_once_and_shares_its_cell() {
         let m = Metrics::on();
-        assert_eq!(metric_states_allocated(), before + 1);
         let labels = [("rank", "0".to_string())];
         let c1 = m.counter("t_msgs", "messages", &labels);
         let c2 = m.counter("t_msgs", "messages", &labels);
-        assert_eq!(
-            metric_states_allocated(),
-            before + 2,
-            "series registered once"
-        );
+        let series = m.inner.as_ref().unwrap().lock().unwrap().series.len();
+        assert_eq!(series, 1, "series registered once");
         c1.add(3);
         c2.inc();
         assert_eq!(c1.get(), 4, "handles share one cell");

@@ -79,8 +79,7 @@ pub struct RunConfig {
     pub fault: FaultSpec,
     /// Record runtime metrics during the run ([`RunReport::metrics`]).
     /// Off by default: the substrates then observe into disabled handles
-    /// and allocate no metric state (see
-    /// [`obs::registry::metric_states_allocated`]).
+    /// and allocate no metric state.
     pub metrics: bool,
 }
 

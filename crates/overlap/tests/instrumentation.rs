@@ -8,6 +8,7 @@ use decomp::ExchangePlan;
 use obs::{Axis, Category};
 use overlap::{Impl, RunConfig, RunLimits, RunParams};
 use simgpu::GpuSpec;
+use simmpi::FaultStats;
 
 fn cfg(tasks: usize, steps: u64) -> RunConfig {
     RunConfig::new(AdvectionProblem::general_case(12), steps)
@@ -131,7 +132,8 @@ fn traced_runs_carry_one_trace_per_rank_and_untraced_none() {
     // What the shared frame guarantees for every implementation: one
     // entry per rank in each per-rank report vector, one complete trace
     // per rank exactly when traced, one step observation per rank and
-    // step exactly when metered.
+    // step exactly when metered, and nothing at all from an off switch —
+    // the per-run form of a zero-cost-off check.
     let steps = 2u32;
     for im in Impl::ALL {
         let key = |trace: bool, metrics: bool| {
@@ -153,7 +155,13 @@ fn traced_runs_carry_one_trace_per_rank_and_untraced_none() {
 
         let (_, off) = key(false, false).execute();
         assert!(off.traces.is_empty(), "{slug}: untraced run recorded spans");
-        assert_eq!(off.metrics.histogram_snapshot("advect_step_ns").count, 0);
+        assert!(!off.metrics.is_on(), "{slug}: unmetered run has a registry");
+        assert_eq!(off.metrics.render_prometheus(), "", "{slug}");
+        assert!(
+            off.fault.iter().all(|f| *f == FaultStats::default()),
+            "{slug}: fault-off run moved a fault counter: {:?}",
+            off.fault
+        );
 
         let (_, on) = key(true, true).execute();
         assert_eq!(on.comm.len(), tasks, "{slug}: comm stats per rank");
@@ -169,6 +177,23 @@ fn traced_runs_carry_one_trace_per_rank_and_untraced_none() {
             (tasks * steps as usize) as u64,
             "{slug}: one step observation per rank and step"
         );
+        let prom = on.metrics.render_prometheus();
+        assert!(prom.contains("advect_step_ns"), "{slug}: {prom}");
+        if im.uses_mpi() {
+            assert!(prom.contains("advect_mpi_wait_ns"), "{slug}: {prom}");
+            let received: u64 = on.comm.iter().map(|c| c.messages_received).sum();
+            assert_eq!(
+                on.metrics
+                    .histogram_snapshot("advect_mpi_recv_latency_ns")
+                    .count,
+                received,
+                "{slug}: one latency sample per receive"
+            );
+            assert!(
+                !on.causal_graph().edges.is_empty(),
+                "{slug}: traced run produced no causal edges"
+            );
+        }
         for t in &on.traces {
             assert_eq!(t.dropped, 0, "{slug} rank {}: spans dropped", t.rank);
             let has = |cat| t.spans.iter().any(|s| s.cat == cat);

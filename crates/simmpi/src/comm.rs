@@ -1,7 +1,7 @@
 //! The per-rank communicator handle.
 
 use crate::collectives::{Barrier, ReduceSlots, ScalarSlots};
-use crate::fault::{ns_to_duration, FaultPlan, FaultStats};
+use crate::fault::{ns_to_duration, Delivery, FaultPlan, FaultStats};
 use crate::mailbox::{Mailbox, Message};
 use crate::pool::{BufferPool, PooledBuf};
 use obs::registry::{Counter, Gauge, Histogram, Metrics};
@@ -81,7 +81,7 @@ struct CommMetrics {
     /// expiry before the message arrived.
     stall: Histogram,
     /// `advect_fault_redeliver_latency_ns{rank}`: total wait of receives
-    /// that completed only after a redelivery.
+    /// whose message was dropped and redelivered.
     redeliver_latency: Histogram,
 }
 
@@ -287,16 +287,18 @@ impl Comm {
     /// Blocking mailbox take, bounded when the plan sets a wait timeout:
     /// each expiry records a `fault.stall` span, counts a retry, and
     /// re-arms with exponential backoff (capped at 8× the base timeout).
-    /// Redeliveries observed during the wait record a `fault.redeliver`
-    /// instant. With no timeout configured this is a plain blocking take.
+    /// When the plan dropped the message taken (decided from its channel
+    /// sequence number), the receive records a `fault.redeliver` instant
+    /// and its total wait as a redelivery-latency sample. With no timeout
+    /// configured this is a plain blocking take.
     fn take_with_faults(&self, src: usize, tag: Tag) -> (u64, Vec<f64>) {
         let mailbox = &self.inner.mailboxes[self.rank];
-        let timeout_ns = self.inner.plan.wait_timeout_ns;
+        let plan = &self.inner.plan;
+        let timeout_ns = plan.wait_timeout_ns;
         if timeout_ns == 0 {
             return mailbox.take_matching(src, tag);
         }
         let tracer = self.tracer();
-        let (_, redelivered_before) = mailbox.fault_counters();
         let mut timeout = ns_to_duration(timeout_ns);
         let cap = ns_to_duration(timeout_ns.saturating_mul(8));
         let mut retries = 0u64;
@@ -322,8 +324,10 @@ impl Comm {
             }
         };
         let stalled_ns = stall_start.elapsed().as_nanos() as u64;
-        let (_, redelivered_after) = mailbox.fault_counters();
-        if redelivered_after > redelivered_before {
+        if let Delivery::Hold {
+            redelivered: true, ..
+        } = plan.classify(self.rank, src, tag, taken.0)
+        {
             let now = tracer.now_ns();
             tracer.record_wall(Category::FaultRedeliver, "redelivered", now, now);
             if let Some(m) = self.metrics.get() {
@@ -369,8 +373,8 @@ impl Comm {
     /// Blocking buffered send: the payload is moved into the destination
     /// mailbox and the call returns (like `MPI_Bsend`).
     ///
-    /// When this rank traces, the message is assigned a per-channel
-    /// causal sequence number at delivery and the `mpi.send` span is
+    /// The message takes the next sequence number of its `(rank, tag)`
+    /// channel at delivery; when this rank traces, the `mpi.send` span is
     /// stamped `(dest, tag, seq)` — the other half of the stamp appears
     /// on the matching receive, letting `obs::causal` pair the two ends.
     pub fn send(&self, dest: usize, tag: Tag, data: Vec<f64>) {
@@ -386,14 +390,11 @@ impl Comm {
             m.messages_sent.inc();
             m.values_sent.add(data.len() as u64);
         }
-        let seq = self.inner.mailboxes[dest].deliver(
-            Message {
-                src: self.rank,
-                tag,
-                data,
-            },
-            tracer.is_on(),
-        );
+        let seq = self.inner.mailboxes[dest].deliver(Message {
+            src: self.rank,
+            tag,
+            data,
+        });
         tracer.record_channel(
             Category::MpiSend,
             "send",
@@ -600,5 +601,31 @@ impl RecvRequest<'_> {
     /// The tag this request matches.
     pub fn tag(&self) -> Tag {
         self.tag
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{FaultPlan, FaultStats, World};
+
+    /// Only a plan that perturbs delivery gives mailboxes a limbo: an
+    /// off-plan world's stay plain through traffic, and each mailbox of
+    /// a chaos world carries one.
+    #[test]
+    fn only_a_perturbing_plan_gives_mailboxes_a_limbo() {
+        for (plan, armed) in [(FaultPlan::off(), false), (FaultPlan::chaos(1), true)] {
+            let limbos = World::run_with_faults(3, plan, |comm| {
+                let right = (comm.rank() + 1) % 3;
+                let left = (comm.rank() + 2) % 3;
+                let req = comm.irecv(left, 0);
+                comm.send(right, 0, vec![1.0; 32]);
+                req.wait();
+                if !armed {
+                    assert_eq!(comm.fault_stats(), FaultStats::default());
+                }
+                comm.inner.mailboxes[comm.rank].has_limbo()
+            });
+            assert_eq!(limbos, vec![armed; 3], "{plan:?}");
+        }
     }
 }

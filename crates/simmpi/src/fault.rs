@@ -21,25 +21,12 @@
 //! tag, per-channel sequence number)` via a splitmix64 hash, so the fault
 //! schedule — which messages are held, for how long, which ranks
 //! straggle — replays exactly from the `u64` seed regardless of how the
-//! OS schedules the rank threads.
+//! OS schedules the rank threads. The sequence number is the mailbox's
+//! channel counter, the same number the message's causal stamp carries,
+//! so a receive can tell from the message it took whether that message
+//! was dropped.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// Fault-state allocations (the per-mailbox limbo boxes) made
-/// process-wide since start. [`FaultPlan::off`] worlds never allocate
-/// one; steady-state tests assert this stays flat, mirroring
-/// `obs::trace_buffers_allocated`.
-static FAULT_STATES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-/// Number of mailbox fault states ever allocated.
-pub fn fault_states_allocated() -> u64 {
-    FAULT_STATES_ALLOCATED.load(Ordering::Relaxed)
-}
-
-pub(crate) fn note_fault_state_allocated() {
-    FAULT_STATES_ALLOCATED.fetch_add(1, Ordering::Relaxed);
-}
 
 /// The splitmix64 finalizer: a fast, well-mixed 64-bit hash used to
 /// derive every per-message and per-rank fault decision.
@@ -77,8 +64,8 @@ pub(crate) enum Delivery {
 /// A seeded, replayable fault-injection schedule for a world.
 ///
 /// All knobs at their neutral values ([`FaultPlan::off`], the `Default`)
-/// cost nothing: no fault state is allocated and delivery takes the
-/// plain path.
+/// cost nothing: mailboxes carry no limbo and delivery takes the plain
+/// path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Root seed every decision hash folds in.

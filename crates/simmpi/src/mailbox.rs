@@ -6,6 +6,11 @@
 //! queues persist once created (a halo exchange reuses the same six
 //! channels every step), so the steady state allocates nothing.
 //!
+//! Each channel also counts its deliveries. The count is the message's
+//! sequence number, and it serves twice: as the causal stamp the send
+//! and receive spans carry, and as the `seq` the fault plan hashes. No
+//! other per-message state exists, so nothing is allocated lazily.
+//!
 //! When a world runs under a [`crate::FaultPlan`] that perturbs delivery,
 //! each mailbox carries a **limbo**: messages the plan holds (jitter,
 //! reorder, drop-with-redelivery) wait there with a release deadline
@@ -23,30 +28,10 @@
 //! a receiver is actually asleep. Waits with a deadline (limbo release,
 //! the bounded-wait timeout) sleep on the condvar directly.
 
-use crate::fault::{note_fault_state_allocated, ns_to_duration, Delivery, FaultPlan};
+use crate::fault::{ns_to_duration, Delivery, FaultPlan};
 use obs::crew::Monitor;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-
-/// Causal sequence states allocated process-wide since start (one per
-/// mailbox that ever delivered a stamped message). Untraced runs must
-/// leave this flat — the same zero-cost-off contract as
-/// [`crate::fault_states_allocated`] and `obs::trace_buffers_allocated`.
-static CAUSAL_STATES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-/// Number of per-mailbox causal sequence states ever allocated.
-pub fn causal_states_allocated() -> u64 {
-    CAUSAL_STATES_ALLOCATED.load(Ordering::Relaxed)
-}
-
-/// Per-channel send-sequence counters for causal message stamping.
-/// Allocated lazily on the first *stamped* delivery (i.e. only when the
-/// sender traces), so untraced worlds never pay for it.
-#[derive(Default)]
-struct CausalSeq {
-    next: HashMap<(usize, u64), u64>,
-}
 
 /// A message in flight.
 #[derive(Debug)]
@@ -65,14 +50,12 @@ struct Held {
     release_at: Instant,
 }
 
-/// Fault-injection state of one mailbox (allocated only when the plan
-/// perturbs delivery; see [`crate::fault_states_allocated`]).
+/// Fault-injection state of one mailbox (present only when the plan
+/// perturbs delivery).
 struct Limbo {
     plan: FaultPlan,
     /// The owning rank (the destination every decision hash folds in).
     dst: usize,
-    /// Per-channel send-sequence counters driving the decision hash.
-    seq: HashMap<(usize, u64), u64>,
     /// Held messages in arrival order; per-channel deadlines are
     /// monotone, so releasing due entries front-to-back preserves FIFO.
     held: VecDeque<Held>,
@@ -82,18 +65,21 @@ struct Limbo {
     redelivered: u64,
 }
 
-/// Queued payloads keyed by `(source, tag)`; each entry carries the
-/// causal sequence number assigned at delivery (`obs::NO_SEQ` for
-/// unstamped messages), riding with the payload through limbo so the
-/// matching receive can stamp its span.
-type ChannelQueues = HashMap<(usize, u64), VecDeque<(u64, Vec<f64>)>>;
+/// One `(source, tag)` channel: its send counter and its FIFO of
+/// matchable payloads, each carrying the sequence number it was
+/// delivered with.
+#[derive(Default)]
+struct Channel {
+    /// Deliveries so far; the next delivery gets this number. It is the
+    /// causal stamp of the message and the `seq` the fault plan hashes.
+    sent: u64,
+    queue: VecDeque<(u64, Vec<f64>)>,
+}
 
 #[derive(Default)]
 struct Channels {
-    /// One FIFO per `(source, tag)` channel.
-    queues: ChannelQueues,
-    /// Per-channel causal counters; `None` until a stamped delivery.
-    causal: Option<Box<CausalSeq>>,
+    /// One channel per `(source, tag)`.
+    channels: HashMap<(usize, u64), Channel>,
     /// Messages queued across all channels (including limbo).
     total: usize,
     /// Payload bytes currently queued across all channels (incl. limbo).
@@ -105,11 +91,57 @@ struct Channels {
     fault: Option<Box<Limbo>>,
 }
 
+impl Limbo {
+    /// Classify the `seq`-th message of channel `(src, tag)` and hold it
+    /// when the plan, or a held predecessor on its channel, says so.
+    /// Returns the payload when it may be queued at once.
+    fn admit(&mut self, src: usize, tag: u64, seq: u64, data: Vec<f64>) -> Option<Vec<f64>> {
+        // Non-overtaking floor: a message must queue behind any held
+        // predecessor of its own channel.
+        let channel_floor = self
+            .held
+            .iter()
+            .rev()
+            .find(|h| h.src == src && h.tag == tag)
+            .map(|h| h.release_at);
+        let hold_until = match self.plan.classify(self.dst, src, tag, seq) {
+            // A floor-forced hold is not a fault decision — it only
+            // keeps FIFO behind a held peer — so it moves no counter.
+            Delivery::Now => channel_floor,
+            Delivery::Hold {
+                delay_ns,
+                redelivered,
+            } => {
+                if redelivered {
+                    self.redelivered += 1;
+                } else {
+                    self.delayed += 1;
+                }
+                let at = Instant::now() + ns_to_duration(delay_ns);
+                Some(channel_floor.map_or(at, |floor| at.max(floor)))
+            }
+        };
+        let Some(release_at) = hold_until else {
+            return Some(data);
+        };
+        self.held.push_back(Held {
+            src,
+            tag,
+            seq,
+            data,
+            release_at,
+        });
+        None
+    }
+}
+
 /// Move every due limbo entry into its channel queue; returns the
 /// earliest remaining deadline, if any. `total`/`bytes` already counted
 /// the held messages at delivery, so releasing moves no counters.
 fn flush_due(c: &mut Channels) -> Option<Instant> {
-    let Channels { queues, fault, .. } = c;
+    let Channels {
+        channels, fault, ..
+    } = c;
     let f = fault.as_deref_mut()?;
     if f.held.is_empty() {
         return None;
@@ -120,9 +152,10 @@ fn flush_due(c: &mut Channels) -> Option<Instant> {
     while i < f.held.len() {
         if f.held[i].release_at <= now {
             let h = f.held.remove(i).expect("index in range");
-            queues
-                .entry((h.src, h.tag))
-                .or_default()
+            channels
+                .get_mut(&(h.src, h.tag))
+                .expect("delivery opened the channel")
+                .queue
                 .push_back((h.seq, h.data));
         } else {
             let at = f.held[i].release_at;
@@ -144,16 +177,13 @@ pub(crate) struct Mailbox {
 }
 
 impl Mailbox {
-    /// A mailbox whose deliveries run through `plan`'s limbo. Allocates
-    /// the fault state (counted by [`crate::fault_states_allocated`]).
+    /// A mailbox whose deliveries run through `plan`'s limbo.
     pub fn with_faults(plan: FaultPlan, dst: usize) -> Self {
-        note_fault_state_allocated();
         Self {
             channels: Monitor::new(Channels {
                 fault: Some(Box::new(Limbo {
                     plan,
                     dst,
-                    seq: HashMap::new(),
                     held: VecDeque::new(),
                     delayed: 0,
                     redelivered: 0,
@@ -167,90 +197,48 @@ impl Mailbox {
     /// plan the message may instead enter limbo until its release
     /// deadline.
     ///
-    /// When `stamp` is set (the sender traces), the message is assigned
-    /// the next causal sequence number of its `(src, tag)` channel and
-    /// that number is returned so the sender can stamp its `mpi.send`
-    /// span; the same number rides with the payload into the matching
-    /// receive. Unstamped deliveries return `obs::NO_SEQ` and touch no
-    /// causal state.
-    pub fn deliver(&self, msg: Message, stamp: bool) -> u64 {
+    /// The message gets the next sequence number of its `(src, tag)`
+    /// channel. That number is what the fault plan classifies, it is
+    /// returned so the sender can stamp its `mpi.send` span, and it rides
+    /// with the payload (through limbo, if held) into the matching
+    /// receive.
+    pub fn deliver(&self, msg: Message) -> u64 {
         let Message { src, tag, data } = msg;
         let mut c = self.channels.lock();
         c.total += 1;
         c.bytes += data.len() * std::mem::size_of::<f64>();
         c.peak_bytes = c.peak_bytes.max(c.bytes);
-        let seq = if stamp {
-            let causal = c.causal.get_or_insert_with(|| {
-                CAUSAL_STATES_ALLOCATED.fetch_add(1, Ordering::Relaxed);
-                Box::default()
-            });
-            let next = causal.next.entry((src, tag)).or_insert(0);
-            let s = *next;
-            *next += 1;
-            s
-        } else {
-            obs::NO_SEQ
+        let Channels {
+            channels, fault, ..
+        } = &mut *c;
+        let channel = channels.entry((src, tag)).or_default();
+        let seq = channel.sent;
+        channel.sent += 1;
+        let ready = match fault.as_deref_mut() {
+            Some(f) => f.admit(src, tag, seq, data),
+            None => Some(data),
         };
-        if let Some(f) = c.fault.as_deref_mut() {
-            let fault_seq = f.seq.entry((src, tag)).or_insert(0);
-            let s = *fault_seq;
-            *fault_seq += 1;
-            // Non-overtaking floor: a message must queue behind any held
-            // predecessor of its own channel.
-            let channel_floor = f
-                .held
-                .iter()
-                .rev()
-                .find(|h| h.src == src && h.tag == tag)
-                .map(|h| h.release_at);
-            let hold_until = match f.plan.classify(f.dst, src, tag, s) {
-                // A floor-forced hold is not a fault decision — it only
-                // keeps FIFO behind a held peer — so it moves no counter.
-                Delivery::Now => channel_floor,
-                Delivery::Hold {
-                    delay_ns,
-                    redelivered,
-                } => {
-                    if redelivered {
-                        f.redelivered += 1;
-                    } else {
-                        f.delayed += 1;
-                    }
-                    let at = Instant::now() + ns_to_duration(delay_ns);
-                    Some(channel_floor.map_or(at, |floor| at.max(floor)))
-                }
-            };
-            if let Some(release_at) = hold_until {
-                f.held.push_back(Held {
-                    src,
-                    tag,
-                    seq,
-                    data,
-                    release_at,
-                });
-                // Waiters are woken for held messages too: the hold
-                // changes the earliest deadline their timed waits use.
-                self.channels.notify(&mut c);
-                return seq;
-            }
+        if let Some(data) = ready {
+            channel.queue.push_back((seq, data));
         }
-        c.queues
-            .entry((src, tag))
-            .or_default()
-            .push_back((seq, data));
+        // Waiters are woken for held messages too: the hold changes the
+        // earliest deadline their timed waits use.
         self.channels.notify(&mut c);
         seq
     }
 
     fn try_pop(c: &mut Channels, src: usize, tag: u64) -> Option<(u64, Vec<f64>)> {
-        let (seq, data) = c.queues.get_mut(&(src, tag)).and_then(|q| q.pop_front())?;
+        let (seq, data) = c
+            .channels
+            .get_mut(&(src, tag))
+            .and_then(|ch| ch.queue.pop_front())?;
         c.total -= 1;
         c.bytes -= data.len() * std::mem::size_of::<f64>();
         Some((seq, data))
     }
 
     /// Block until a message matching `(src, tag)` is available and remove
-    /// it, returning `(causal seq, payload)`. Same-channel messages are
+    /// it, returning `(seq, payload)`. Same-channel messages are
     /// taken in arrival order.
     pub fn take_matching(&self, src: usize, tag: u64) -> (u64, Vec<f64>) {
         let mut c = self.channels.lock();
@@ -305,7 +293,9 @@ impl Mailbox {
     pub fn has_matching(&self, src: usize, tag: u64) -> bool {
         let mut c = self.channels.lock();
         flush_due(&mut c);
-        c.queues.get(&(src, tag)).is_some_and(|q| !q.is_empty())
+        c.channels
+            .get(&(src, tag))
+            .is_some_and(|ch| !ch.queue.is_empty())
     }
 
     /// Number of messages currently queued or held (for diagnostics).
@@ -331,6 +321,12 @@ impl Mailbox {
             .fault
             .as_deref()
             .map_or((0, 0), |f| (f.delayed, f.redelivered))
+    }
+
+    /// Whether this mailbox carries a fault limbo.
+    #[cfg(test)]
+    pub fn has_limbo(&self) -> bool {
+        self.channels.lock().fault.is_some()
     }
 }
 
@@ -373,19 +369,20 @@ mod tests {
             let (a, b) = (&a, &b);
             s.spawn(move || {
                 for (r, d) in delays(rounds).enumerate() {
-                    let (_, got) = b.take_matching(0, 7);
-                    assert_eq!(got, vec![r as f64]);
+                    let (seq, got) = b.take_matching(0, 7);
+                    assert_eq!((seq, got), (r as u64, vec![r as f64]));
                     spin(d / 3);
-                    // Traffic on another channel must not satisfy the wait.
-                    a.deliver(msg(1, 8, -1.0), false);
-                    a.deliver(msg(1, 7, r as f64), false);
+                    // Traffic on another channel must not satisfy the wait,
+                    // nor move this channel's count.
+                    a.deliver(msg(1, 8, -1.0));
+                    a.deliver(msg(1, 7, r as f64));
                 }
             });
             for (r, d) in delays(rounds).enumerate() {
                 spin(d);
-                b.deliver(msg(0, 7, r as f64), false);
-                let (_, got) = a.take_matching(1, 7);
-                assert_eq!(got, vec![r as f64]);
+                b.deliver(msg(0, 7, r as f64));
+                let (seq, got) = a.take_matching(1, 7);
+                assert_eq!((seq, got), (r as u64, vec![r as f64]));
             }
         });
         assert_eq!(a.len(), rounds as usize, "the other channel's messages");
@@ -400,7 +397,7 @@ mod tests {
             // Wake-ups for a channel nobody waits on must not cut it short.
             s.spawn(|| {
                 for _ in 0..50 {
-                    mb.deliver(msg(0, 99, 0.0), false);
+                    mb.deliver(msg(0, 99, 0.0));
                     spin(2000);
                 }
             });
@@ -408,7 +405,7 @@ mod tests {
             assert!(mb.take_matching_timeout(0, 1, timeout).is_none());
             assert!(t0.elapsed() >= timeout);
         });
-        mb.deliver(msg(0, 1, 5.0), false);
+        mb.deliver(msg(0, 1, 5.0));
         let got = mb.take_matching_timeout(0, 1, timeout);
         assert_eq!(got.map(|(_, d)| d), Some(vec![5.0]));
     }
@@ -418,11 +415,17 @@ mod tests {
         for seed in [11, 12, 13, 14, 15] {
             let mb = Mailbox::with_faults(FaultPlan::chaos(seed), 1);
             for i in 0..60 {
-                mb.deliver(msg(0, i % 3, i as f64), false);
+                mb.deliver(msg(0, i % 3, i as f64));
             }
             for tag in 0..3u64 {
-                let got: Vec<f64> = (0..20).map(|_| mb.take_matching(0, tag).1[0]).collect();
-                let want: Vec<f64> = (0..60).filter(|i| i % 3 == tag).map(|i| i as f64).collect();
+                let got: Vec<(u64, f64)> = (0..20)
+                    .map(|_| {
+                        let (seq, data) = mb.take_matching(0, tag);
+                        (seq, data[0])
+                    })
+                    .collect();
+                // Held messages keep the number they were delivered with.
+                let want: Vec<(u64, f64)> = (0..20).map(|k| (k, (3 * k + tag) as f64)).collect();
                 assert_eq!(got, want, "seed {seed} tag {tag}");
             }
             let (delayed, redelivered) = mb.fault_counters();

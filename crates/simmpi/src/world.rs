@@ -36,8 +36,8 @@ impl World {
 
     /// Like [`World::run`], but every delivery, wait, and collective runs
     /// under `plan`'s seeded perturbations. With [`FaultPlan::off`] this
-    /// is exactly `run` — fault-free worlds allocate no fault state
-    /// (see [`crate::fault_states_allocated`]).
+    /// is exactly `run`: only a plan that perturbs delivery gives the
+    /// mailboxes a limbo.
     pub fn run_with_faults<T, F>(size: usize, plan: FaultPlan, body: F) -> Vec<T>
     where
         T: Send,
