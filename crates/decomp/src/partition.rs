@@ -290,6 +290,20 @@ mod tests {
     }
 
     #[test]
+    fn cpu_points_equal_the_shell_volume_on_the_paper_grid() {
+        // The perf model sizes the CPU box as the shell n³ − (n − 2t)³ of
+        // the paper's 420³ grid; the functional partition must agree.
+        for t in [1usize, 2, 4] {
+            let p = BoxPartition::new((420, 420, 420), t);
+            assert_eq!(
+                p.cpu_points(),
+                420usize.pow(3) - (420 - 2 * t).pow(3),
+                "thickness {t}"
+            );
+        }
+    }
+
+    #[test]
     fn all_cpu_when_thickness_huge() {
         let p = BoxPartition::new((6, 6, 6), 10);
         assert_eq!(p.gpu_points(), 0);

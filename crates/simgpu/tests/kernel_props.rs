@@ -4,9 +4,6 @@
 //! row-slice pack/unpack must reproduce it exactly for any grid (down to
 //! one point wide, narrower than a tile), any sub-region, any block shape
 //! and both layouts, and must write nothing outside the launch region.
-//!
-//! The root package's `tests/property_invariants.rs` mounts this file as a
-//! module, so the Tier-1 `cargo test -q` runs the same cases.
 
 use advect_core::coeffs::{Stencil27, Velocity};
 use advect_core::field::{Field3, Range3};
@@ -111,6 +108,41 @@ proptest! {
         let mut shared = Vec::new();
         for periodic in [false, true] {
             check_launch(&src, region, (bx, by, bz), periodic, &mut shared);
+        }
+    }
+
+    #[test]
+    fn simgpu_kernels_are_bit_identical_to_core_scalar(
+        nx in 3usize..9, ny in 3usize..9, nz in 3usize..9,
+        bx in 3usize..8, by in 3usize..8, bz in 3usize..5,
+        seed in 0u64..1000,
+    ) {
+        let s = Stencil27::new(Velocity::new(1.0, 0.5, 0.25), 0.9);
+        let src = periodic_field(nx, ny, nz, seed);
+        let mut scalar = Field3::new(nx, ny, nz, 1);
+        apply_stencil_region_scalar(&src, &mut scalar, &s, src.interior_range());
+        // FieldDims with halo 1 lays the buffer out exactly like Field3,
+        // so the host field maps to the device buffer byte for byte.
+        let dims = FieldDims { nx, ny, nz, halo: 1 };
+        prop_assert_eq!(dims.len(), src.data().len());
+        let mut dst2 = vec![0.0f64; dims.len()];
+        run_stencil(src.data(), &mut dst2, &s.a, &StencilLaunch {
+            dims,
+            region: dims.interior(),
+            block: (bx, by),
+            periodic: false,
+        }, &mut Vec::new());
+        let mut dst3 = vec![0.0f64; dims.len()];
+        run_stencil_3d(src.data(), &mut dst3, &s.a, &StencilLaunch3d {
+            dims,
+            region: dims.interior(),
+            block: (bx, by, bz),
+            periodic: false,
+        }, &mut Vec::new());
+        for (x, y, z) in dims.interior().iter() {
+            let want = scalar.at(x, y, z);
+            prop_assert_eq!(dst2[dims.idx(x, y, z)], want, "2d kernel at {:?}", (x, y, z));
+            prop_assert_eq!(dst3[dims.idx(x, y, z)], want, "3d kernel at {:?}", (x, y, z));
         }
     }
 }

@@ -463,10 +463,15 @@ mod tests {
             .with_wait_timeout_ns(500_000);
         let results = World::run_with_faults(2, plan, |comm| {
             if comm.rank() == 0 {
+                // Send only once rank 1 is running: if its thread started
+                // more than 3 ms late, the redelivery would already be
+                // due at its first wait and no bounded wait would expire.
+                comm.recv(1, 1);
                 comm.send(1, 0, vec![1.0]);
                 comm.send(1, 0, vec![2.0]);
                 (vec![], FaultStats::default())
             } else {
+                comm.send(0, 1, vec![0.0]);
                 let a = comm.recv(0, 0).to_vec();
                 let b = comm.recv(0, 0).to_vec();
                 (vec![a[0], b[0]], comm.fault_stats())
