@@ -5,7 +5,8 @@
 //! chaos_soak [--seeds N] [--grid N] [--steps N] [--out PATH]
 //! ```
 //!
-//! Exits 1 on any divergence. Writes a JSON report (default
+//! Exits 1 on any divergence, or when an implementation's fault
+//! histograms miss a retry or a redelivery its counters saw. Writes a JSON report (default
 //! `chaos_report.json`) and prints the Markdown summary to stdout.
 
 use chaos::{soak, SoakConfig};
@@ -49,7 +50,9 @@ fn main() {
 
     if !report.ok() {
         eprintln!(
-            "chaos soak FAILED: {} of {} runs diverged from the serial oracle",
+            "chaos soak FAILED: {} of {} runs diverged from the serial oracle \
+             (MISCOUNT lines above name fault histograms that missed a retry \
+             or a redelivery)",
             report.mismatches.len(),
             report.runs
         );

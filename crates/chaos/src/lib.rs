@@ -82,15 +82,21 @@ pub struct ImplFaults {
     pub max_stall_ns: u64,
     /// Straggler compute + allreduce stall sleep, nanoseconds.
     pub throttle_ns: u64,
-    /// Distribution of bounded-wait stalls (each timeout expiry records
-    /// the receive's blocked time so far), merged across runs.
+    /// Distribution of bounded-wait stalls (one sample per timeout
+    /// expiry, from its `fault.stall` span), merged across runs.
     pub stall: obs::registry::HistogramSnapshot,
-    /// Distribution of total stall time behind each redelivered message,
-    /// merged across runs.
+    /// Distribution of total stall time behind each redelivered message
+    /// (one sample per `fault.redeliver` span), merged across runs.
     pub redeliver_latency: obs::registry::HistogramSnapshot,
 }
 
 impl ImplFaults {
+    /// Whether the histograms account for every fault the counters saw:
+    /// one stall sample per retry, one latency sample per redelivery.
+    fn accounted(&self) -> bool {
+        self.stall.count == self.retries && self.redeliver_latency.count == self.redelivered
+    }
+
     fn absorb(&mut self, report: &RunReport) {
         self.runs += 1;
         self.delayed += report.total_delayed();
@@ -127,9 +133,11 @@ pub struct SoakReport {
 }
 
 impl SoakReport {
-    /// True when every run reproduced the oracle bit-for-bit.
+    /// True when every run reproduced the oracle bit-for-bit and every
+    /// implementation's fault histograms account for its counters: one
+    /// stall sample per retry, one latency sample per redelivery.
     pub fn ok(&self) -> bool {
-        self.mismatches.is_empty()
+        self.mismatches.is_empty() && self.per_impl.iter().all(ImplFaults::accounted)
     }
 
     /// Serialise as JSON for the CI artifact.
@@ -189,10 +197,12 @@ impl SoakReport {
         ));
         s.push_str(&format!(
             "Result: **{}** ({} runs, {} mismatches)\n\n",
-            if self.ok() {
+            if !self.mismatches.is_empty() {
+                "DIVERGED"
+            } else if self.ok() {
                 "bit-identical"
             } else {
-                "DIVERGED"
+                "MISCOUNTED"
             },
             self.runs,
             self.mismatches.len()
@@ -231,6 +241,12 @@ impl SoakReport {
         }
         for m in &self.mismatches {
             s.push_str(&format!("\nMISMATCH: {m}\n"));
+        }
+        for f in self.per_impl.iter().filter(|f| !f.accounted()) {
+            s.push_str(&format!(
+                "\nMISCOUNT: {}: {} stall samples for {} retries, {} redelivery samples for {} redelivered\n",
+                f.slug, f.stall.count, f.retries, f.redeliver_latency.count, f.redelivered
+            ));
         }
         s
     }
@@ -304,10 +320,12 @@ mod tests {
         // The stall histograms ride along from the per-run registries;
         // any delayed delivery that fired a bounded-wait timeout must
         // leave a distribution with sane quantile ordering.
-        let stalls: u64 = report.per_impl.iter().map(|f| f.stall.count).sum();
-        let retries: u64 = report.per_impl.iter().map(|f| f.retries).sum();
-        assert_eq!(stalls, retries, "one stall sample per bounded-wait expiry");
         for f in &report.per_impl {
+            assert_eq!(
+                f.stall.count, f.retries,
+                "{}: one stall sample per bounded-wait expiry",
+                f.slug
+            );
             if f.stall.count > 0 {
                 assert!(f.stall.quantile(0.5) <= f.stall.quantile(0.99));
                 assert!(
@@ -346,6 +364,14 @@ mod tests {
         assert!(md.contains("bit-identical"));
         assert!(md.contains("stall p50/p95/p99"), "{md}");
         // A mismatch flips ok() and shows up in both renderings.
+        // So does a fault the histograms missed.
+        report.per_impl[0].retries += 1;
+        assert!(!report.ok());
+        assert!(report.to_json().contains("\"ok\": false"));
+        assert!(report.to_markdown().contains("MISCOUNTED"));
+        assert!(report.to_markdown().contains("MISCOUNT: single_task"));
+        report.per_impl[0].retries -= 1;
+        assert!(report.ok());
         report.mismatches.push("synthetic".to_string());
         assert!(!report.ok());
         assert!(report.to_json().contains("\"ok\": false"));

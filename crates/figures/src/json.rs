@@ -9,6 +9,13 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// Deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, so without a bound one line of `[`s would
+/// overflow the stack of the thread parsing it (a server connection
+/// thread has 2 MiB); every document this workspace writes nests fewer
+/// than ten levels.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -27,11 +34,12 @@ pub enum Value {
 }
 
 impl Value {
-    /// Parse a JSON document.
+    /// Parse a JSON document (at most 128 arrays/objects deep).
     pub fn parse(text: &str) -> Result<Value, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -110,6 +118,8 @@ impl PartialEq<f64> for Value {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -148,8 +158,12 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -157,6 +171,13 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -359,6 +380,26 @@ mod tests {
         assert!(Value::parse("[1, 2,]").is_err());
         assert!(Value::parse("\"unterminated").is_err());
         assert!(Value::parse("{} trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Value::parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Value::parse(&deep).unwrap_err().contains("nesting"));
+        // The stack a server connection thread parses on: 100 000 open
+        // brackets must come back as an error, not abort the process.
+        let hostile = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let line = format!("{{\"a\":{}", "[".repeat(100_000));
+                (Value::parse(&"[".repeat(100_000)), Value::parse(&line))
+            })
+            .unwrap()
+            .join()
+            .expect("parsing must not overflow the stack");
+        assert!(hostile.0.is_err() && hostile.1.is_err());
     }
 
     #[test]

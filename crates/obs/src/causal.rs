@@ -4,8 +4,8 @@
 //! Every simmpi message carries a causal ID `(src, dst, tag, seq)`: the
 //! sender stamps its `mpi.send` span at delivery, the sequence number
 //! rides with the payload (through fault limbo, which never reorders a
-//! channel), and the matching `mpi.wait`/`mpi.recv` span carries the same
-//! stamp on the receiving rank. [`build`] pairs the two ends of every
+//! channel), and the matching `mpi.wait` span carries the same stamp on
+//! the receiving rank. [`build`] pairs the two ends of every
 //! transfer into a [`CausalGraph`]; [`blame`] converts the graph into a
 //! per-rank blame matrix answering *whom did each wait actually wait
 //! on*; [`detect_stragglers`] names the ranks whose outgoing blame is a
@@ -54,8 +54,7 @@ pub struct CausalEdge {
     pub send_start_ns: u64,
     /// Send span end (the message was delivered no earlier than this).
     pub send_end_ns: u64,
-    /// Start of the receive-side blocked window (the `mpi.wait` span, or
-    /// the whole `mpi.recv` span for a blocking receive).
+    /// Start of the receive-side blocked window (the `mpi.wait` span).
     pub wait_start_ns: u64,
     /// End of the blocked window — the message had arrived by here.
     pub wait_end_ns: u64,
@@ -89,9 +88,8 @@ pub struct CausalGraph {
 /// Build the causal graph from a run's per-rank traces.
 ///
 /// Send spans are keyed by `(src, dst, tag, seq)`; the receive side of a
-/// transfer is its `mpi.wait` span when the receive was nonblocking, or
-/// the `mpi.recv` span of a blocking `recv` (the `inflight` window is
-/// deliberately skipped — it duplicates the wait's stamp).
+/// transfer is its `mpi.wait` span (every receive records one; the
+/// `mpi.recv` in-flight window duplicates its stamp and is skipped).
 pub fn build(traces: &[Trace]) -> CausalGraph {
     /// Causal key `(src, dst, tag, seq)` → the send span's
     /// `(tid, wall_start_ns, wall_end_ns)`.
@@ -114,9 +112,7 @@ pub fn build(traces: &[Trace]) -> CausalGraph {
     let mut unmatched_recvs = 0u64;
     for t in traces {
         for s in &t.spans {
-            let is_window =
-                s.cat == Category::MpiWait || (s.cat == Category::MpiRecv && s.label == "recv");
-            if !is_window || s.seq == NO_SEQ || s.peer == NO_PEER {
+            if s.cat != Category::MpiWait || s.seq == NO_SEQ || s.peer == NO_PEER {
                 continue;
             }
             ranks = ranks.max(s.peer as usize + 1);
@@ -362,22 +358,6 @@ impl Blame {
     /// Sum of all off-diagonal charges.
     pub fn total_ns(&self) -> u64 {
         (0..self.ranks).map(|src| self.outgoing_ns(src)).sum()
-    }
-
-    /// The largest single rank's share of all outgoing blame (0.0 when
-    /// nothing was blamed) — the bench-history "how concentrated is the
-    /// blame" scalar: near 1.0 under one injected straggler, spread flat
-    /// on a clean run.
-    pub fn max_outgoing_share(&self) -> f64 {
-        let total = self.total_ns();
-        if total == 0 {
-            return 0.0;
-        }
-        let max = (0..self.ranks)
-            .map(|r| self.outgoing_ns(r))
-            .max()
-            .unwrap_or(0);
-        max as f64 / total as f64
     }
 
     /// Render the matrix, per-rank totals, and top links as markdown.

@@ -101,24 +101,6 @@ impl CriticalPath {
         self.hidden_spans[cat_index(cat)]
     }
 
-    /// Critical-path seconds summed over a whole resource class.
-    pub fn attributed_to_resource(&self, r: Resource) -> f64 {
-        Category::ALL
-            .iter()
-            .filter(|c| c.resource() == r)
-            .map(|c| self.attributed_to(*c))
-            .sum()
-    }
-
-    /// Slack seconds summed over a whole resource class.
-    pub fn slack_of_resource(&self, r: Resource) -> f64 {
-        Category::ALL
-            .iter()
-            .filter(|c| c.resource() == r)
-            .map(|c| self.slack_of(*c))
-            .sum()
-    }
-
     /// Total charged seconds (`makespan - idle` up to rounding).
     pub fn total_attributed(&self) -> f64 {
         self.attributed.iter().sum()

@@ -9,12 +9,15 @@
 //!
 //! The pieces:
 //!
-//! * [`Tracer`] — a per-rank span recorder. The hot path is lock-free:
-//!   claiming a slot is one `fetch_add` into a pre-allocated ring, so
-//!   worker threads, the communicating master thread, and the device
-//!   simulator can all record into the same rank's stream concurrently.
-//!   A disabled tracer ([`Tracer::off`]) is a `None` and records nothing —
-//!   no buffer exists to allocate.
+//! * [`Tracer`] — a per-rank span recorder and the substrates' one
+//!   instrumentation hook. It has up to two sinks: a span slab (traced
+//!   runs; claiming a slot is one `fetch_add` into a pre-allocated ring,
+//!   so worker threads, the communicating master thread, and the device
+//!   simulator can all record into the same rank's stream concurrently)
+//!   and a span summary (metered runs; each finished span's duration
+//!   goes into its histogram in the run's [`registry`]). A disabled
+//!   tracer ([`Tracer::off`]) is a `None` and records nothing — no
+//!   buffer exists to allocate.
 //! * [`Span`] — one operation with **dual timestamps**: wall-clock
 //!   nanoseconds (measured against a shared [`Anchor`]) for spans recorded
 //!   by real threads, or the simulator's virtual clock for spans bridged
@@ -32,7 +35,8 @@
 //! * [`registry`] — the runtime metrics registry: lock-free counters,
 //!   gauges, and log-linear latency histograms with Prometheus-text and
 //!   JSON exporters, following the same zero-cost-off contract as the
-//!   tracer (an off registry is a `None`).
+//!   tracer (an off registry is a `None`). The substrates never touch
+//!   it: their series are filled by the tracer's span summary.
 //! * [`critical`] — critical-path extraction: charges every instant of a
 //!   trace to its most-binding span and reports the per-category
 //!   attribution plus the slack (fully hidden) spans, turning the
@@ -50,11 +54,13 @@ pub mod critical;
 pub mod metrics;
 pub mod recorder;
 pub mod registry;
+mod summary;
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+use summary::SpanSummary;
 
 /// Default span capacity per tracer (spans beyond it are counted, not
 /// recorded, so a runaway loop cannot grow memory without bound).
@@ -302,11 +308,6 @@ impl Span {
         }
     }
 
-    /// Whether this span carries a causal channel stamp.
-    pub fn is_stamped(&self) -> bool {
-        self.seq != NO_SEQ && self.peer != NO_PEER
-    }
-
     /// A virtual-clock span (bridged from the device timeline).
     pub fn virtual_span(
         cat: Category,
@@ -394,15 +395,28 @@ impl Default for Anchor {
     }
 }
 
-struct TracerInner {
-    rank: usize,
-    anchor: Anchor,
+/// The span slab: a pre-allocated ring the recording threads claim
+/// slots of with one `fetch_add`.
+struct Slab {
     next: AtomicUsize,
     dropped: AtomicU64,
     slots: Box<[UnsafeCell<Span>]>,
 }
 
-// SAFETY: each slot is written at most once, by the unique thread that
+struct TracerInner {
+    rank: usize,
+    anchor: Anchor,
+    /// Where spans are kept for the run's trace (traced runs only).
+    slab: Option<Slab>,
+    /// Where span durations become histogram observations (metered
+    /// runs only).
+    summary: Option<SpanSummary>,
+}
+
+// SAFETY: the slab's `UnsafeCell` slots are the only field that is not
+// `Sync` on its own (`rank` and `anchor` are plain values, the slab's
+// counters are atomics, the summary holds `Arc`s of atomic histogram
+// cells). Each slot is written at most once, by the unique thread that
 // claimed its index from `next`; readers ([`Tracer::finish`]) only run
 // after every recording thread has quiesced (rank threads are joined by
 // the world, team threads by each parallel section), which establishes
@@ -410,12 +424,17 @@ struct TracerInner {
 unsafe impl Sync for TracerInner {}
 unsafe impl Send for TracerInner {}
 
-/// A per-rank span recorder.
+/// A per-rank span recorder — the one instrumentation hook the
+/// substrates (`simmpi`, `simgpu`) and the runners record through.
 ///
-/// Cloning is cheap (an `Arc` bump); all clones record into the same
-/// slab, so a rank's main thread, its compute workers, and the substrate
-/// layers can share one stream. The disabled tracer is a `None`: every
-/// method is a no-op and nothing is allocated.
+/// A live tracer has up to two sinks: the span slab of a traced run
+/// ([`Tracer::finish`] returns it) and the span summary of a metered
+/// run, which puts each finished span's duration into its histogram in
+/// the run's registry (the mapping is in the `summary` module). Cloning
+/// is cheap (an `Arc` bump); all clones record into the same sinks, so a
+/// rank's main thread, its compute workers, and the substrate layers
+/// share one stream. The disabled tracer is a `None`: every method is a
+/// no-op and nothing is allocated.
 #[derive(Clone)]
 pub struct Tracer {
     inner: Option<Arc<TracerInner>>,
@@ -427,40 +446,70 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    /// An enabled tracer for `rank`, timestamping against `anchor`, with
+    /// A tracing tracer for `rank`, timestamping against `anchor`, with
     /// the default span capacity.
     pub fn on(rank: usize, anchor: Anchor) -> Self {
         Self::with_capacity(rank, anchor, DEFAULT_CAPACITY)
     }
 
-    /// An enabled tracer with an explicit span capacity.
+    /// A tracing tracer with an explicit span capacity.
     pub fn with_capacity(rank: usize, anchor: Anchor, capacity: usize) -> Self {
-        let slots: Vec<UnsafeCell<Span>> = (0..capacity.max(1))
-            .map(|_| UnsafeCell::new(Span::default()))
-            .collect();
+        Self::build(rank, anchor, Some(capacity), None)
+    }
+
+    /// Rank `rank`'s tracer in a world of `size` ranks: a span slab when
+    /// `trace`, a span summary over `metrics` when that registry is on
+    /// (its series are registered here, once), [`Tracer::off`] when
+    /// neither. A metered run that is not traced allocates no slab.
+    pub fn enabled(
+        trace: bool,
+        metrics: &registry::Metrics,
+        rank: usize,
+        size: usize,
+        anchor: Anchor,
+    ) -> Self {
+        let summary = metrics
+            .is_on()
+            .then(|| SpanSummary::new(metrics, rank, size));
+        if !trace && summary.is_none() {
+            return Self::off();
+        }
+        Self::build(rank, anchor, trace.then_some(DEFAULT_CAPACITY), summary)
+    }
+
+    fn build(
+        rank: usize,
+        anchor: Anchor,
+        capacity: Option<usize>,
+        summary: Option<SpanSummary>,
+    ) -> Self {
+        let slab = capacity.map(|capacity| Slab {
+            next: AtomicUsize::new(0),
+            dropped: AtomicU64::new(0),
+            slots: (0..capacity.max(1))
+                .map(|_| UnsafeCell::new(Span::default()))
+                .collect(),
+        });
         Tracer {
             inner: Some(Arc::new(TracerInner {
                 rank,
                 anchor,
-                next: AtomicUsize::new(0),
-                dropped: AtomicU64::new(0),
-                slots: slots.into_boxed_slice(),
+                slab,
+                summary,
             })),
         }
     }
 
-    /// Enabled when `enabled`, otherwise [`Tracer::off`].
-    pub fn enabled(enabled: bool, rank: usize, anchor: Anchor) -> Self {
-        if enabled {
-            Self::on(rank, anchor)
-        } else {
-            Self::off()
-        }
-    }
-
-    /// Whether this tracer records spans.
+    /// Whether this tracer has a sink (a slab, a summary, or both).
     pub fn is_on(&self) -> bool {
         self.inner.is_some()
+    }
+
+    /// Whether a wall span of `cat` reaches a sink.
+    fn records_wall(&self, cat: Category) -> bool {
+        self.inner
+            .as_ref()
+            .is_some_and(|i| i.slab.is_some() || summary::summarises_wall(cat))
     }
 
     /// Nanoseconds since the anchor (0 when off) — for callers that
@@ -473,20 +522,22 @@ impl Tracer {
     }
 
     /// Open a wall-clock span; it records itself when the guard drops.
+    /// A span no sink takes reads no clock.
     #[must_use = "the span ends when the guard drops"]
-    pub fn span(&self, cat: Category, label: &'static str) -> SpanGuard {
+    pub fn span(&self, cat: Category, label: &'static str) -> SpanGuard<'_> {
+        let live = self.records_wall(cat);
         SpanGuard {
-            tracer: self.clone(),
+            tracer: live.then_some(self),
             cat,
             label,
-            start_ns: self.now_ns(),
+            start_ns: if live { self.now_ns() } else { 0 },
         }
     }
 
     /// Record an explicit wall-clock span from timestamps obtained with
     /// [`Tracer::now_ns`].
     pub fn record_wall(&self, cat: Category, label: &'static str, start_ns: u64, end_ns: u64) {
-        if self.inner.is_some() {
+        if self.records_wall(cat) {
             self.push(Span::wall(cat, label, thread_slot(), start_ns, end_ns));
         }
     }
@@ -505,7 +556,7 @@ impl Tracer {
         tag: u64,
         seq: u64,
     ) {
-        if self.inner.is_some() {
+        if self.records_wall(cat) {
             self.push(Span::channel(
                 cat,
                 label,
@@ -544,37 +595,41 @@ impl Tracer {
 
     fn push(&self, span: Span) {
         let Some(inner) = &self.inner else { return };
-        let i = inner.next.fetch_add(1, Ordering::Relaxed);
-        if i < inner.slots.len() {
+        if let Some(summary) = &inner.summary {
+            summary.observe(&span);
+        }
+        let Some(slab) = &inner.slab else { return };
+        let i = slab.next.fetch_add(1, Ordering::Relaxed);
+        if i < slab.slots.len() {
             // SAFETY: index `i` was claimed exclusively by this thread's
             // fetch_add; no other writer touches this slot, and readers
             // wait for thread quiescence (see `TracerInner`'s Sync note).
             unsafe {
-                *inner.slots[i].get() = span;
+                *slab.slots[i].get() = span;
             }
         } else {
-            inner.dropped.fetch_add(1, Ordering::Relaxed);
+            slab.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Collect the recorded spans. Call only after every thread that
-    /// recorded through this tracer (or a clone) has been joined.
-    pub fn finish(&self) -> Trace {
-        let Some(inner) = &self.inner else {
-            return Trace::default();
-        };
-        let n = inner.next.load(Ordering::Acquire).min(inner.slots.len());
+    /// Collect the recorded spans: `None` unless this tracer has a slab.
+    /// Call only after every thread that recorded through this tracer
+    /// (or a clone) has been joined.
+    pub fn finish(&self) -> Option<Trace> {
+        let inner = self.inner.as_ref()?;
+        let slab = inner.slab.as_ref()?;
+        let n = slab.next.load(Ordering::Acquire).min(slab.slots.len());
         let spans = (0..n)
             .map(|i| {
                 // SAFETY: all writers have quiesced (caller contract).
-                unsafe { *inner.slots[i].get() }
+                unsafe { *slab.slots[i].get() }
             })
             .collect();
-        Trace {
+        Some(Trace {
             rank: inner.rank,
             spans,
-            dropped: inner.dropped.load(Ordering::Relaxed),
-        }
+            dropped: slab.dropped.load(Ordering::Relaxed),
+        })
     }
 }
 
@@ -584,27 +639,29 @@ impl std::fmt::Debug for Tracer {
             Some(inner) => f
                 .debug_struct("Tracer")
                 .field("rank", &inner.rank)
-                .field("recorded", &inner.next.load(Ordering::Relaxed))
+                .field(
+                    "recorded",
+                    &inner.slab.as_ref().map(|s| s.next.load(Ordering::Relaxed)),
+                )
+                .field("summary", &inner.summary.is_some())
                 .finish(),
             None => f.write_str("Tracer(off)"),
         }
     }
 }
 
-/// RAII guard for an open wall-clock span.
-pub struct SpanGuard {
-    tracer: Tracer,
+/// RAII guard for an open wall-clock span (inert when no sink takes it).
+pub struct SpanGuard<'a> {
+    tracer: Option<&'a Tracer>,
     cat: Category,
     label: &'static str,
     start_ns: u64,
 }
 
-impl Drop for SpanGuard {
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if self.tracer.is_on() {
-            let end = self.tracer.now_ns();
-            self.tracer
-                .record_wall(self.cat, self.label, self.start_ns, end);
+        if let Some(tracer) = self.tracer {
+            tracer.record_wall(self.cat, self.label, self.start_ns, tracer.now_ns());
         }
     }
 }
@@ -631,7 +688,40 @@ mod tests {
         t.record_wall(Category::Pack, "p", 0, 10);
         t.record_virtual(Category::PcieH2d, "h", 0, 0.0, 1.0);
         assert!(!t.is_on());
-        assert!(t.finish().spans.is_empty());
+        assert!(t.finish().is_none());
+        let unmetered = Tracer::enabled(false, &registry::Metrics::off(), 0, 2, Anchor::now());
+        assert!(!unmetered.is_on());
+    }
+
+    #[test]
+    fn metered_tracer_summarises_spans_without_a_slab() {
+        let m = registry::Metrics::on();
+        let t = Tracer::enabled(false, &m, 1, 2, Anchor::now());
+        assert!(t.is_on());
+        t.record_channel(Category::MpiWait, "wait", 10, 40, 0, 0, 0);
+        t.record_channel(Category::MpiRecv, "inflight", 0, 40, 0, 0, 0);
+        t.record_wall(Category::FaultStall, "bounded-wait", 5, 25);
+        t.record_wall(Category::ComputeInterior, "c", 0, 100);
+        t.absorb(&[
+            Span::virtual_span(Category::ComputeInterior, "stencil", 0, 0.0, 2e-6),
+            Span::virtual_span(Category::Pack, "pack", 0, 2e-6, 3e-6),
+            Span::virtual_span(Category::PcieH2d, "h2d", 1, 0.0, 1e-6),
+        ]);
+        {
+            let _g = t.span(Category::MpiBarrier, "unsummarised");
+        }
+        assert!(t.finish().is_none(), "a metrics-only tracer keeps no spans");
+        let count = |name| m.histogram_snapshot(name).count;
+        assert_eq!(count("advect_mpi_wait_ns"), 1);
+        assert_eq!(m.histogram_snapshot("advect_mpi_wait_ns").sum, 30);
+        assert_eq!(count("advect_mpi_recv_latency_ns"), 1);
+        assert_eq!(count("advect_fault_stall_ns"), 1);
+        assert_eq!(count("advect_fault_redeliver_latency_ns"), 0);
+        assert_eq!(count("advect_gpu_kernel_ns"), 2);
+        assert_eq!(count("advect_pcie_transfer_ns"), 1);
+        let prom = m.render_prometheus();
+        assert!(prom.contains("advect_mpi_wait_ns_count{rank=\"1\",src=\"0\"} 1"));
+        assert!(prom.contains("advect_mpi_wait_ns_count{rank=\"1\",src=\"1\"} 0"));
     }
 
     #[test]
@@ -640,7 +730,7 @@ mod tests {
         for _ in 0..100 {
             let _g = t.span(Category::ComputeInterior, "c");
         }
-        let trace = t.finish();
+        let trace = t.finish().unwrap();
         assert_eq!(trace.rank, 3);
         assert_eq!(trace.spans.len(), 100);
         assert_eq!(trace.dropped, 0);
@@ -652,7 +742,7 @@ mod tests {
         for _ in 0..10 {
             t.record_wall(Category::MpiSend, "s", 0, 1);
         }
-        let trace = t.finish();
+        let trace = t.finish().unwrap();
         assert_eq!(trace.spans.len(), 4);
         assert_eq!(trace.dropped, 6);
     }
@@ -670,7 +760,7 @@ mod tests {
                 });
             }
         });
-        let trace = t.finish();
+        let trace = t.finish().unwrap();
         assert_eq!(trace.spans.len(), 800);
         assert_eq!(trace.dropped, 0);
     }
@@ -682,7 +772,7 @@ mod tests {
             let _g = t.span(Category::MpiWait, "w");
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        let trace = t.finish();
+        let trace = t.finish().unwrap();
         assert_eq!(trace.spans.len(), 1);
         let s = trace.spans[0];
         assert!(s.wall_end_ns > s.wall_start_ns);

@@ -78,8 +78,8 @@ pub struct RunConfig {
     /// perturbation, no fault state allocated).
     pub fault: FaultSpec,
     /// Record runtime metrics during the run ([`RunReport::metrics`]).
-    /// Off by default: the substrates then observe into disabled handles
-    /// and allocate no metric state.
+    /// Off by default: no registry, and the rank tracers get no span
+    /// summary (nor a slab, unless [`RunConfig::trace`]).
     pub metrics: bool,
 }
 
@@ -169,9 +169,10 @@ pub struct RunReport {
     /// timeline bridged through `Timeline::to_trace_events`.
     pub traces: Vec<obs::Trace>,
     /// The run's metrics registry (disabled unless [`RunConfig::metrics`]):
-    /// per-channel halo-exchange latency/wait/in-flight histograms from
-    /// `simmpi`, kernel and PCIe-transfer histograms from `simgpu`, and
-    /// the per-step `advect_step_ns` histogram every runner observes.
+    /// the rank tracers' span summaries — per-source receive wait and
+    /// latency, fault stall and redelivery, device kernel and PCIe
+    /// transfer histograms — plus the per-step `advect_step_ns`
+    /// histogram the frame's timed loop observes.
     /// Render with [`obs::registry::Metrics::render_prometheus`] or
     /// [`obs::registry::Metrics::render_json`].
     pub metrics: obs::registry::Metrics,
@@ -429,9 +430,8 @@ pub(crate) fn run_ranks(
     let metrics = obs::registry::Metrics::enabled(cfg.metrics);
     let results = World::run_with_faults(cfg.ntasks, cfg.fault.mpi, |comm| {
         let rank = comm.rank();
-        let tracer = obs::Tracer::enabled(cfg.trace, rank, anchor);
+        let tracer = obs::Tracer::enabled(cfg.trace, &metrics, rank, comm.size(), anchor);
         comm.install_tracer(tracer.clone());
-        comm.install_metrics(&metrics);
         let sub = decomp.subdomains[rank];
         let plan = ExchangePlan::new(sub.extent, 1);
         let fault = cfg.fault.gpu.for_rank(rank);
@@ -445,7 +445,7 @@ pub(crate) fn run_ranks(
             plan,
             tile: TileSpec::host(sub.extent.0 + 2),
             team: ThreadTeam::new(cfg.threads),
-            gpu: spec.map(|s| device(s, fault, cfg, &tracer, &metrics, rank)),
+            gpu: spec.map(|s| device(s, fault, cfg, &tracer)),
             stencil: cfg.problem.stencil(),
             step_hist: step_histogram(&metrics, im, rank),
             tracer,
@@ -495,11 +495,11 @@ pub(crate) fn run_single(
     body: impl FnOnce(&Single<'_>) -> Field3,
 ) -> (Field3, RunReport) {
     assert_eq!(cfg.ntasks, 1, "{} runs on a single task", im.section());
-    let tracer = obs::Tracer::enabled(cfg.trace, 0, obs::Anchor::now());
     let metrics = obs::registry::Metrics::enabled(cfg.metrics);
+    let tracer = obs::Tracer::enabled(cfg.trace, &metrics, 0, 1, obs::Anchor::now());
     let single = Single {
         cfg,
-        gpu: device_spec(im, spec).map(|s| device(s, cfg.fault.gpu, cfg, &tracer, &metrics, 0)),
+        gpu: device_spec(im, spec).map(|s| device(s, cfg.fault.gpu, cfg, &tracer)),
         step_hist: step_histogram(&metrics, im, 0),
         tracer,
     };
@@ -516,19 +516,16 @@ fn device_spec(im: Impl, spec: Option<&GpuSpec>) -> Option<&GpuSpec> {
         .then(|| spec.expect("GPU implementations need a GpuSpec"))
 }
 
-/// A fresh device under `fault`, recording through the rank's tracer and
-/// the run's registry, with the stencil coefficients in constant memory.
+/// A fresh device under `fault`, recording through the rank's tracer,
+/// with the stencil coefficients in constant memory.
 fn device(
     spec: &GpuSpec,
     fault: simgpu::GpuFaultPlan,
     cfg: &RunConfig,
     tracer: &obs::Tracer,
-    metrics: &obs::registry::Metrics,
-    rank: usize,
 ) -> Gpu {
     let gpu = Gpu::new(spec.clone()).with_fault_plan(fault);
     gpu.install_tracer(tracer.clone());
-    gpu.install_metrics(metrics, rank);
     gpu.set_constant(cfg.problem.stencil().a);
     gpu
 }
@@ -543,9 +540,10 @@ fn timed_loop(steps: u64, hist: &obs::registry::Histogram, mut step: impl FnMut(
 }
 
 /// Close out one rank after its threads have quiesced: read the device
-/// counters and, when traced, finish the trace with the device's virtual
-/// timeline bridged in (an untraced run skips the timeline snapshot and
-/// the span conversion altogether).
+/// counters, bridge the device's virtual timeline into the tracer (the
+/// trace and the kernel/PCIe histograms both come from those spans; a
+/// run neither traced nor metered skips the snapshot altogether), and
+/// finish the trace when the run is traced.
 fn rank_result(
     global: Option<Field3>,
     comm: simmpi::CommStats,
@@ -553,12 +551,10 @@ fn rank_result(
     gpu: &Option<Gpu>,
     tracer: &obs::Tracer,
 ) -> RankResult {
-    let trace = tracer.is_on().then(|| {
-        if let Some(gpu) = gpu {
-            tracer.absorb(&gpu.timeline().to_trace_events());
-        }
-        tracer.finish()
-    });
+    if let Some(gpu) = gpu.as_ref().filter(|_| tracer.is_on()) {
+        tracer.absorb(&gpu.timeline().to_trace_events());
+    }
+    let trace = tracer.finish();
     (global, comm, fault, gpu.as_ref().map(Gpu::stats), trace)
 }
 

@@ -6,7 +6,7 @@
 use advect_core::stepper::AdvectionProblem;
 use decomp::ExchangePlan;
 use obs::{Axis, Category};
-use overlap::{Impl, RunConfig, RunLimits, RunParams};
+use overlap::{Impl, RunConfig, RunLimits, RunParams, RunReport};
 use simgpu::GpuSpec;
 use simmpi::FaultStats;
 
@@ -127,13 +127,39 @@ fn single_node_self_exchange_still_counts_messages() {
     assert_eq!(report.comm[0].messages_received, 12);
 }
 
+/// The metered series are the rank tracers' summary of spans the
+/// substrates record anyway, so each one counts exactly the operations
+/// the always-on counters count: one wait and one latency sample per
+/// received message, one kernel sample per device launch, one transfer
+/// sample per PCIe copy, one step sample per rank and step.
+fn assert_metered_counts(slug: &str, report: &RunReport, tasks: usize, steps: u64) {
+    let count = |name| report.metrics.histogram_snapshot(name).count;
+    let received: u64 = report.comm.iter().map(|c| c.messages_received).sum();
+    let packs: u64 = report.gpu.iter().map(|g| g.pack_launches).sum();
+    let launches = report.total_stencil_launches() + packs;
+    let copies = report.total_h2d_transfers() + report.total_d2h_transfers();
+    assert_eq!(count("advect_mpi_wait_ns"), received, "{slug}: waits");
+    assert_eq!(
+        count("advect_mpi_recv_latency_ns"),
+        received,
+        "{slug}: latencies"
+    );
+    assert_eq!(count("advect_gpu_kernel_ns"), launches, "{slug}: kernels");
+    assert_eq!(count("advect_pcie_transfer_ns"), copies, "{slug}: copies");
+    assert_eq!(
+        count("advect_step_ns"),
+        tasks as u64 * steps,
+        "{slug}: one step observation per rank and step"
+    );
+}
+
 #[test]
 fn traced_runs_carry_one_trace_per_rank_and_untraced_none() {
     // What the shared frame guarantees for every implementation: one
     // entry per rank in each per-rank report vector, one complete trace
-    // per rank exactly when traced, one step observation per rank and
-    // step exactly when metered, and nothing at all from an off switch —
-    // the per-run form of a zero-cost-off check.
+    // per rank exactly when traced, the metered series counting exactly
+    // what the substrate counters count, and nothing at all from an off
+    // switch — the per-run form of a zero-cost-off check.
     let steps = 2u32;
     for im in Impl::ALL {
         let key = |trace: bool, metrics: bool| {
@@ -163,7 +189,15 @@ fn traced_runs_carry_one_trace_per_rank_and_untraced_none() {
             off.fault
         );
 
+        let (_, metered) = key(false, true).execute();
+        assert!(
+            metered.traces.is_empty(),
+            "{slug}: a metrics-only run returned traces"
+        );
+        assert_metered_counts(slug, &metered, tasks, steps as u64);
+
         let (_, on) = key(true, true).execute();
+        assert_metered_counts(slug, &on, tasks, steps as u64);
         assert_eq!(on.comm.len(), tasks, "{slug}: comm stats per rank");
         assert_eq!(on.fault.len(), tasks, "{slug}: fault stats per rank");
         let devices = if im.uses_gpu() { tasks } else { 0 };
@@ -172,23 +206,10 @@ fn traced_runs_carry_one_trace_per_rank_and_untraced_none() {
         ranks.sort_unstable();
         let expect: Vec<usize> = (0..tasks).collect();
         assert_eq!(ranks, expect, "{slug}: one trace per rank");
-        assert_eq!(
-            on.metrics.histogram_snapshot("advect_step_ns").count,
-            (tasks * steps as usize) as u64,
-            "{slug}: one step observation per rank and step"
-        );
         let prom = on.metrics.render_prometheus();
         assert!(prom.contains("advect_step_ns"), "{slug}: {prom}");
         if im.uses_mpi() {
             assert!(prom.contains("advect_mpi_wait_ns"), "{slug}: {prom}");
-            let received: u64 = on.comm.iter().map(|c| c.messages_received).sum();
-            assert_eq!(
-                on.metrics
-                    .histogram_snapshot("advect_mpi_recv_latency_ns")
-                    .count,
-                received,
-                "{slug}: one latency sample per receive"
-            );
             assert!(
                 !on.causal_graph().edges.is_empty(),
                 "{slug}: traced run produced no causal edges"

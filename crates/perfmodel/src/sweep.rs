@@ -120,37 +120,6 @@ pub fn best_gpu_gf(
     best
 }
 
-/// One point of a modeled per-thread scaling curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScalingPoint {
-    /// Team width.
-    pub threads: usize,
-    /// Modeled sustained node GF at this width (one task).
-    pub gf: f64,
-    /// Parallel efficiency relative to one thread: `gf / (threads · gf₁)`.
-    pub efficiency: f64,
-}
-
-/// Modeled per-thread scaling of the threaded interior sweep on a
-/// machine: GF and parallel efficiency at each team width.
-/// The curve bends where the team leaves the compute-bound regime and
-/// hits the node's bandwidth roof (`CpuModel::stencil_points_per_second`),
-/// so efficiency is monotonically non-increasing in the team width.
-pub fn modeled_scaling(machine: &Machine, widths: &[usize]) -> Vec<ScalingPoint> {
-    let base = machine.cpu.node_stencil_gf(1, 1);
-    widths
-        .iter()
-        .map(|&t| {
-            let gf = machine.cpu.node_stencil_gf(t, 1);
-            ScalingPoint {
-                threads: t,
-                gf,
-                efficiency: gf / (t as f64 * base),
-            }
-        })
-        .collect()
-}
-
 /// Best GF of any implementation at a core count.
 pub fn best_gf(machine: &Machine, im: AnyImpl, cores: usize, block: (usize, usize)) -> BestPoint {
     match im {
@@ -173,16 +142,26 @@ mod tests {
 
     #[test]
     fn modeled_scaling_efficiency_decays_to_bandwidth_roof() {
-        let m = machine::jaguarpf();
-        let curve = modeled_scaling(&m, &[1, 2, 4, 6, 12]);
-        assert_eq!(curve[0].threads, 1);
-        assert!((curve[0].efficiency - 1.0).abs() < 1e-12);
+        // Per-thread scaling of the threaded interior sweep (one task):
+        // parallel efficiency `gf / (threads · gf₁)` never rises with the
+        // team width, and bends where the team hits the node's bandwidth
+        // roof (`CpuModel::stencil_points_per_second`).
+        let cpu = machine::jaguarpf().cpu;
+        let base = cpu.node_stencil_gf(1, 1);
+        let curve: Vec<(f64, f64)> = [1usize, 2, 4, 6, 12]
+            .iter()
+            .map(|&t| {
+                let gf = cpu.node_stencil_gf(t, 1);
+                (gf, gf / (t as f64 * base))
+            })
+            .collect();
+        assert!((curve[0].1 - 1.0).abs() < 1e-12);
         for w in curve.windows(2) {
-            assert!(w[1].efficiency <= w[0].efficiency + 1e-12);
-            assert!(w[1].gf >= w[0].gf * 0.99, "GF should not collapse");
+            assert!(w[1].1 <= w[0].1 + 1e-12);
+            assert!(w[1].0 >= w[0].0 * 0.99, "GF should not collapse");
         }
         // The full node is bandwidth-bound: efficiency well below 1.
-        assert!(curve.last().unwrap().efficiency < 0.9);
+        assert!(curve.last().unwrap().1 < 0.9);
     }
 
     #[test]

@@ -71,6 +71,24 @@ fn get_u32(v: &Value, key: &str, default: u32) -> Result<u32, String> {
     }
 }
 
+/// JSON numbers parse to `f64`, which holds every integer below 2^53
+/// exactly and no longer tells 2^53 from 2^53 + 1: above this bound two
+/// different seeds on the wire would read as one.
+const MAX_EXACT_INT: f64 = ((1u64 << 53) - 1) as f64;
+
+/// An optional integer field in `min..=2^53 − 1` (`None` when absent).
+fn get_u64(v: &Value, key: &str, min: f64) -> Result<Option<u64>, String> {
+    match &v[key] {
+        Value::Null => Ok(None),
+        Value::Number(n) if *n >= min && n.fract() == 0.0 && *n <= MAX_EXACT_INT => {
+            Ok(Some(*n as u64))
+        }
+        other => Err(format!(
+            "field {key:?} must be an integer in {min}..=2^53-1, got {other}"
+        )),
+    }
+}
+
 fn get_bool(v: &Value, key: &str) -> Result<bool, String> {
     match &v[key] {
         Value::Null => Ok(false),
@@ -132,29 +150,13 @@ pub fn parse_line(line: &str) -> Result<Command, String> {
         }
         other => return Err(format!("field \"block\" must be [bx, by], got {other}")),
     };
-    let fault_seed = match &v["fault_seed"] {
-        Value::Null => None,
-        Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-        other => {
-            return Err(format!(
-                "field \"fault_seed\" must be an integer, got {other}"
-            ))
-        }
-    };
+    let fault_seed = get_u64(&v, "fault_seed", 0.0)?;
     let machine = match &v["machine"] {
         Value::Null => String::new(),
         Value::String(m) => m.clone(),
         other => return Err(format!("field \"machine\" must be a string, got {other}")),
     };
-    let timeout_ms = match &v["timeout_ms"] {
-        Value::Null => None,
-        Value::Number(n) if *n > 0.0 && n.fract() == 0.0 => Some(*n as u64),
-        other => {
-            return Err(format!(
-                "field \"timeout_ms\" must be a positive integer, got {other}"
-            ))
-        }
-    };
+    let timeout_ms = get_u64(&v, "timeout_ms", 1.0)?;
     let params = RunParams {
         impl_slug,
         grid: get_u32(&v, "grid", defaults.grid)?,
@@ -301,5 +303,88 @@ mod tests {
         assert!(parse_line("{\"impl\":\"bulk_sync\",\"block\":[8]}").is_err());
         assert!(parse_line("{\"impl\":\"bulk_sync\",\"timeout_ms\":0}").is_err());
         assert!(parse_line("{\"impl\":\"bulk_sync\",\"tenant\":\"\"}").is_err());
+    }
+
+    #[test]
+    fn integers_past_f64_precision_are_rejected_not_rounded() {
+        let run = |field: &str, n: u64| {
+            parse_line(&format!("{{\"impl\":\"bulk_sync\",\"{field}\":{n}}}"))
+        };
+        let top = (1u64 << 53) - 1;
+        match run("fault_seed", top).unwrap() {
+            Command::Run(req) => assert_eq!(req.params.fault_seed, Some(top)),
+            other => panic!("expected run, got {other:?}"),
+        }
+        // 2^53 + 1 parses to the same f64 as 2^53: both must be refused,
+        // or two seeds would share one cache entry.
+        for n in [1u64 << 53, (1 << 53) + 1, u64::MAX] {
+            assert!(run("fault_seed", n).unwrap_err().contains("2^53"), "{n}");
+            assert!(run("timeout_ms", n).unwrap_err().contains("2^53"), "{n}");
+        }
+    }
+
+    /// Characters a tenant name must survive on the wire: quotes,
+    /// backslashes, newlines and other control characters, non-ASCII.
+    const TEXT: [char; 14] = [
+        'a', 'Z', '7', ' ', '"', '\\', '\n', '\r', '\t', '\u{1}', 'é', '漢', '🚀', '/',
+    ];
+
+    /// Fragments (split at `|`) that steer arbitrary lines into every
+    /// parser branch.
+    const FRAGMENTS: &str =
+        "{|}|[|]|:|,|\"|\\|\\u12|0|-1.5e3|1e400|9007199254740993|true|nul| |\n|\
+                             \"cmd\"|\"impl\"|\"fault_seed\"|\"block\"|\"run\"|é|\u{0}";
+
+    fn text(indices: &[usize]) -> String {
+        indices.iter().map(|&i| TEXT[i]).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn rendered_requests_parse_back_to_themselves(
+            tenant in proptest::collection::vec(0usize..TEXT.len(), 1..12),
+            slug in proptest::collection::vec(0usize..TEXT.len(), 0..8),
+            machine in proptest::collection::vec(0usize..TEXT.len(), 0..6),
+            sizes in proptest::collection::vec(0u32..u32::MAX, 7..8),
+            flags in 0u8..16,
+            seed in 0u64..(1 << 53),
+            timeout in 1u64..(1 << 53),
+        ) {
+            let req = Request {
+                tenant: text(&tenant),
+                params: RunParams {
+                    impl_slug: text(&slug),
+                    grid: sizes[0],
+                    steps: sizes[1],
+                    tasks: sizes[2],
+                    threads: sizes[3],
+                    block: (sizes[4], sizes[5]),
+                    thickness: sizes[6],
+                    machine: text(&machine),
+                    fault_seed: (flags & 1 != 0).then_some(seed),
+                    trace: flags & 2 != 0,
+                    metrics: flags & 4 != 0,
+                },
+                timeout_ms: (flags & 8 != 0).then_some(timeout),
+            };
+            let line = render_request(&req);
+            proptest::prop_assert!(!line.contains('\n'), "raw newline in {line:?}");
+            proptest::prop_assert_eq!(parse_line(&line), Ok(Command::Run(req)));
+        }
+
+        #[test]
+        fn parse_line_never_panics(
+            fragments in proptest::collection::vec(0usize..24, 0..48),
+            chars in proptest::collection::vec(0u32..0x11_0000, 0..32),
+        ) {
+            let pieces: Vec<&str> = FRAGMENTS.split('|').collect();
+            let line: String = fragments.iter().map(|&i| pieces[i]).collect();
+            let _ = parse_line(&line);
+            let noise: String = chars.iter().filter_map(|&c| char::from_u32(c)).collect();
+            let _ = parse_line(&noise);
+            let _ = parse_line(&format!("{line}{noise}"));
+        }
     }
 }

@@ -3,16 +3,23 @@
 //! The accept loop polls a nonblocking listener so a `shutdown` command
 //! can stop it without a self-connect trick. Connection threads carry a
 //! read timeout so idle peers notice the stop flag; the accept loop
-//! joins them all before draining the [`Server`] itself.
+//! joins them all before draining the [`Server`] itself. A request line
+//! longer than [`MAX_LINE_BYTES`] gets an error response and closes its
+//! connection, so a peer that never sends a newline cannot grow a
+//! connection's buffer without bound.
 
 use crate::log::Level;
 use crate::protocol::{self, Command};
 use crate::server::Server;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Longest request line a connection accepts, newline excluded. A run
+/// request is a few hundred bytes.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Bind `addr` and serve until a `shutdown` command arrives. Returns
 /// the locally bound address via `on_bound` before serving (so callers
@@ -59,13 +66,39 @@ fn handle_connection(stream: TcpStream, server: &Server, stop: &AtomicBool) -> s
     stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut buf = String::new();
+    let mut buf = Vec::new();
     loop {
-        // read_line appends, so a line split across timeouts
-        // accumulates in `buf` instead of being dropped.
-        match reader.read_line(&mut buf) {
+        // read_until appends, so a line split across timeouts
+        // accumulates in `buf` instead of being dropped; the take stops
+        // it at `MAX_LINE_BYTES` plus one byte (the newline, if the line
+        // fits).
+        let room = (MAX_LINE_BYTES + 1 - buf.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut buf) {
             Ok(0) => break,
-            Ok(_) if buf.ends_with('\n') => {}
+            Ok(_) if buf.ends_with(b"\n") => {}
+            Ok(_) if buf.len() > MAX_LINE_BYTES => {
+                let error = format!("request line longer than {MAX_LINE_BYTES} bytes");
+                server.log().event(Level::Warn, "parse_error", |f| {
+                    f.str("error", &error);
+                });
+                writer.write_all(protocol::render_error(&error).as_bytes())?;
+                writer.write_all(b"\n")?;
+                writer.flush()?;
+                // Closing with the rest of the line unread would reset
+                // the connection under the response: half-close, then
+                // discard what the peer still sends until it stops.
+                writer.shutdown(Shutdown::Write)?;
+                while !stop.load(Ordering::SeqCst) {
+                    match reader.fill_buf() {
+                        Ok([]) | Err(_) => break,
+                        Ok(chunk) => {
+                            let n = chunk.len();
+                            reader.consume(n);
+                        }
+                    }
+                }
+                break;
+            }
             Ok(_) => continue,
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -78,11 +111,12 @@ fn handle_connection(stream: TcpStream, server: &Server, stop: &AtomicBool) -> s
             }
             Err(e) => return Err(e),
         }
-        let line = std::mem::take(&mut buf);
-        if line.trim().is_empty() {
+        let line = String::from_utf8(std::mem::take(&mut buf))
+            .map_err(|_| "request line is not UTF-8".to_string());
+        if line.as_ref().is_ok_and(|l| l.trim().is_empty()) {
             continue;
         }
-        let response = match protocol::parse_line(&line) {
+        let response = match line.and_then(|l| protocol::parse_line(&l)) {
             Err(e) => {
                 server.log().event(Level::Warn, "parse_error", |f| {
                     f.str("error", &e);

@@ -57,6 +57,22 @@ fn wire_protocol_round_trips_and_shuts_down() {
     assert!(metrics.contains("serve_requests_total"), "{metrics}");
     assert!(metrics.contains("serve_cache_hits_total"), "{metrics}");
 
+    // A line past the limit gets an error and loses its connection; the
+    // server keeps serving everyone else.
+    let mut flood = TcpStream::connect(addr).expect("second client connects");
+    let long = vec![b'['; tcp::MAX_LINE_BYTES + 4096];
+    flood.write_all(&long).unwrap();
+    let mut flood = BufReader::new(flood);
+    let mut refused = String::new();
+    flood.read_line(&mut refused).unwrap();
+    assert!(refused.contains("\"status\":\"error\""), "{refused}");
+    assert!(refused.contains("longer than"), "{refused}");
+    let mut rest = String::new();
+    assert_eq!(flood.read_line(&mut rest).unwrap(), 0, "connection closed");
+    let other = TcpStream::connect(addr).expect("third client connects");
+    let pong = roundtrip(&mut BufReader::new(other), "{\"cmd\":\"ping\"}");
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+
     let stopping = roundtrip(&mut conn, "{\"cmd\":\"shutdown\"}");
     assert!(stopping.contains("\"stopping\":true"), "{stopping}");
     listener.join().expect("listener thread joins");

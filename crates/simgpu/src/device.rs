@@ -88,18 +88,6 @@ enum EngineKind {
     CopyD2H,
 }
 
-/// Pre-registered metric handles for one device's scheduled operations
-/// (see [`Gpu::install_metrics`]).
-struct GpuMetrics {
-    /// `advect_gpu_kernel_ns{rank}`: scheduled kernel duration on the
-    /// virtual timeline.
-    kernel_ns: obs::registry::Histogram,
-    /// `advect_pcie_transfer_ns{rank,dir="h2d"}`.
-    h2d_ns: obs::registry::Histogram,
-    /// `advect_pcie_transfer_ns{rank,dir="d2h"}`.
-    d2h_ns: obs::registry::Histogram,
-}
-
 /// A simulated GPU.
 ///
 /// Functionally, every operation executes eagerly in host issue order, so
@@ -117,14 +105,12 @@ struct GpuMetrics {
 pub struct Gpu {
     spec: GpuSpec,
     inner: Mutex<Inner>,
-    hazard_check: bool,
     fault: GpuFaultPlan,
     tracer: OnceLock<Tracer>,
-    metrics: OnceLock<GpuMetrics>,
 }
 
 impl Gpu {
-    /// A new device with the given spec, hazard checking enabled.
+    /// A new device with the given spec.
     pub fn new(spec: GpuSpec) -> Self {
         let copy_engines = spec.copy_engines.max(1);
         Self {
@@ -144,18 +130,19 @@ impl Gpu {
                 stats: GpuStats::default(),
                 fault_ops: 0,
             }),
-            hazard_check: true,
             fault: GpuFaultPlan::off(),
             tracer: OnceLock::new(),
-            metrics: OnceLock::new(),
         }
     }
 
-    /// Install a span recorder: transfers record wall-clock `pcie.*`
-    /// spans and kernel launches record `kernel.launch` spans (the
-    /// host-side issue cost; the *scheduled* device time lives on the
-    /// virtual axis, bridged via `Timeline::to_trace_events`). Idempotent;
-    /// without an install, calls trace into the static no-op sink.
+    /// Install a span recorder, the device's only instrumentation hook:
+    /// transfers record wall-clock `pcie.*` spans and kernel launches
+    /// record `kernel.launch` spans (the host-side issue cost). The
+    /// *scheduled* device time lives on the virtual axis: the owner
+    /// bridges it into the same tracer via `Timeline::to_trace_events`,
+    /// which is also where a metered run's kernel and transfer
+    /// histograms come from. Idempotent; without an install, calls trace
+    /// into the static no-op sink.
     pub fn install_tracer(&self, tracer: Tracer) {
         let _ = self.tracer.set(tracer);
     }
@@ -166,53 +153,12 @@ impl Gpu {
         self.tracer.get().unwrap_or(&OFF)
     }
 
-    /// Register this device's scheduling metrics in `registry`: every
-    /// scheduled operation observes its *virtual* duration into
-    /// `advect_gpu_kernel_ns{rank}` (compute engine) or
-    /// `advect_pcie_transfer_ns{rank,dir}` (copy engines). A disabled
-    /// registry installs nothing — unmetered runs pay one `OnceLock`
-    /// load per scheduled op. Idempotent.
-    pub fn install_metrics(&self, registry: &obs::registry::Metrics, rank: usize) {
-        if !registry.is_on() || self.metrics.get().is_some() {
-            return;
-        }
-        let rank = rank.to_string();
-        let transfer = |dir: &str| {
-            registry.histogram(
-                "advect_pcie_transfer_ns",
-                "Scheduled PCIe transfer duration on the virtual timeline, nanoseconds",
-                &[("rank", rank.clone()), ("dir", dir.to_string())],
-            )
-        };
-        let _ = self.metrics.set(GpuMetrics {
-            kernel_ns: registry.histogram(
-                "advect_gpu_kernel_ns",
-                "Scheduled kernel duration on the virtual timeline, nanoseconds",
-                &[("rank", rank.clone())],
-            ),
-            h2d_ns: transfer("h2d"),
-            d2h_ns: transfer("d2h"),
-        });
-    }
-
-    /// Disable the cross-stream hazard checker (for experiments that
-    /// deliberately race).
-    pub fn without_hazard_check(mut self) -> Self {
-        self.hazard_check = false;
-        self
-    }
-
     /// Perturb the virtual timeline under `plan`: kernel launches start
     /// late by seeded jitter and PCIe copies run `pcie_slowdown`× longer.
     /// Functional results are unaffected — only scheduled times move.
     pub fn with_fault_plan(mut self, plan: GpuFaultPlan) -> Self {
         self.fault = plan;
         self
-    }
-
-    /// The fault plan this device's timeline runs under.
-    pub fn fault_plan(&self) -> GpuFaultPlan {
-        self.fault
     }
 
     /// The device's hardware description.
@@ -283,14 +229,6 @@ impl Gpu {
         let end = start + dur;
         g.streams[stream].time = end;
         g.streams[stream].seq += 1;
-        if let Some(m) = self.metrics.get() {
-            let ns = (dur * 1e9) as u64;
-            match kind {
-                EngineKind::Compute => m.kernel_ns.observe(ns),
-                EngineKind::CopyH2D => m.h2d_ns.observe(ns),
-                EngineKind::CopyD2H => m.d2h_ns.observe(ns),
-            }
-        }
         let tl_engine = match kind {
             EngineKind::Compute => {
                 g.compute_free = end;
@@ -320,9 +258,6 @@ impl Gpu {
     }
 
     fn check_read(&self, g: &Inner, stream: usize, buf: GpuBuffer, what: &str) {
-        if !self.hazard_check {
-            return;
-        }
         if let Some((w, seq)) = g.last_write[buf.0] {
             if w != stream && g.visible[stream][w] < seq {
                 panic!(
@@ -528,11 +463,6 @@ impl Gpu {
         let mut g = self.inner.lock();
         g.host_time += dt;
         g.host_time
-    }
-
-    /// Current host virtual time.
-    pub fn host_time(&self) -> f64 {
-        self.inner.lock().host_time
     }
 
     /// Reset all clocks to zero (keeps buffers and visibility). Used to

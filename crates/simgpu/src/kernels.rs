@@ -253,91 +253,6 @@ pub fn run_stencil(
     }
 }
 
-/// Parameters of a 3-D-block stencil launch (the variant the paper
-/// rejects: "We use two-dimensional blocks instead of three because they
-/// allow better memory reuse in our test").
-#[derive(Debug, Clone, Copy)]
-pub struct StencilLaunch3d {
-    /// Field layout shared by `src` and `dst`.
-    pub dims: FieldDims,
-    /// Region of points to update.
-    pub region: Range3,
-    /// Thread-block shape `(bx, by, bz)`; edge threads only load.
-    pub block: (usize, usize, usize),
-    /// Wrap reads periodically.
-    pub periodic: bool,
-}
-
-/// Execute the 3-D-block stencil kernel functionally: each block stages
-/// its `(bx+2) × (by+2) × (bz+2)` neighborhood through shared memory and
-/// computes its `bx × by × bz` tile — no z-march, so every interior plane
-/// is re-loaded by the block above and below it (the memory-reuse loss
-/// that makes this variant slower). `shared` as in [`run_stencil`].
-pub fn run_stencil_3d(
-    src: &[f64],
-    dst: &mut [f64],
-    coeffs: &[f64; 27],
-    p: &StencilLaunch3d,
-    shared: &mut Vec<f64>,
-) {
-    let tile = (
-        p.block.0.saturating_sub(2).max(1) as i64,
-        p.block.1.saturating_sub(2).max(1) as i64,
-        p.block.2.saturating_sub(2).max(1) as i64,
-    );
-    let r = p.region;
-    if r.is_empty() {
-        return;
-    }
-    let d = p.dims;
-    let source = Source {
-        data: src,
-        dims: d,
-        periodic: p.periodic,
-    };
-    let sw = (tile.0 + 2) as usize;
-    let plane = sw * (tile.1 + 2) as usize;
-    let sd = (tile.2 + 2) as usize;
-    if shared.len() < sd * plane {
-        shared.resize(sd * plane, 0.0);
-    }
-    let mut bz0 = r.z.0;
-    while bz0 < r.z.1 {
-        let bz1 = (bz0 + tile.2).min(r.z.1);
-        let mut by0 = r.y.0;
-        while by0 < r.y.1 {
-            let by1 = (by0 + tile.1).min(r.y.1);
-            let mut bx0 = r.x.0;
-            while bx0 < r.x.1 {
-                let bx1 = (bx0 + tile.0).min(r.x.1);
-                // All threads (incl. halo threads) stage the neighborhood.
-                for (sz, z) in (bz0 - 1..bz1 + 1).enumerate() {
-                    let slot = &mut shared[sz * plane..][..plane];
-                    source.stage_plane(slot, sw, (bx0, bx1), (by0, by1), z);
-                }
-                // One block-kernel call per plane (see `run_stencil`).
-                for (lz, z) in (bz0..bz1).enumerate() {
-                    let b = TapBlock {
-                        rows: (by1 - by0) as usize,
-                        w: (bx1 - bx0) as usize,
-                        dst: d.idx(bx0, by0, z),
-                        dst_stride: d.nx + 2 * d.halo,
-                        taps: std::array::from_fn(|t| {
-                            let (dz, dy, dx) = (t / 9, t / 3 % 3, t % 3);
-                            (lz + dz) * plane + dy * sw + dx
-                        }),
-                        src_stride: sw,
-                    };
-                    accumulate_block(dst, shared, &b, coeffs);
-                }
-                bx0 = bx1;
-            }
-            by0 = by1;
-        }
-        bz0 = bz1;
-    }
-}
-
 /// Pack a region of a device field into a linear buffer (x fastest), one
 /// contiguous x-row at a time.
 pub fn run_pack(field: &[f64], dims: FieldDims, region: Range3, out: &mut [f64]) -> usize {
@@ -484,50 +399,6 @@ mod tests {
                 assert!((dst[dims.idx(x, y, z)] - 1.0).abs() < 1e-13);
             } else {
                 assert_eq!(dst[dims.idx(x, y, z)], -7.0);
-            }
-        }
-    }
-
-    #[test]
-    fn three_d_kernel_matches_two_d_bitwise() {
-        let s = Stencil27::new(Velocity::new(0.9, 0.4, -0.2), 0.8);
-        let mut cur = Field3::new(9, 8, 7, 1);
-        cur.fill_interior(|x, y, z| ((x * 31 + y * 17 + z * 7) % 13) as f64 * 0.37);
-        cur.copy_periodic_halo();
-        let (src, dims) = device_field_from(&cur);
-        let mut dst2 = vec![0.0; dims.len()];
-        run_stencil(
-            &src,
-            &mut dst2,
-            &s.a,
-            &StencilLaunch {
-                dims,
-                region: dims.interior(),
-                block: (8, 8),
-                periodic: false,
-            },
-            &mut Vec::new(),
-        );
-        for block in [(4usize, 4usize, 4usize), (8, 4, 2), (3, 3, 3)] {
-            let mut dst3 = vec![0.0; dims.len()];
-            run_stencil_3d(
-                &src,
-                &mut dst3,
-                &s.a,
-                &StencilLaunch3d {
-                    dims,
-                    region: dims.interior(),
-                    block,
-                    periodic: false,
-                },
-                &mut Vec::new(),
-            );
-            for (x, y, z) in dims.interior().iter() {
-                assert_eq!(
-                    dst3[dims.idx(x, y, z)],
-                    dst2[dims.idx(x, y, z)],
-                    "block {block:?} at ({x},{y},{z})"
-                );
             }
         }
     }

@@ -16,6 +16,13 @@
 //!   implementations IV-G and IV-I — is observable and measurable;
 //! * hardware presets for the paper's **Tesla C1060 and C2050** with a
 //!   calibrated roofline cost model ([`timing`]).
+//!
+//! The device's one instrumentation hook is an [`obs::Tracer`]
+//! ([`Gpu::install_tracer`]) for host-side issue spans; the scheduled
+//! device time is the [`Timeline`], which its owner bridges into the
+//! same tracer ([`Timeline::to_trace_events`]). This crate knows no
+//! metrics registry: a metered run's kernel and PCIe histograms are the
+//! tracer's summary of those virtual spans.
 
 pub mod device;
 pub mod fault;

@@ -1,7 +1,7 @@
 //! Differential tests of the functional kernels against the scalar
 //! per-point oracle (`apply_stencil_region_scalar`), compared with
-//! `to_bits`: the ring-staged z-march, the 3-D-block variant and the
-//! row-slice pack/unpack must reproduce it exactly for any grid (down to
+//! `to_bits`: the ring-staged z-march and the row-slice pack/unpack
+//! must reproduce it exactly for any grid (down to
 //! one point wide, narrower than a tile), any sub-region, any block shape
 //! and both layouts, and must write nothing outside the launch region.
 
@@ -9,9 +9,7 @@ use advect_core::coeffs::{Stencil27, Velocity};
 use advect_core::field::{Field3, Range3};
 use advect_core::stencil::apply_stencil_region_scalar;
 use proptest::prelude::*;
-use simgpu::kernels::{
-    run_pack, run_stencil, run_stencil_3d, run_unpack, FieldDims, StencilLaunch, StencilLaunch3d,
-};
+use simgpu::kernels::{run_pack, run_stencil, run_unpack, FieldDims, StencilLaunch};
 
 /// Never produced by the stencil on finite input, so a surviving sentinel
 /// proves a point was not written and a missing one that it was.
@@ -32,14 +30,14 @@ fn periodic_field(nx: usize, ny: usize, nz: usize, seed: u64) -> Field3 {
     f
 }
 
-/// Run both kernels on `region` in one layout and compare every value of
+/// Run the kernel on `region` in one layout and compare every value of
 /// the destination buffer — region and surroundings — with the oracle.
 /// `shared` is carried across calls so stale ring contents from earlier
 /// launches (other blocks, other layouts) are part of what is tested.
 fn check_launch(
     src: &Field3,
     region: Range3,
-    block: (usize, usize, usize),
+    block: (usize, usize),
     periodic: bool,
     shared: &mut Vec<f64>,
 ) {
@@ -67,21 +65,11 @@ fn check_launch(
     let launch = StencilLaunch {
         dims,
         region,
-        block: (block.0, block.1),
-        periodic,
-    };
-    run_stencil(&dev_src, &mut dst, &s.a, &launch, shared);
-    assert_eq!(bits(&dst), want, "2-d {launch:?}");
-
-    dst.fill(SENTINEL);
-    let launch = StencilLaunch3d {
-        dims,
-        region,
         block,
         periodic,
     };
-    run_stencil_3d(&dev_src, &mut dst, &s.a, &launch, shared);
-    assert_eq!(bits(&dst), want, "3-d {launch:?}");
+    run_stencil(&dev_src, &mut dst, &s.a, &launch, shared);
+    assert_eq!(bits(&dst), want, "{launch:?}");
 }
 
 /// A (possibly empty) sub-range of `0..n`.
@@ -99,22 +87,21 @@ proptest! {
         x0 in 0usize..40, xs in 0usize..41,
         y0 in 0usize..12, ys in 0usize..13,
         z0 in 0usize..7, zs in 0usize..8,
-        block in 0usize..5, bz in 3usize..6,
+        block in 0usize..5,
         seed in 0u64..1000,
     ) {
         let src = periodic_field(nx, ny, nz, seed);
         let region = Range3::new(sub_range(nx, x0, xs), sub_range(ny, y0, ys), sub_range(nz, z0, zs));
-        let (bx, by) = BLOCKS[block];
         let mut shared = Vec::new();
         for periodic in [false, true] {
-            check_launch(&src, region, (bx, by, bz), periodic, &mut shared);
+            check_launch(&src, region, BLOCKS[block], periodic, &mut shared);
         }
     }
 
     #[test]
     fn simgpu_kernels_are_bit_identical_to_core_scalar(
         nx in 3usize..9, ny in 3usize..9, nz in 3usize..9,
-        bx in 3usize..8, by in 3usize..8, bz in 3usize..5,
+        bx in 3usize..8, by in 3usize..8,
         seed in 0u64..1000,
     ) {
         let s = Stencil27::new(Velocity::new(1.0, 0.5, 0.25), 0.9);
@@ -125,24 +112,15 @@ proptest! {
         // so the host field maps to the device buffer byte for byte.
         let dims = FieldDims { nx, ny, nz, halo: 1 };
         prop_assert_eq!(dims.len(), src.data().len());
-        let mut dst2 = vec![0.0f64; dims.len()];
-        run_stencil(src.data(), &mut dst2, &s.a, &StencilLaunch {
+        let mut dst = vec![0.0f64; dims.len()];
+        run_stencil(src.data(), &mut dst, &s.a, &StencilLaunch {
             dims,
             region: dims.interior(),
             block: (bx, by),
             periodic: false,
         }, &mut Vec::new());
-        let mut dst3 = vec![0.0f64; dims.len()];
-        run_stencil_3d(src.data(), &mut dst3, &s.a, &StencilLaunch3d {
-            dims,
-            region: dims.interior(),
-            block: (bx, by, bz),
-            periodic: false,
-        }, &mut Vec::new());
         for (x, y, z) in dims.interior().iter() {
-            let want = scalar.at(x, y, z);
-            prop_assert_eq!(dst2[dims.idx(x, y, z)], want, "2d kernel at {:?}", (x, y, z));
-            prop_assert_eq!(dst3[dims.idx(x, y, z)], want, "3d kernel at {:?}", (x, y, z));
+            prop_assert_eq!(dst[dims.idx(x, y, z)], scalar.at(x, y, z), "at {:?}", (x, y, z));
         }
     }
 }
@@ -168,7 +146,7 @@ fn every_face_slab_and_the_whole_interior_match_under_every_block() {
         for region in regions {
             for (bx, by) in BLOCKS {
                 for periodic in [false, true] {
-                    check_launch(&src, region, (bx, by, 4), periodic, &mut shared);
+                    check_launch(&src, region, (bx, by), periodic, &mut shared);
                 }
             }
         }

@@ -4,7 +4,6 @@ use crate::collectives::{Barrier, ReduceSlots, ScalarSlots};
 use crate::fault::{ns_to_duration, Delivery, FaultPlan, FaultStats};
 use crate::mailbox::{Mailbox, Message};
 use crate::pool::{BufferPool, PooledBuf};
-use obs::registry::{Counter, Gauge, Histogram, Metrics};
 use obs::{Category, Tracer};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,7 +45,7 @@ pub struct CommStats {
     /// `buffers_allocated` stays flat.
     pub buffers_recycled: u64,
     /// Nanoseconds this rank spent blocked waiting for a matching message
-    /// (inside `recv` or a `RecvRequest::wait`). Distinguishes "the wire
+    /// (inside `RecvRequest::wait`, which `recv` goes through). Distinguishes "the wire
     /// was slow" from "the receiver arrived late": an overlap
     /// implementation drives this toward zero by computing while the
     /// message is in flight.
@@ -54,35 +53,6 @@ pub struct CommStats {
     /// High-water mark of bytes queued in this rank's mailbox — the peak
     /// volume that was in flight toward this rank at any instant.
     pub peak_bytes_in_flight: u64,
-}
-
-/// Pre-registered metric handles for one rank's communication traffic.
-/// Allocated once at [`Comm::install_metrics`] (the world size fixes the
-/// per-source vectors), so every observation on the hot path is a
-/// lock-free handle touch and no label strings are ever re-rendered.
-struct CommMetrics {
-    /// `advect_mpi_recv_latency_ns{rank,src}`: post-to-completion
-    /// latency of each receive, indexed by source rank.
-    recv_latency: Vec<Histogram>,
-    /// `advect_mpi_wait_ns{rank,src}`: the blocked portion of each
-    /// receive, indexed by source rank.
-    wait: Vec<Histogram>,
-    /// `advect_mpi_inflight_bytes{rank}`: queued mailbox bytes sampled
-    /// at each receive entry.
-    inflight_bytes: Histogram,
-    /// `advect_mpi_pending_messages{rank}`: queue length at the last
-    /// receive entry.
-    pending_messages: Gauge,
-    /// `advect_mpi_messages_sent_total{rank}`.
-    messages_sent: Counter,
-    /// `advect_mpi_values_sent_total{rank}`.
-    values_sent: Counter,
-    /// `advect_fault_stall_ns{rank}`: duration of each bounded-wait
-    /// expiry before the message arrived.
-    stall: Histogram,
-    /// `advect_fault_redeliver_latency_ns{rank}`: total wait of receives
-    /// whose message was dropped and redelivered.
-    redeliver_latency: Histogram,
 }
 
 /// A rank's handle to the world: MPI's communicator analogue.
@@ -93,7 +63,6 @@ pub struct Comm {
     fault: Mutex<FaultStats>,
     allreduce_round: AtomicU64,
     tracer: OnceLock<Tracer>,
-    metrics: OnceLock<CommMetrics>,
 }
 
 impl Comm {
@@ -105,13 +74,15 @@ impl Comm {
             fault: Mutex::new(FaultStats::default()),
             allreduce_round: AtomicU64::new(0),
             tracer: OnceLock::new(),
-            metrics: OnceLock::new(),
         }
     }
 
-    /// Install this rank's span recorder; every subsequent communication
-    /// call records `mpi.*` spans through it. Idempotent (first install
-    /// wins). Without an install, calls trace into the static no-op sink.
+    /// Install this rank's span recorder — the communicator's only
+    /// instrumentation hook: every subsequent communication call records
+    /// `mpi.*` / `fault.*` spans through it, and the tracer's sinks decide
+    /// whether they become a trace, histogram observations, or both.
+    /// Idempotent (first install wins). Without an install, calls trace
+    /// into the static no-op sink.
     pub fn install_tracer(&self, tracer: Tracer) {
         let _ = self.tracer.set(tracer);
     }
@@ -121,78 +92,6 @@ impl Comm {
     pub fn tracer(&self) -> &Tracer {
         static OFF: Tracer = Tracer::off();
         self.tracer.get().unwrap_or(&OFF)
-    }
-
-    /// Register this rank's communication metrics in `registry`:
-    /// per-source receive-latency and wait histograms, in-flight byte and
-    /// queue-depth samples, send counters, and the fault stall/redelivery
-    /// histograms. A disabled registry installs nothing, so an unmetered
-    /// run never reaches this rank's observation branches (one `OnceLock`
-    /// load per call, exactly like the tracer). Idempotent.
-    pub fn install_metrics(&self, registry: &Metrics) {
-        if !registry.is_on() || self.metrics.get().is_some() {
-            return;
-        }
-        let rank = self.rank.to_string();
-        let per_src = |name: &'static str, help: &'static str| -> Vec<Histogram> {
-            (0..self.inner.size)
-                .map(|src| {
-                    registry.histogram(
-                        name,
-                        help,
-                        &[("rank", rank.clone()), ("src", src.to_string())],
-                    )
-                })
-                .collect()
-        };
-        let _ = self.metrics.set(CommMetrics {
-            recv_latency: per_src(
-                "advect_mpi_recv_latency_ns",
-                "Receive latency from post to completion, nanoseconds, per source rank",
-            ),
-            wait: per_src(
-                "advect_mpi_wait_ns",
-                "Blocked time completing a receive, nanoseconds, per source rank",
-            ),
-            inflight_bytes: registry.histogram(
-                "advect_mpi_inflight_bytes",
-                "Bytes queued toward this rank, sampled at each receive entry",
-                &[("rank", rank.clone())],
-            ),
-            pending_messages: registry.gauge(
-                "advect_mpi_pending_messages",
-                "Messages queued toward this rank at the last receive entry",
-                &[("rank", rank.clone())],
-            ),
-            messages_sent: registry.counter(
-                "advect_mpi_messages_sent_total",
-                "Point-to-point messages posted by this rank",
-                &[("rank", rank.clone())],
-            ),
-            values_sent: registry.counter(
-                "advect_mpi_values_sent_total",
-                "f64 values posted by this rank",
-                &[("rank", rank.clone())],
-            ),
-            stall: registry.histogram(
-                "advect_fault_stall_ns",
-                "Duration of each bounded-wait expiry before the message arrived, nanoseconds",
-                &[("rank", rank.clone())],
-            ),
-            redeliver_latency: registry.histogram(
-                "advect_fault_redeliver_latency_ns",
-                "Total wait of receives that completed via redelivery, nanoseconds",
-                &[("rank", rank)],
-            ),
-        });
-    }
-
-    /// Sample the mailbox depth into the in-flight histograms at a
-    /// receive entry (metered runs only).
-    fn sample_inflight(&self, m: &CommMetrics) {
-        let mb = &self.inner.mailboxes[self.rank];
-        m.inflight_bytes.observe(mb.bytes() as u64);
-        m.pending_messages.set(mb.len() as i64);
     }
 
     /// This rank's id in `0..size`.
@@ -211,12 +110,6 @@ impl Comm {
         let mut s = *self.stats.lock();
         s.peak_bytes_in_flight = self.inner.mailboxes[self.rank].peak_bytes() as u64;
         s
-    }
-
-    /// The fault plan this world runs under ([`FaultPlan::off`] for a
-    /// plain [`crate::World::run`]).
-    pub fn fault_plan(&self) -> FaultPlan {
-        self.inner.plan
     }
 
     /// Fault-path observations accumulated so far. `delayed` and
@@ -288,9 +181,9 @@ impl Comm {
     /// each expiry records a `fault.stall` span, counts a retry, and
     /// re-arms with exponential backoff (capped at 8× the base timeout).
     /// When the plan dropped the message taken (decided from its channel
-    /// sequence number), the receive records a `fault.redeliver` instant
-    /// and its total wait as a redelivery-latency sample. With no timeout
-    /// configured this is a plain blocking take.
+    /// sequence number), the receive records a `fault.redeliver` span
+    /// over its whole bounded wait. With no timeout configured this is a
+    /// plain blocking take.
     fn take_with_faults(&self, src: usize, tag: Tag) -> (u64, Vec<f64>) {
         let mailbox = &self.inner.mailboxes[self.rank];
         let plan = &self.inner.plan;
@@ -303,9 +196,9 @@ impl Comm {
         let cap = ns_to_duration(timeout_ns.saturating_mul(8));
         let mut retries = 0u64;
         let stall_start = Instant::now();
+        let stall_start_ns = tracer.now_ns();
         let taken = loop {
             let attempt_ns = tracer.now_ns();
-            let attempt_t0 = self.metrics.get().map(|_| Instant::now());
             match mailbox.take_matching_timeout(src, tag, timeout) {
                 Some(taken) => break taken,
                 None => {
@@ -316,9 +209,6 @@ impl Comm {
                         attempt_ns,
                         tracer.now_ns(),
                     );
-                    if let (Some(m), Some(t0)) = (self.metrics.get(), attempt_t0) {
-                        m.stall.observe(t0.elapsed().as_nanos() as u64);
-                    }
                     timeout = timeout.saturating_mul(2).min(cap);
                 }
             }
@@ -329,10 +219,7 @@ impl Comm {
         } = plan.classify(self.rank, src, tag, taken.0)
         {
             let now = tracer.now_ns();
-            tracer.record_wall(Category::FaultRedeliver, "redelivered", now, now);
-            if let Some(m) = self.metrics.get() {
-                m.redeliver_latency.observe(stalled_ns);
-            }
+            tracer.record_wall(Category::FaultRedeliver, "redelivered", stall_start_ns, now);
         }
         let mut f = self.fault.lock();
         f.retries += retries;
@@ -386,10 +273,6 @@ impl Comm {
             s.messages_sent += 1;
             s.values_sent += data.len() as u64;
         }
-        if let Some(m) = self.metrics.get() {
-            m.messages_sent.inc();
-            m.values_sent.add(data.len() as u64);
-        }
         let seq = self.inner.mailboxes[dest].deliver(Message {
             src: self.rank,
             tag,
@@ -421,37 +304,12 @@ impl Comm {
         SendRequest { _complete: true }
     }
 
-    /// Blocking receive matching `(src, tag)`. The payload is a pool
-    /// lease: dropping it recycles the buffer into the world's pool.
+    /// Blocking receive matching `(src, tag)`: a posted [`Comm::irecv`]
+    /// waited on at once, so it records the same `mpi.wait` and
+    /// `mpi.recv` spans. The payload is a pool lease: dropping it
+    /// recycles the buffer into the world's pool.
     pub fn recv(&self, src: usize, tag: Tag) -> PooledBuf {
-        self.check_rank(src, "source");
-        let tracer = self.tracer();
-        if let Some(m) = self.metrics.get() {
-            self.sample_inflight(m);
-        }
-        let start_ns = tracer.now_ns();
-        let t0 = Instant::now();
-        let (seq, data) = self.take_with_faults(src, tag);
-        let waited = t0.elapsed().as_nanos() as u64;
-        tracer.record_channel(
-            Category::MpiRecv,
-            "recv",
-            start_ns,
-            tracer.now_ns(),
-            src as u32,
-            tag,
-            seq,
-        );
-        if let Some(m) = self.metrics.get() {
-            m.wait[src].observe(waited);
-            m.recv_latency[src].observe(waited);
-        }
-        let mut s = self.stats.lock();
-        s.messages_received += 1;
-        s.values_received += data.len() as u64;
-        s.wait_ns += waited;
-        drop(s);
-        PooledBuf::attach(data, self.inner.pool.clone())
+        self.irecv(src, tag).wait()
     }
 
     /// Nonblocking receive (like `MPI_Irecv`): returns a request that can
@@ -463,7 +321,6 @@ impl Comm {
             src,
             tag,
             posted_ns: self.tracer().now_ns(),
-            posted_at: self.metrics.get().map(|_| Instant::now()),
         }
     }
 
@@ -471,11 +328,6 @@ impl Comm {
     /// (like `MPI_Waitall`).
     pub fn waitall(&self, reqs: Vec<RecvRequest<'_>>) -> Vec<PooledBuf> {
         reqs.into_iter().map(|r| r.wait()).collect()
-    }
-
-    /// Number of messages waiting in this rank's mailbox (diagnostic).
-    pub fn pending_messages(&self) -> usize {
-        self.inner.mailboxes[self.rank].len()
     }
 
     /// Number of retired buffers parked in the world's pool (diagnostic).
@@ -530,9 +382,6 @@ pub struct RecvRequest<'a> {
     /// Trace timestamp of the `irecv` post — the start of the in-flight
     /// window recorded as an `mpi.recv` span at completion.
     posted_ns: u64,
-    /// Post instant for the receive-latency histogram; `None` in
-    /// unmetered runs so the post pays no clock read.
-    posted_at: Option<Instant>,
 }
 
 impl RecvRequest<'_> {
@@ -545,9 +394,6 @@ impl RecvRequest<'_> {
     /// implementation could have hidden behind computation.
     pub fn wait(self) -> PooledBuf {
         let tracer = self.comm.tracer();
-        if let Some(m) = self.comm.metrics.get() {
-            self.comm.sample_inflight(m);
-        }
         let wait_start_ns = tracer.now_ns();
         let t0 = Instant::now();
         let (seq, data) = self.comm.take_with_faults(self.src, self.tag);
@@ -572,35 +418,12 @@ impl RecvRequest<'_> {
             self.tag,
             seq,
         );
-        if let Some(m) = self.comm.metrics.get() {
-            m.wait[self.src].observe(waited);
-            let latency = self
-                .posted_at
-                .map_or(waited, |t| t.elapsed().as_nanos() as u64);
-            m.recv_latency[self.src].observe(latency);
-        }
         let mut s = self.comm.stats.lock();
         s.messages_received += 1;
         s.values_received += data.len() as u64;
         s.wait_ns += waited;
         drop(s);
         PooledBuf::attach(data, self.comm.inner.pool.clone())
-    }
-
-    /// Non-blocking test: whether the matching message has arrived
-    /// (like `MPI_Test` without completing the request).
-    pub fn is_ready(&self) -> bool {
-        self.comm.inner.mailboxes[self.comm.rank].has_matching(self.src, self.tag)
-    }
-
-    /// The source rank this request matches.
-    pub fn source(&self) -> usize {
-        self.src
-    }
-
-    /// The tag this request matches.
-    pub fn tag(&self) -> Tag {
-        self.tag
     }
 }
 

@@ -80,8 +80,6 @@ struct Channel {
 struct Channels {
     /// One channel per `(source, tag)`.
     channels: HashMap<(usize, u64), Channel>,
-    /// Messages queued across all channels (including limbo).
-    total: usize,
     /// Payload bytes currently queued across all channels (incl. limbo).
     bytes: usize,
     /// High-water mark of `bytes` — the peak volume that was in flight
@@ -136,7 +134,7 @@ impl Limbo {
 }
 
 /// Move every due limbo entry into its channel queue; returns the
-/// earliest remaining deadline, if any. `total`/`bytes` already counted
+/// earliest remaining deadline, if any. `bytes` already counted
 /// the held messages at delivery, so releasing moves no counters.
 fn flush_due(c: &mut Channels) -> Option<Instant> {
     let Channels {
@@ -205,7 +203,6 @@ impl Mailbox {
     pub fn deliver(&self, msg: Message) -> u64 {
         let Message { src, tag, data } = msg;
         let mut c = self.channels.lock();
-        c.total += 1;
         c.bytes += data.len() * std::mem::size_of::<f64>();
         c.peak_bytes = c.peak_bytes.max(c.bytes);
         let Channels {
@@ -232,7 +229,6 @@ impl Mailbox {
             .channels
             .get_mut(&(src, tag))
             .and_then(|ch| ch.queue.pop_front())?;
-        c.total -= 1;
         c.bytes -= data.len() * std::mem::size_of::<f64>();
         Some((seq, data))
     }
@@ -286,26 +282,6 @@ impl Mailbox {
                 .channels
                 .wait_for(c, wait.max(Duration::from_micros(1)));
         }
-    }
-
-    /// Non-blocking probe: whether a matching message has arrived (due
-    /// limbo entries are flushed first).
-    pub fn has_matching(&self, src: usize, tag: u64) -> bool {
-        let mut c = self.channels.lock();
-        flush_due(&mut c);
-        c.channels
-            .get(&(src, tag))
-            .is_some_and(|ch| !ch.queue.is_empty())
-    }
-
-    /// Number of messages currently queued or held (for diagnostics).
-    pub fn len(&self) -> usize {
-        self.channels.lock().total
-    }
-
-    /// Payload bytes currently queued or held (for diagnostics).
-    pub fn bytes(&self) -> usize {
-        self.channels.lock().bytes
     }
 
     /// High-water mark of payload bytes that were queued at once.
@@ -385,8 +361,11 @@ mod tests {
                 assert_eq!((seq, got), (r as u64, vec![r as f64]));
             }
         });
-        assert_eq!(a.len(), rounds as usize, "the other channel's messages");
-        assert_eq!(b.len(), 0);
+        // The other channel's messages all wait on `a`; `b` is drained.
+        for r in 0..rounds {
+            assert_eq!(a.take_matching(1, 8), (r, vec![-1.0]));
+        }
+        assert!(b.take_matching_timeout(0, 7, Duration::ZERO).is_none());
     }
 
     #[test]
