@@ -121,11 +121,6 @@ impl Field3 {
         self.h
     }
 
-    /// Number of interior points.
-    pub fn interior_len(&self) -> usize {
-        self.nx * self.ny * self.nz
-    }
-
     /// The interior as a [`Range3`].
     pub fn interior_range(&self) -> Range3 {
         Range3::new(

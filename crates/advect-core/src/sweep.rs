@@ -1,8 +1,8 @@
 //! Work-queue sweep executor for independent model evaluations.
 //!
-//! The tuning sweeps (`perfmodel::sweep`), the auto-tuner searches
-//! (`tuner`), and the figure series generators (`figures`) all evaluate
-//! many *independent* (configuration → GF) points. [`SweepPool`] runs such
+//! The tuning sweeps (`perfmodel::sweep`) and the figure series
+//! generators (`figures`) evaluate many *independent*
+//! (configuration → GF) points. [`SweepPool`] runs such
 //! batches across a fixed set of worker threads pulling indices from a
 //! shared atomic work queue, while keeping the results **deterministic**:
 //!

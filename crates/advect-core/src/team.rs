@@ -15,7 +15,7 @@
 //!   communication.
 //!
 //! Parallel regions run on the resident worker crew ([`obs::crew`],
-//! contract in DESIGN §17): the calling thread is thread 0 and the other
+//! contract in DESIGN §16): the calling thread is thread 0 and the other
 //! threads are parked OS threads leased for the region, so closures may
 //! borrow stack data and a region costs a hand-off, not a thread spawn.
 //! The virtual-time performance layer models OpenMP overheads separately.

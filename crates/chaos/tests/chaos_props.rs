@@ -3,7 +3,7 @@
 //! of whole runs, not individual mailbox operations.
 
 use advect_core::stepper::AdvectionProblem;
-use obs::metrics::PairOverlap;
+use obs::busy::PairOverlap;
 use overlap::{FaultSpec, Impl, RunConfig, RunReport};
 use proptest::prelude::*;
 use simgpu::GpuSpec;

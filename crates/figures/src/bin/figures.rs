@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! figures                  print every table and figure as text
-//! figures fig03 fig10      print selected figures
+//! figures fig03 fig10      print selected figures (an unknown id exits 2)
 //! figures table2           print Table II
 //! figures --json out/      also write each figure as JSON into out/
 //! figures --csv out/       also write each figure as CSV into out/
@@ -48,7 +48,14 @@ fn main() {
             }
             match figure_by_id(id) {
                 Some(f) => out.push(f),
-                None => eprintln!("unknown figure id: {id}"),
+                None => {
+                    let known: Vec<&str> = all_figures().iter().map(|f| f.id).collect();
+                    eprintln!(
+                        "unknown figure id: {id}\nknown ids: table2 {}",
+                        known.join(" ")
+                    );
+                    std::process::exit(2);
+                }
             }
         }
         out

@@ -16,7 +16,6 @@
 //! | §V-E anchors | [`cluster_figs::anchors`] |
 //! | Extension experiments (§VI what-ifs) | [`extensions`] |
 
-pub mod breakdown;
 pub mod cluster_figs;
 pub mod cpu_figs;
 pub mod data;
@@ -39,7 +38,7 @@ pub use plot::{render_plot, PlotOptions};
 /// byte-identical to a serial run.
 pub fn all_figures() -> Vec<FigureData> {
     type FigureFn = fn() -> FigureData;
-    const GENERATORS: [FigureFn; 19] = [
+    const GENERATORS: [FigureFn; 18] = [
         tables::table1,
         loc::fig02,
         cpu_figs::fig03,
@@ -56,9 +55,8 @@ pub fn all_figures() -> Vec<FigureData> {
         extensions::ext01_pcie_sweep,
         extensions::ext02_cores_per_gpu,
         extensions::ext03_pinned_ablation,
-        extensions::ext04_deep_halo,
-        breakdown::ext05_breakdown,
-        breakdown::ext06_weak_scaling,
+        extensions::ext05_breakdown,
+        extensions::ext06_weak_scaling,
     ];
     advect_core::sweep::SweepPool::global().map(&GENERATORS, |g| g())
 }
@@ -75,7 +73,7 @@ mod tests {
     #[test]
     fn all_thirteen_outputs_regenerate() {
         let figs = all_figures();
-        assert_eq!(figs.len(), 19);
+        assert_eq!(figs.len(), 18);
         for f in &figs {
             assert!(!f.series.is_empty(), "{} has no series", f.id);
             assert!(

@@ -27,14 +27,6 @@ impl InterconnectModel {
         self.latency_s + self.per_message_cpu_s + bytes as f64 / share
     }
 
-    /// Time for one halo-exchange phase: the two directions of a dimension
-    /// proceed together (both posted nonblocking), so the phase costs one
-    /// latency plus both transfers' bandwidth.
-    pub fn phase_time(&self, bytes_each_dir: usize, contending_tasks: usize) -> f64 {
-        let share = self.node_bw_gbs * 1e9 / contending_tasks.max(1) as f64;
-        self.latency_s + 2.0 * self.per_message_cpu_s + 2.0 * bytes_each_dir as f64 / share
-    }
-
     /// The part of `total_comm` that nonblocking communication can hide
     /// under `available_compute` seconds of independent computation.
     pub fn hideable(&self, total_comm: f64, available_compute: f64) -> f64 {

@@ -1,4 +1,5 @@
-//! Overlap-efficiency metrics over a span stream.
+//! Busy time over a span stream: interval unions, pairwise overlap, and
+//! the per-rank phase table.
 //!
 //! The paper's overlap argument (Section V-E) is a statement about
 //! *concurrency between resources*: during an advection step, how much of
@@ -6,9 +7,11 @@
 //! PCIe transfer time runs while the GPU computes. These functions reduce
 //! a [`Trace`] to exactly that: per-resource busy time (interval union),
 //! pairwise concurrent time (union intersection), and an efficiency ratio
-//! normalised by the scarcer resource.
+//! normalised by the scarcer resource. [`phase_breakdown`] answers the
+//! paper's "where does a step spend its time" question with the same
+//! unions, per category and rank.
 
-use crate::{Axis, Resource, Span, Trace};
+use crate::{Axis, Category, Resource, Span, Trace};
 
 /// Merge a set of `(start, end)` intervals into a disjoint, sorted union.
 pub fn merge_intervals(mut iv: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
@@ -133,10 +136,117 @@ pub fn pair_overlap_all(traces: &[Trace], a: Resource, b: Resource, axis: Axis) 
     total
 }
 
+/// Busy seconds per category for one rank.
+#[derive(Debug, Clone)]
+pub struct RankBreakdown {
+    /// The rank this row describes.
+    pub rank: usize,
+    /// Busy seconds, indexed in [`Category::ALL`] order.
+    pub seconds: [f64; Category::ALL.len()],
+}
+
+impl RankBreakdown {
+    /// Busy seconds for one category.
+    pub fn get(&self, cat: Category) -> f64 {
+        let idx = Category::ALL.iter().position(|c| *c == cat).unwrap();
+        self.seconds[idx]
+    }
+
+    /// Sum over all categories (not a makespan — resources may overlap).
+    pub fn total(&self) -> f64 {
+        self.seconds.iter().sum()
+    }
+}
+
+/// The full table: one row per rank plus an aggregate.
+#[derive(Debug, Clone)]
+pub struct Breakdown {
+    /// Which clock the table was computed on.
+    pub axis: Axis,
+    /// Per-rank rows, in rank order.
+    pub ranks: Vec<RankBreakdown>,
+}
+
+impl Breakdown {
+    /// Column-wise sum over ranks.
+    pub fn aggregate(&self) -> RankBreakdown {
+        let mut agg = RankBreakdown {
+            rank: usize::MAX,
+            seconds: [0.0; Category::ALL.len()],
+        };
+        for row in &self.ranks {
+            for (a, s) in agg.seconds.iter_mut().zip(row.seconds.iter()) {
+                *a += s;
+            }
+        }
+        agg
+    }
+
+    /// Render as a GitHub-flavoured markdown table; categories with no
+    /// time anywhere are omitted to keep the table readable.
+    pub fn render_markdown(&self) -> String {
+        let agg = self.aggregate();
+        let cols: Vec<usize> = (0..Category::ALL.len())
+            .filter(|&i| agg.seconds[i] > 0.0)
+            .collect();
+        let row = |label: String, r: &RankBreakdown| {
+            let cells: String = cols
+                .iter()
+                .map(|&i| format!(" {} |", fmt_seconds(r.seconds[i])))
+                .collect();
+            format!("| {label} |{cells} {} |\n", fmt_seconds(r.total()))
+        };
+        let names: String = cols
+            .iter()
+            .map(|&i| format!(" {} |", Category::ALL[i].name()))
+            .collect();
+        let mut out = format!(
+            "| rank |{names} total |\n|---|{}---|\n",
+            "---|".repeat(cols.len())
+        );
+        for r in &self.ranks {
+            out.push_str(&row(r.rank.to_string(), r));
+        }
+        out.push_str(&row("**all**".into(), &agg));
+        out
+    }
+}
+
+/// Compute the per-category busy time for each rank on one axis.
+pub fn phase_breakdown(traces: &[Trace], axis: Axis) -> Breakdown {
+    let ranks = traces
+        .iter()
+        .map(|t| {
+            let seconds = Category::ALL.map(|cat| {
+                let spans = t.spans.iter().filter(|s| s.cat == cat);
+                union_seconds(&merge_intervals(
+                    spans.filter_map(|s| s.interval_on(axis)).collect(),
+                ))
+            });
+            RankBreakdown {
+                rank: t.rank,
+                seconds,
+            }
+        })
+        .collect();
+    Breakdown { axis, ranks }
+}
+
+/// Seconds with a unit that keeps small values readable, shared by the
+/// phase and critical-path tables.
+pub(crate) fn fmt_seconds(s: f64) -> String {
+    if s >= 1.0 {
+        format!("{s:.3} s")
+    } else if s >= 1e-3 {
+        format!("{:.3} ms", s * 1e3)
+    } else {
+        format!("{:.1} µs", s * 1e6)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Category;
 
     #[test]
     fn merge_handles_overlaps_and_zero_length() {
@@ -276,5 +386,33 @@ mod tests {
         let before = (acc.busy_a, acc.busy_b, acc.both, acc.makespan);
         acc.accumulate(&PairOverlap::default());
         assert_eq!(before, (acc.busy_a, acc.busy_b, acc.both, acc.makespan));
+    }
+
+    #[test]
+    fn breakdown_unions_within_category_and_sums_across_ranks() {
+        let t0 = Trace {
+            rank: 0,
+            spans: vec![
+                Span::wall(Category::MpiSend, "s", 0, 0, 2_000),
+                Span::wall(Category::MpiSend, "s", 0, 1_000, 3_000),
+                Span::wall(Category::ComputeInterior, "c", 0, 0, 5_000),
+            ],
+            dropped: 0,
+        };
+        let t1 = Trace {
+            rank: 1,
+            spans: vec![Span::wall(Category::ComputeInterior, "c", 0, 0, 1_000)],
+            dropped: 0,
+        };
+        let b = phase_breakdown(&[t0, t1], Axis::Wall);
+        assert!((b.ranks[0].get(Category::MpiSend) - 3e-6).abs() < 1e-15);
+        let agg = b.aggregate();
+        assert!((agg.get(Category::ComputeInterior) - 6e-6).abs() < 1e-15);
+        let md = b.render_markdown();
+        assert!(md.contains("mpi.send"));
+        assert!(md.contains("compute.interior"));
+        // Idle categories are dropped from the table.
+        assert!(!md.contains("pcie.h2d"));
+        assert!(md.contains("**all**"));
     }
 }

@@ -3,7 +3,7 @@
 //! Everything in the workspace that used to spawn threads per parallel
 //! region (`advect_core::team`, `advect_core::sweep`) or sleep on a bare
 //! condvar (`simmpi`'s mailbox, barrier and reduce slots) goes through
-//! this module instead. DESIGN §17 states the contract; in short:
+//! this module instead. DESIGN §16 states the contract; in short:
 //!
 //! * [`run`]`(n, body)` runs member 0 on the caller and members `1..n` on
 //!   `n − 1` *distinct* resident OS threads leased for the region, so

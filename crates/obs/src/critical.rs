@@ -24,7 +24,7 @@
 //! transfer the run got for free). Intervals where no span is active at
 //! all are reported as `idle`.
 
-use crate::{Axis, Category, Resource, Trace};
+use crate::{busy::fmt_seconds, Axis, Category, Resource, Trace};
 use std::collections::BTreeSet;
 
 /// Charging priority: active work binds the critical path ahead of
@@ -262,25 +262,16 @@ impl CriticalBreakdown {
             s.push_str(&format!(
                 "| {} | {} | {share:.1}% | {} | {} |\n",
                 cat.name(),
-                fmt_s(agg.attributed[i]),
-                fmt_s(agg.slack[i]),
+                fmt_seconds(agg.attributed[i]),
+                fmt_seconds(agg.slack[i]),
                 agg.hidden_spans[i],
             ));
         }
-        s.push_str(&format!("| _idle_ | {} | — | — | — |\n", fmt_s(agg.idle)));
+        s.push_str(&format!(
+            "| _idle_ | {} | — | — | — |\n",
+            fmt_seconds(agg.idle)
+        ));
         s
-    }
-}
-
-/// Seconds with a unit that keeps small values readable (mirrors the
-/// span-breakdown table formatting).
-fn fmt_s(v: f64) -> String {
-    if v >= 1.0 {
-        format!("{v:.3} s")
-    } else if v >= 1e-3 {
-        format!("{:.3} ms", v * 1e3)
-    } else {
-        format!("{:.1} us", v * 1e6)
     }
 }
 

@@ -27,11 +27,10 @@
 //!   [`Resource`] classes for overlap analysis.
 //! * [`chrome`] — a Chrome-trace/Perfetto JSON exporter over a set of
 //!   per-rank traces.
-//! * [`metrics`] — busy-time, utilization, and pairwise
-//!   **overlap efficiency** (how much of the scarcer resource's busy time
-//!   ran concurrently with the other resource).
-//! * [`breakdown`] — the per-rank phase-breakdown table mirroring the
-//!   paper's "where does a step spend its time" analysis.
+//! * [`busy`] — busy-time, utilization, pairwise **overlap efficiency**
+//!   (how much of the scarcer resource's busy time ran concurrently with
+//!   the other resource), and the per-rank phase-breakdown table
+//!   mirroring the paper's "where does a step spend its time" analysis.
 //! * [`registry`] — the runtime metrics registry: lock-free counters,
 //!   gauges, and log-linear latency histograms with Prometheus-text and
 //!   JSON exporters, following the same zero-cost-off contract as the
@@ -46,12 +45,11 @@
 //!   `simmpi`'s blocking calls share. It lives here because `obs` is the
 //!   one crate beneath both.
 
-pub mod breakdown;
+pub mod busy;
 pub mod causal;
 pub mod chrome;
 pub mod crew;
 pub mod critical;
-pub mod metrics;
 pub mod recorder;
 pub mod registry;
 mod summary;

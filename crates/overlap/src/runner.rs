@@ -228,8 +228,8 @@ impl RunReport {
     /// wall clock: how much of the in-flight/collective MPI time ran
     /// while this rank's CPU compute spans were open. Requires
     /// [`RunConfig::trace`]; zero otherwise.
-    pub fn mpi_compute_overlap(&self) -> obs::metrics::PairOverlap {
-        obs::metrics::pair_overlap_all(
+    pub fn mpi_compute_overlap(&self) -> obs::busy::PairOverlap {
+        obs::busy::pair_overlap_all(
             &self.traces,
             obs::Resource::Mpi,
             obs::Resource::Compute,
@@ -241,8 +241,8 @@ impl RunReport {
     /// (the simulator executes eagerly in wall time; overlap between copy
     /// engines and kernels only exists on the scheduled timeline).
     /// Requires [`RunConfig::trace`]; zero otherwise.
-    pub fn pcie_compute_overlap(&self) -> obs::metrics::PairOverlap {
-        obs::metrics::pair_overlap_all(
+    pub fn pcie_compute_overlap(&self) -> obs::busy::PairOverlap {
+        obs::busy::pair_overlap_all(
             &self.traces,
             obs::Resource::Pcie,
             obs::Resource::Compute,
@@ -251,8 +251,8 @@ impl RunReport {
     }
 
     /// Per-rank busy seconds per category on the chosen axis.
-    pub fn phase_breakdown(&self, axis: obs::Axis) -> obs::breakdown::Breakdown {
-        obs::breakdown::phase_breakdown(&self.traces, axis)
+    pub fn phase_breakdown(&self, axis: obs::Axis) -> obs::busy::Breakdown {
+        obs::busy::phase_breakdown(&self.traces, axis)
     }
 
     /// Critical-path attribution over the run's traces on the chosen
@@ -299,7 +299,7 @@ impl RunReport {
             .traces
             .iter()
             .map(|t| {
-                obs::metrics::union_seconds(&obs::metrics::busy_intervals(
+                obs::busy::union_seconds(&obs::busy::busy_intervals(
                     &t.spans,
                     obs::Resource::Compute,
                     obs::Axis::Wall,

@@ -5,7 +5,7 @@
 //! most of its MPI behind the CPU veneer on the wall clock.
 
 use advect_core::stepper::AdvectionProblem;
-use obs::metrics::{merge_intervals, union_seconds};
+use obs::busy::{merge_intervals, union_seconds};
 use obs::{Axis, Category};
 use overlap::{Impl, RunConfig};
 use simgpu::GpuSpec;

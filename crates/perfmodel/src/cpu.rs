@@ -256,48 +256,6 @@ impl<'a> CpuScenario<'a> {
             + t_bnd
     }
 
-    /// Step time (amortized per step) of the deep-halo extension at halo
-    /// width `w`: one exchange of `w`-wide faces per `w` steps, plus the
-    /// redundant computation of the shell that the wider halo stands in
-    /// for. Model only: no runner implements the scheme.
-    pub fn step_deep_halo(&self, w: usize) -> f64 {
-        assert!(w >= 1);
-        let omp = self.region_cost();
-        let (sx, sy, sz) = self.subdomain();
-        // One exchange per w steps, with w-wide faces.
-        let comm: f64 = (0..3)
-            .map(|d| {
-                let pts = w as f64
-                    * match d {
-                        0 => sy * sz,
-                        1 => (sx + 2.0 * w as f64) * sz,
-                        _ => (sx + 2.0 * w as f64) * (sy + 2.0 * w as f64),
-                    };
-                let bytes = pts * 8.0;
-                let net = &self.machine.net;
-                if self.ntasks() == 1 {
-                    2.0 * bytes / (self.machine.cpu.mem_bw_gbs * 0.5e9)
-                } else if self.cores <= self.machine.cores_per_node() {
-                    2.0 * bytes / (self.machine.cpu.mem_bw_gbs * 0.33e9)
-                } else {
-                    let tpn = self.tasks_per_node() as f64;
-                    let share = net.node_bw_gbs * 1e9 / tpn;
-                    net.latency_s * (1.0 + params::INJECTION_CONTENTION * (tpn - 1.0))
-                        + 2.0 * net.per_message_cpu_s
-                        + 2.0 * bytes / share
-                }
-            })
-            .sum();
-        // Extended-region compute per burst of w steps.
-        let mut compute_pts = 0.0;
-        for s_i in 0..w {
-            let e = (w - 1 - s_i) as f64;
-            compute_pts += (sx + 2.0 * e) * (sy + 2.0 * e) * (sz + 2.0 * e);
-        }
-        let comp = compute_pts / self.rate();
-        (comm + comp) / w as f64 + params::REGIONS_BULK as f64 * omp
-    }
-
     /// Step time of the given implementation.
     pub fn step_time(&self, im: CpuImpl) -> f64 {
         match im {
@@ -411,67 +369,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    fn best_deep(m: &machine::Machine, cores: usize) -> f64 {
-        m.thread_choices
-            .iter()
-            .filter(|&&t| cores.is_multiple_of(t))
-            .flat_map(|&t| {
-                [2usize, 3].map(|w| {
-                    let s = CpuScenario::new(m, cores, t);
-                    s.gigaflops(s.step_deep_halo(w))
-                })
-            })
-            .fold(0.0f64, f64::max)
-    }
-
-    #[test]
-    fn deep_halo_does_not_pay_on_the_crays() {
-        // Honest negative result: on SeaStar/Gemini the per-message
-        // latency saved per step is smaller than the redundant-shell
-        // compute, at every scale — consistent with the paper's era not
-        // using deep halos on these machines.
-        for m in [jaguarpf(), hopper_ii()] {
-            for cores in [192usize, 6144, 12288] {
-                let deep = best_deep(&m, cores);
-                let bulk = best_cpu_gf(&m, CpuImpl::BulkSync, cores).0;
-                assert!(
-                    deep < bulk,
-                    "{} at {cores}: deep {deep} vs bulk {bulk}",
-                    m.name
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn deep_halo_pays_on_a_high_latency_network() {
-        // On a commodity-ethernet-class interconnect (100 µs latency) the
-        // latency term dominates small-subdomain steps and width 2-3 wins.
-        let mut m = jaguarpf();
-        m.net.latency_s = 100e-6;
-        m.net.node_bw_gbs = 1.0;
-        let cores = 12288;
-        let deep = best_deep(&m, cores);
-        let bulk = best_cpu_gf(&m, CpuImpl::BulkSync, cores).0;
-        assert!(deep > bulk, "deep {deep} vs bulk {bulk}");
-        // And still loses at low core counts even there (big subdomains).
-        let deep_low = best_deep(&m, 96);
-        let bulk_low = best_cpu_gf(&m, CpuImpl::BulkSync, 96).0;
-        assert!(
-            deep_low < bulk_low * 1.02,
-            "deep {deep_low} vs bulk {bulk_low}"
-        );
-    }
-
-    #[test]
-    fn deep_halo_width_one_equals_bulk_sync() {
-        let m = jaguarpf();
-        let s = CpuScenario::new(&m, 1536, 6);
-        let bulk = s.step_bulk_sync();
-        let deep1 = s.step_deep_halo(1);
-        assert!((bulk - deep1).abs() / bulk < 1e-9, "{bulk} vs {deep1}");
     }
 
     #[test]

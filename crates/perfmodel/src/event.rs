@@ -119,11 +119,6 @@ impl Schedule {
         self.ops[id.0].end
     }
 
-    /// Start time of an operation.
-    pub fn start_of(&self, id: OpId) -> f64 {
-        self.ops[id.0].start
-    }
-
     /// Makespan: when the last operation finishes.
     pub fn makespan(&self) -> f64 {
         self.ops.iter().map(|o| o.end).fold(0.0, f64::max)

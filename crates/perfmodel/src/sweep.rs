@@ -64,7 +64,13 @@ impl AnyImpl {
 }
 
 /// Best GF of a GPU implementation at a core count, over threads per task
-/// (and thickness for the hybrids), at the machine's best block shape.
+/// (and thickness for the hybrids), at the given GPU block shape.
+///
+/// ```
+/// // IV-I at 48 Yona cores: the paper's Figure 8 block beats its neighbours.
+/// let at = |b| perfmodel::best_gpu_gf(&machine::yona(), perfmodel::GpuImpl::HybridOverlap, 48, b);
+/// assert!([(16, 8), (64, 8), (32, 4), (32, 16)].iter().all(|&b| at((32, 8)).gf > at(b).gf));
+/// ```
 pub fn best_gpu_gf(
     machine: &Machine,
     im: GpuImpl,
@@ -248,6 +254,58 @@ mod tests {
             }
         }
         assert!(thin * 2 >= total, "veneer not thin: {thin}/{total}");
+    }
+
+    /// Section VI names threads/task, box thickness and block shape as the
+    /// tuning parameters. Over the joint space, the best IV-I point uses
+    /// the paper's block (Figs. 7/8) at each node count.
+    fn joint_optimum_is(m: Machine, nodes: [usize; 3], paper_block: (usize, usize)) {
+        let max_threads = m.gpu.as_ref().unwrap().max_threads_per_block;
+        let blocks = [16usize, 32, 64, 128]
+            .into_iter()
+            .flat_map(|bx| [1usize, 2, 4, 6, 8, 11, 12, 16, 24, 32].map(|by| (bx, by)))
+            .filter(|&(bx, by)| bx * by <= max_threads);
+        for n in nodes {
+            let cores = n * m.cores_per_node();
+            let at = |b| best_gpu_gf(&m, GpuImpl::HybridOverlap, cores, b);
+            let best = blocks.clone().map(at).max_by(|a, b| a.gf.total_cmp(&b.gf));
+            assert_eq!(best, Some(at(paper_block)), "{} at {n} nodes", m.name);
+        }
+    }
+
+    #[test]
+    fn paper_block_is_the_joint_optimum_on_yona() {
+        joint_optimum_is(yona(), [1, 4, 16], (32, 8));
+    }
+
+    #[test]
+    fn paper_block_is_the_joint_optimum_on_lens() {
+        joint_optimum_is(lens(), [1, 8, 31], (32, 11));
+    }
+
+    #[test]
+    fn best_thickness_depends_on_threads() {
+        // Section VI: the box thickness "can itself depend on the number
+        // of threads per task".
+        let m = yona();
+        let best_thickness: Vec<usize> = m
+            .thread_choices
+            .iter()
+            .map(|&t| {
+                let gf = |th| {
+                    GpuScenario::new(&m, 48, t)
+                        .with_block((32, 8))
+                        .with_thickness(th)
+                        .gf(GpuImpl::HybridOverlap)
+                };
+                THICKNESS_CHOICES
+                    .into_iter()
+                    .max_by(|&a, &b| gf(a).total_cmp(&gf(b)))
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(m.thread_choices, [1, 2, 3, 6, 12]);
+        assert_eq!(best_thickness, [1, 2, 3, 4, 4]);
     }
 
     #[test]

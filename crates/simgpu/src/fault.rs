@@ -61,12 +61,6 @@ impl GpuFaultPlan {
         self
     }
 
-    /// Set the PCIe slowdown factor.
-    pub fn with_pcie_slowdown(mut self, factor: f64) -> Self {
-        self.pcie_slowdown = factor;
-        self
-    }
-
     /// Whether every knob is at its neutral value.
     pub fn is_off(&self) -> bool {
         self.launch_jitter_s == 0.0 && self.pcie_slowdown <= 1.0
