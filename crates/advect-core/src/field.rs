@@ -47,6 +47,12 @@ impl Range3 {
         })
     }
 
+    /// Whether `other` lies inside this range (an empty `other` always
+    /// does).
+    pub fn covers(&self, other: &Range3) -> bool {
+        other.is_empty() || self.intersect(other) == *other
+    }
+
     /// Intersection of two ranges.
     pub fn intersect(&self, other: &Range3) -> Range3 {
         Range3::new(
@@ -67,6 +73,82 @@ impl Range3 {
     }
 }
 
+/// The layout of an x-fastest allocation of interior `nx × ny × nz` with
+/// `halo` points on every side — a [`Field3`]'s, or a flat buffer's that
+/// holds one (a device buffer, a staged chunk; halo 0 for the
+/// halo-free layout).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FieldDims {
+    /// Interior extent.
+    pub nx: usize,
+    /// Interior extent.
+    pub ny: usize,
+    /// Interior extent.
+    pub nz: usize,
+    /// Halo width.
+    pub halo: usize,
+}
+
+impl FieldDims {
+    /// Allocated `(sx, sy)` strides.
+    pub fn strides(&self) -> (usize, usize) {
+        (self.nx + 2 * self.halo, self.ny + 2 * self.halo)
+    }
+
+    /// Total allocation length.
+    pub fn len(&self) -> usize {
+        let (sx, sy) = self.strides();
+        sx * sy * (self.nz + 2 * self.halo)
+    }
+
+    /// Whether the allocation is empty (never for valid dims).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Flat index of interior-relative coordinates (may address halo).
+    #[inline]
+    pub fn idx(&self, x: i64, y: i64, z: i64) -> usize {
+        let h = self.halo as i64;
+        let (sx, sy) = self.strides();
+        debug_assert!(
+            x >= -h && x < (self.nx + self.halo) as i64,
+            "x={x} out of range"
+        );
+        debug_assert!(
+            y >= -h && y < (self.ny + self.halo) as i64,
+            "y={y} out of range"
+        );
+        debug_assert!(
+            z >= -h && z < (self.nz + self.halo) as i64,
+            "z={z} out of range"
+        );
+        (x + h) as usize + sx * ((y + h) as usize + sy * (z + h) as usize)
+    }
+
+    /// Flat index ranges of the contiguous x-rows of `region`, in pack
+    /// order (y fastest, then z); nothing for an empty region.
+    pub fn rows(&self, region: Range3) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        let w = (region.x.1 - region.x.0).max(0) as usize;
+        let ys = if w == 0 { (0, 0) } else { region.y };
+        (region.z.0..region.z.1).flat_map(move |z| {
+            (ys.0..ys.1).map(move |y| {
+                let i = self.idx(region.x.0, y, z);
+                i..i + w
+            })
+        })
+    }
+
+    /// The interior as a region.
+    pub fn interior(&self) -> Range3 {
+        Range3::new(
+            (0, self.nx as i64),
+            (0, self.ny as i64),
+            (0, self.nz as i64),
+        )
+    }
+}
+
 /// A 3-D scalar field with halo points, x-fastest contiguous storage.
 ///
 /// ```
@@ -80,13 +162,7 @@ impl Range3 {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Field3 {
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    h: usize,
-    sx: usize, // allocated x extent = nx + 2h
-    sy: usize,
-    sz: usize,
+    dims: FieldDims,
     data: Vec<f64>,
 }
 
@@ -98,68 +174,44 @@ impl Field3 {
             nx > 0 && ny > 0 && nz > 0,
             "interior dimensions must be positive"
         );
-        let (sx, sy, sz) = (nx + 2 * halo, ny + 2 * halo, nz + 2 * halo);
+        let dims = FieldDims { nx, ny, nz, halo };
         Self {
-            nx,
-            ny,
-            nz,
-            h: halo,
-            sx,
-            sy,
-            sz,
-            data: vec![0.0; sx * sy * sz],
+            dims,
+            data: vec![0.0; dims.len()],
         }
+    }
+
+    /// The allocation's layout.
+    pub fn dims(&self) -> FieldDims {
+        self.dims
     }
 
     /// Interior size `(nx, ny, nz)`.
     pub fn interior(&self) -> (usize, usize, usize) {
-        (self.nx, self.ny, self.nz)
+        (self.dims.nx, self.dims.ny, self.dims.nz)
     }
 
     /// Halo width.
     pub fn halo(&self) -> usize {
-        self.h
+        self.dims.halo
     }
 
     /// The interior as a [`Range3`].
     pub fn interior_range(&self) -> Range3 {
-        Range3::new(
-            (0, self.nx as i64),
-            (0, self.ny as i64),
-            (0, self.nz as i64),
-        )
+        self.dims.interior()
     }
 
     /// The full allocation (interior + halo) as a [`Range3`].
     pub fn full_range(&self) -> Range3 {
-        let h = self.h as i64;
-        Range3::new(
-            (-h, self.nx as i64 + h),
-            (-h, self.ny as i64 + h),
-            (-h, self.nz as i64 + h),
-        )
+        let h = self.dims.halo as i64;
+        let r = self.dims.interior();
+        Range3::new((-h, r.x.1 + h), (-h, r.y.1 + h), (-h, r.z.1 + h))
     }
 
     /// Flat index for interior-relative coordinates (may address halo).
     #[inline]
     pub fn idx(&self, x: i64, y: i64, z: i64) -> usize {
-        let h = self.h as i64;
-        debug_assert!(
-            x >= -h && x < (self.nx + self.h) as i64,
-            "x={x} out of range"
-        );
-        debug_assert!(
-            y >= -h && y < (self.ny + self.h) as i64,
-            "y={y} out of range"
-        );
-        debug_assert!(
-            z >= -h && z < (self.nz + self.h) as i64,
-            "z={z} out of range"
-        );
-        let ix = (x + h) as usize;
-        let iy = (y + h) as usize;
-        let iz = (z + h) as usize;
-        ix + self.sx * (iy + self.sy * iz)
+        self.dims.idx(x, y, z)
     }
 
     /// Value at interior-relative coordinates.
@@ -203,14 +255,16 @@ impl Field3 {
 
     /// Allocated extents `(sx, sy, sz)` including halos.
     pub fn extents(&self) -> (usize, usize, usize) {
-        (self.sx, self.sy, self.sz)
+        let (sx, sy) = self.dims.strides();
+        (sx, sy, self.dims.nz + 2 * self.dims.halo)
     }
 
     /// Fill the interior from a function of interior-relative coordinates.
     pub fn fill_interior(&mut self, mut f: impl FnMut(i64, i64, i64) -> f64) {
-        for z in 0..self.nz as i64 {
-            for y in 0..self.ny as i64 {
-                for x in 0..self.nx as i64 {
+        let (nx, ny, nz) = self.interior();
+        for z in 0..nz as i64 {
+            for y in 0..ny as i64 {
+                for x in 0..nx as i64 {
                     *self.at_mut(x, y, z) = f(x, y, z);
                 }
             }
@@ -221,13 +275,13 @@ impl Field3 {
     /// (the paper's Step 3, "copy the new state to the current state").
     pub fn copy_interior_from(&mut self, src: &Field3) {
         assert_eq!(self.interior(), src.interior(), "interior sizes must match");
-        for z in 0..self.nz as i64 {
-            for y in 0..self.ny as i64 {
+        let (nx, ny, nz) = self.interior();
+        for z in 0..nz as i64 {
+            for y in 0..ny as i64 {
                 // x-lines are contiguous: copy as slices.
                 let d0 = self.idx(0, y, z);
                 let s0 = src.idx(0, y, z);
-                let n = self.nx;
-                self.data[d0..d0 + n].copy_from_slice(&src.data[s0..s0 + n]);
+                self.data[d0..d0 + nx].copy_from_slice(&src.data[s0..s0 + nx]);
             }
         }
     }
@@ -307,8 +361,8 @@ impl Field3 {
     /// so that corner halos are filled correctly — the same well-established
     /// strategy the paper uses to reduce 26 neighbor exchanges to 6.
     pub fn copy_periodic_halo(&mut self) {
-        let h = self.h as i64;
-        let (nx, ny, nz) = (self.nx as i64, self.ny as i64, self.nz as i64);
+        let (h, r) = (self.dims.halo as i64, self.dims.interior());
+        let (nx, ny, nz) = (r.x.1, r.y.1, r.z.1);
         // x dimension: only interior y/z needed yet, but include already
         // filled ranges progressively. After x, x-halos valid for interior
         // y,z; we do full y range after y pass, etc. Easiest correct order:
@@ -347,8 +401,9 @@ impl Field3 {
     /// `[cuts[last], nz)`. The first and last slabs also carry the z-halo
     /// planes so the slab storage tiles the whole allocation.
     pub fn z_slabs_mut(&mut self, cuts: &[i64]) -> Vec<ZSlabMut<'_>> {
-        let nz = self.nz as i64;
-        let h = self.h as i64;
+        let d = self.dims;
+        let (nz, h) = (d.nz as i64, d.halo as i64);
+        let (sx, sy) = d.strides();
         for w in cuts.windows(2) {
             assert!(w[0] < w[1], "cuts must be strictly increasing");
         }
@@ -358,7 +413,7 @@ impl Field3 {
                 "cuts must lie strictly inside (0, nz)"
             );
         }
-        let plane = self.sx * self.sy;
+        let plane = sx * sy;
         let mut bounds: Vec<(i64, i64)> = Vec::with_capacity(cuts.len() + 1);
         let mut prev = 0i64;
         for &c in cuts {
@@ -383,12 +438,12 @@ impl Field3 {
                 z0,
                 z1,
                 data: mine,
-                sx: self.sx,
-                sy: self.sy,
-                h: self.h,
+                sx,
+                sy,
+                h: d.halo,
             });
         }
-        debug_assert_eq!(consumed_planes, self.sz);
+        debug_assert_eq!(consumed_planes, d.nz + 2 * d.halo);
         debug_assert!(rest.is_empty());
         slabs
     }
@@ -397,10 +452,11 @@ impl Field3 {
     /// scheme on a periodic domain because the coefficients sum to 1).
     pub fn interior_sum(&self) -> f64 {
         let mut total = 0.0;
-        for z in 0..self.nz as i64 {
-            for y in 0..self.ny as i64 {
+        let (nx, ny, nz) = self.interior();
+        for z in 0..nz as i64 {
+            for y in 0..ny as i64 {
                 let i0 = self.idx(0, y, z);
-                total += self.data[i0..i0 + self.nx].iter().sum::<f64>();
+                total += self.data[i0..i0 + nx].iter().sum::<f64>();
             }
         }
         total
@@ -410,9 +466,10 @@ impl Field3 {
     pub fn max_abs_diff(&self, other: &Field3) -> f64 {
         assert_eq!(self.interior(), other.interior());
         let mut m: f64 = 0.0;
-        for z in 0..self.nz as i64 {
-            for y in 0..self.ny as i64 {
-                for x in 0..self.nx as i64 {
+        let (nx, ny, nz) = self.interior();
+        for z in 0..nz as i64 {
+            for y in 0..ny as i64 {
+                for x in 0..nx as i64 {
                     m = m.max((self.at(x, y, z) - other.at(x, y, z)).abs());
                 }
             }
@@ -435,9 +492,7 @@ impl Field3 {
 /// regions (e.g. halo writes vs. interior reads), which satisfies this.
 pub struct SharedField<'a> {
     cells: &'a [std::cell::UnsafeCell<f64>],
-    sx: usize,
-    sy: usize,
-    h: usize,
+    dims: FieldDims,
 }
 
 // SAFETY: concurrent access to *distinct* cells is well-defined; access to
@@ -447,8 +502,7 @@ unsafe impl Sync for SharedField<'_> {}
 impl<'a> SharedField<'a> {
     /// Wrap a field for concurrent disjoint access.
     pub fn new(field: &'a mut Field3) -> Self {
-        let (sx, sy, _) = field.extents();
-        let h = field.halo();
+        let dims = field.dims();
         let data: &'a mut [f64] = field.data_mut();
         // SAFETY: UnsafeCell<f64> has the same layout as f64, and the
         // exclusive borrow guarantees no other access path exists.
@@ -458,20 +512,18 @@ impl<'a> SharedField<'a> {
                 data.len(),
             )
         };
-        Self { cells, sx, sy, h }
+        Self { cells, dims }
     }
 
     /// Flat cell index for interior-relative coordinates.
     #[inline]
     pub(crate) fn index(&self, x: i64, y: i64, z: i64) -> usize {
-        let h = self.h as i64;
-        (x + h) as usize + self.sx * ((y + h) as usize + self.sy * (z + h) as usize)
+        self.dims.idx(x, y, z)
     }
 
-    /// Allocated `(sx, sy)` strides of the wrapped field (including
-    /// halos). The x stride feeds the cache-blocking tile heuristic.
-    pub fn strides(&self) -> (usize, usize) {
-        (self.sx, self.sy)
+    /// The wrapped field's layout.
+    pub(crate) fn dims(&self) -> FieldDims {
+        self.dims
     }
 
     /// A contiguous x-row as a shared slice, starting at interior-relative

@@ -4,9 +4,9 @@
 //! `w` points wide ([`TapBlock`]): output row `r` starts `r · dst_stride`
 //! past the block's first output, and tap `t`'s window for that row
 //! starts `r · src_stride` past tap `t`'s window for row 0. That one shape
-//! covers every sweep in the workspace — a tile's z-plane of x-rows on
-//! the CPU row path, the ≤ 3 staged columns of a plane on the column
-//! path, a thread block's staged plane in `simgpu`. The row loop, the 27
+//! covers every sweep in the workspace (`simgpu`'s functional kernel
+//! included) — a tile's z-plane of x-rows on the row path, the ≤ 3
+//! staged columns of a plane on the column path. The row loop, the 27
 //! coefficient broadcasts and the chunk/tail split all live inside one
 //! `#[target_feature]` body, and the bounds are checked once per call, so
 //! a row costs its arithmetic and nothing else. (Per-row set-up —
@@ -37,9 +37,9 @@
 //! tiers (`vmaskmovpd`, `vmovupd {k}`), never a scalar loop: a masked-off
 //! lane touches no memory, so the chunk stays inside the row, and a live
 //! lane runs the identical mul-then-add chain. This matters for narrow
-//! rows — the 30- and 18-wide tiles of a 32×8 GPU block, the `n-2`-wide
-//! interior rows of the overlap runners, the staged columns of a thin
-//! wall — where the tail is up to all of the row.
+//! rows — the `n-2`-wide interior rows of the overlap runners, the
+//! staged columns of a thin wall — where the tail is up to all of the
+//! row.
 //!
 //! # Dispatch
 //!

@@ -9,11 +9,12 @@
 //! # One body, one oracle
 //!
 //! Every entry point is a view (plain field, z-slab, shared writer,
-//! shared source and writer) over **one** private sweep body, which
-//! visits its region in cache-sized y/z tiles ([`TileSpec`]) and
-//! computes each tile on one of two paths, both built on the block
-//! kernel of [`crate::simd`] (`rows` output rows per call, the row loop
-//! inside the vector body):
+//! shared source and writer, flat buffer — [`apply_stencil_flat`], the
+//! body of `simgpu`'s functional stencil kernel) over **one** private
+//! sweep body, which visits its region in cache-sized y/z tiles
+//! ([`TileSpec`]) and computes each tile on one of two paths, both built
+//! on the block kernel of [`crate::simd`] (`rows` output rows per call,
+//! the row loop inside the vector body):
 //!
 //! * The **row path**: each z-plane of the tile is one
 //!   [`accumulate_block`] call whose rows are the tile's x-rows, tap
@@ -22,9 +23,8 @@
 //!   (the x-walls of an interior/boundary split, the CPU veneer of the
 //!   hybrid runners): rows of one to three points are mostly masked
 //!   tail, so the `w + 2` neighbouring columns are staged contiguously
-//!   along y in a three-plane ring over z — the way `simgpu::kernels`
-//!   stages rows — and each staged plane is one call whose `w` rows are
-//!   the y-contiguous output columns.
+//!   along y in a three-plane ring over z, and each staged plane is one
+//!   call whose `w` rows are the y-contiguous output columns.
 //!
 //! The **scalar oracle** [`apply_stencil_region_scalar`] is the original
 //! per-point loop, kept as the one reference the differential tests
@@ -42,7 +42,7 @@
 //! result is identical at any worker count.
 
 use crate::coeffs::Stencil27;
-use crate::field::{Field3, Range3, SharedField, ZSlabMut};
+use crate::field::{Field3, FieldDims, Range3, SharedField, ZSlabMut};
 use crate::simd::{accumulate_block, accumulate_block_raw, level, rows_end, TapBlock};
 use crate::sweep::SweepPool;
 use crate::tile::TileSpec;
@@ -72,10 +72,8 @@ pub(crate) fn tap_offsets(sx: usize, sy: usize) -> [i64; 27] {
 /// index, so the 27 taps of a row are 27 windows at fixed offsets from
 /// the row's own index.
 trait TapSource {
-    /// Allocated `(sx, sy)` strides.
-    fn strides(&self) -> (usize, usize);
-    /// Flat index of interior-relative `(x, y, z)`.
-    fn index(&self, x: i64, y: i64, z: i64) -> usize;
+    /// The allocation's layout.
+    fn dims(&self) -> FieldDims;
     /// The whole allocation as a pointer and length. The sweep reads
     /// through it, checking bounds once per plane: a span of several rows
     /// holds points between them that another thread may be writing (the
@@ -83,31 +81,39 @@ trait TapSource {
     fn raw(&self) -> (*const f64, usize);
 }
 
-impl TapSource for Field3 {
-    fn strides(&self) -> (usize, usize) {
-        let (sx, sy, _) = self.extents();
-        (sx, sy)
-    }
-    #[inline]
-    fn index(&self, x: i64, y: i64, z: i64) -> usize {
-        self.idx(x, y, z)
-    }
-    fn raw(&self) -> (*const f64, usize) {
-        (self.data().as_ptr(), self.data().len())
-    }
-}
-
 impl TapSource for SharedField<'_> {
-    fn strides(&self) -> (usize, usize) {
-        SharedField::strides(self)
-    }
-    #[inline]
-    fn index(&self, x: i64, y: i64, z: i64) -> usize {
-        SharedField::index(self, x, y, z)
+    fn dims(&self) -> FieldDims {
+        SharedField::dims(self)
     }
     fn raw(&self) -> (*const f64, usize) {
         let (p, len) = SharedField::raw(self);
         (p.cast_const(), len)
+    }
+}
+
+/// A flat buffer laid out as `dims` — a [`Field3`]'s data, a device
+/// buffer: read as a [`TapSource`] through `&[f64]`, written as a
+/// [`RowSink`] through `&mut [f64]`.
+struct Flat<T> {
+    data: T,
+    dims: FieldDims,
+}
+
+impl<'a> Flat<&'a [f64]> {
+    fn of(field: &'a Field3) -> Self {
+        Flat {
+            data: field.data(),
+            dims: field.dims(),
+        }
+    }
+}
+
+impl TapSource for Flat<&[f64]> {
+    fn dims(&self) -> FieldDims {
+        self.dims
+    }
+    fn raw(&self) -> (*const f64, usize) {
+        (self.data.as_ptr(), self.data.len())
     }
 }
 
@@ -119,14 +125,6 @@ trait RowSink {
     /// [`TapSource::raw`], the sweep writes through the pointer, checking
     /// bounds once per plane.
     fn plane_mut(&mut self, x0: i64, y0: i64, z: i64) -> (*mut f64, usize, usize);
-}
-
-impl RowSink for Field3 {
-    fn plane_mut(&mut self, x0: i64, y0: i64, z: i64) -> (*mut f64, usize, usize) {
-        let (i, sx) = (self.idx(x0, y0, z), self.extents().0);
-        let rest = &mut self.data_mut()[i..];
-        (rest.as_mut_ptr(), rest.len(), sx)
-    }
 }
 
 impl RowSink for ZSlabMut<'_> {
@@ -143,7 +141,15 @@ impl RowSink for &SharedField<'_> {
         let i = SharedField::index(self, x0, y0, z);
         assert!(i <= len, "plane start outside the field");
         // SAFETY: `i` is at most one past the end of the allocation.
-        (unsafe { p.add(i) }, len - i, self.strides().0)
+        (unsafe { p.add(i) }, len - i, self.dims().strides().0)
+    }
+}
+
+impl RowSink for Flat<&mut [f64]> {
+    fn plane_mut(&mut self, x0: i64, y0: i64, z: i64) -> (*mut f64, usize, usize) {
+        let i = self.dims.idx(x0, y0, z);
+        let rest = &mut self.data[i..];
+        (rest.as_mut_ptr(), rest.len(), self.dims.strides().0)
     }
 }
 
@@ -157,26 +163,27 @@ const THIN_W: usize = 3;
 fn sweep<S: TapSource, D: RowSink>(
     src: &S,
     dst: &mut D,
-    s: &Stencil27,
+    coef: &[f64; 27],
     region: Range3,
     tile: TileSpec,
 ) {
     for t in tile.tiles(region) {
-        sweep_tile(src, dst, s, t);
+        sweep_tile(src, dst, coef, t);
     }
 }
 
-fn sweep_tile<S: TapSource, D: RowSink>(src: &S, dst: &mut D, s: &Stencil27, t: Range3) {
+fn sweep_tile<S: TapSource, D: RowSink>(src: &S, dst: &mut D, coef: &[f64; 27], t: Range3) {
     let w = (t.x.1 - t.x.0) as usize;
     let h = (t.y.1 - t.y.0) as usize;
     if w <= THIN_W && h > w {
-        return sweep_columns(src, dst, s, t);
+        return sweep_columns(src, dst, coef, t);
     }
-    let (sx, sy) = src.strides();
+    let d = src.dims();
+    let (sx, sy) = d.strides();
     let offs = tap_offsets(sx, sy);
     let (sp, slen) = src.raw();
     for z in t.z.0..t.z.1 {
-        let base = src.index(t.x.0, t.y.0, z) as i64;
+        let base = d.idx(t.x.0, t.y.0, z) as i64;
         let (dp, dlen, dst_stride) = dst.plane_mut(t.x.0, t.y.0, z);
         let b = TapBlock {
             rows: h,
@@ -189,7 +196,7 @@ fn sweep_tile<S: TapSource, D: RowSink>(src: &S, dst: &mut D, s: &Stencil27, t: 
         // SAFETY: the block reads exactly the points a stencil application
         // over this tile plane reads and writes exactly its points; each
         // view's contract keeps other threads off both for the sweep.
-        unsafe { accumulate_block_raw(level(), (dp, dlen), (sp, slen), &b, &s.a) }
+        unsafe { accumulate_block_raw(level(), (dp, dlen), (sp, slen), &b, coef) }
     }
 }
 
@@ -203,20 +210,21 @@ fn sweep_tile<S: TapSource, D: RowSink>(src: &S, dst: &mut D, s: &Stencil27, t: 
 /// (plane slowest, then y, then x), hence bit-identical to the row path.
 /// One block call per plane computes all `w` columns: its rows are the
 /// columns, `ch` apart in the ring and `h` apart in `out`.
-fn sweep_columns<S: TapSource, D: RowSink>(src: &S, dst: &mut D, s: &Stencil27, r: Range3) {
+fn sweep_columns<S: TapSource, D: RowSink>(src: &S, dst: &mut D, coef: &[f64; 27], r: Range3) {
     let w = (r.x.1 - r.x.0) as usize;
     let h = (r.y.1 - r.y.0) as usize;
     let (cols, ch) = (w + 2, h + 2);
     let plane = cols * ch;
     let mut scratch = vec![0.0f64; 3 * plane + w * h];
     let (ring, out) = scratch.split_at_mut(3 * plane);
-    let (sx, _) = src.strides();
+    let d = src.dims();
+    let (sx, _) = d.strides();
     let (sp, slen) = src.raw();
     // Plane `z` lives in slot `(z - r.z.0 + 1) % 3`: a transpose of its
     // `h + 2` source rows, each `w + 2` wide.
     let stage = |ring: &mut [f64], k: usize, z: i64| {
         let slot = &mut ring[k % 3 * plane..][..plane];
-        let i0 = src.index(r.x.0 - 1, r.y.0 - 1, z);
+        let i0 = d.idx(r.x.0 - 1, r.y.0 - 1, z);
         assert!(
             rows_end(i0, ch, sx, cols).is_some_and(|e| e <= slen),
             "staged plane outside the source"
@@ -244,7 +252,7 @@ fn sweep_columns<S: TapSource, D: RowSink>(src: &S, dst: &mut D, s: &Stencil27, 
             }),
             src_stride: ch,
         };
-        accumulate_block(out, ring, &b, &s.a);
+        accumulate_block(out, ring, &b, coef);
         let (dp, dlen, stride) = dst.plane_mut(r.x.0, r.y.0, z);
         assert!(
             rows_end(0, h, stride, w).is_some_and(|e| e <= dlen),
@@ -271,9 +279,8 @@ fn sweep_columns<S: TapSource, D: RowSink>(src: &S, dst: &mut D, s: &Stencil27, 
 /// Cost: 53 flops per point (27 multiplications + 26 additions), exactly
 /// the count the paper uses to convert measured time into GF.
 pub fn apply_stencil_region(src: &Field3, dst: &mut Field3, s: &Stencil27, region: Range3) {
-    assert_eq!(src.interior(), dst.interior(), "field sizes must match");
-    let (sx, _, _) = src.extents();
-    sweep(src, dst, s, region, TileSpec::host(sx));
+    let dims = dst.dims();
+    apply_stencil_flat(src.data(), src.dims(), dst.data_mut(), dims, &s.a, region);
 }
 
 /// Apply the stencil to the entire interior of `src`.
@@ -297,10 +304,56 @@ pub fn apply_stencil_region_pooled(
 ) {
     assert_eq!(src.interior(), dst.interior(), "field sizes must match");
     let tiles: Vec<Range3> = tile.tiles(region).collect();
-    let shared = SharedField::new(dst);
+    let (src, shared) = (Flat::of(src), SharedField::new(dst));
     pool.for_each_index(tiles.len(), |i| {
-        sweep_tile(src, &mut &shared, s, tiles[i]);
+        sweep_tile(&src, &mut &shared, &s.a, tiles[i]);
     });
+}
+
+/// Apply Equation 2 to `region` of a flat buffer `src` laid out as
+/// `src_dims`, writing the same region of `dst` laid out as `dst_dims` —
+/// the body of [`apply_stencil_region`] and of the functional GPU
+/// kernels (device buffers, staged chunks). The layouts share one
+/// interior and may differ in halo width: `src` needs a halo for the
+/// taps of `region`, `dst` may have none. Tiled with
+/// [`TileSpec::host`].
+pub fn apply_stencil_flat(
+    src: &[f64],
+    src_dims: FieldDims,
+    dst: &mut [f64],
+    dst_dims: FieldDims,
+    coef: &[f64; 27],
+    region: Range3,
+) {
+    assert_eq!(
+        src.len(),
+        src_dims.len(),
+        "source is not laid out as {src_dims:?}"
+    );
+    assert_eq!(
+        dst.len(),
+        dst_dims.len(),
+        "destination is not laid out as {dst_dims:?}"
+    );
+    assert_eq!(
+        src_dims.interior(),
+        dst_dims.interior(),
+        "interiors must match"
+    );
+    assert!(
+        src_dims.interior().covers(&region) && (region.is_empty() || src_dims.halo >= 1),
+        "{region:?} and its taps must lie inside {src_dims:?}"
+    );
+    let src = Flat {
+        data: src,
+        dims: src_dims,
+    };
+    let mut dst = Flat {
+        data: dst,
+        dims: dst_dims,
+    };
+    let tile = TileSpec::host(src_dims.strides().0);
+    sweep(&src, &mut dst, coef, region, tile);
 }
 
 /// Scalar per-point oracle: the reference implementation every view,
@@ -346,7 +399,7 @@ pub fn apply_stencil_slab_tiled(
     tile: TileSpec,
 ) {
     let clipped = dst.owned_region(region);
-    sweep(src, dst, s, clipped, tile);
+    sweep(&Flat::of(src), dst, &s.a, clipped, tile);
 }
 
 /// Apply Equation 2 to `region`, writing through a
@@ -360,7 +413,7 @@ pub fn apply_stencil_shared_tiled(
     region: Range3,
     tile: TileSpec,
 ) {
-    sweep(src, &mut dst, s, region, tile);
+    sweep(&Flat::of(src), &mut dst, &s.a, region, tile);
 }
 
 /// Apply Equation 2 reading *and* writing through [`SharedField`]s.
@@ -377,7 +430,7 @@ pub fn apply_stencil_cells_tiled(
     region: Range3,
     tile: TileSpec,
 ) {
-    sweep(src, &mut dst, s, region, tile);
+    sweep(src, &mut dst, &s.a, region, tile);
 }
 
 #[cfg(test)]

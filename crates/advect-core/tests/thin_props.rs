@@ -1,6 +1,7 @@
 //! Differential property tests for the column path of the stencil sweep
-//! (regions at most three points wide in x) and for the row-slice
-//! `SharedField` pack/unpack.
+//! (regions at most three points wide in x), for the flat-buffer view
+//! `apply_stencil_flat` (its source and destination in different halo
+//! layouts), and for the row-slice `SharedField` pack/unpack.
 //!
 //! The column path stages neighbouring columns — halo columns included —
 //! into scratch and scatters result columns back, so the comparison is
@@ -9,10 +10,10 @@
 //! tap all show.
 
 use advect_core::coeffs::{Stencil27, Velocity};
-use advect_core::field::{Field3, Range3, SharedField};
+use advect_core::field::{Field3, FieldDims, Range3, SharedField};
 use advect_core::stencil::{
-    apply_stencil_cells_tiled, apply_stencil_region, apply_stencil_region_scalar,
-    apply_stencil_shared_tiled, apply_stencil_slab_tiled,
+    apply_stencil_cells_tiled, apply_stencil_flat, apply_stencil_region,
+    apply_stencil_region_scalar, apply_stencil_shared_tiled, apply_stencil_slab_tiled,
 };
 use advect_core::tile::TileSpec;
 use proptest::prelude::*;
@@ -27,6 +28,14 @@ fn random_field(nx: usize, ny: usize, nz: usize, seed: u64) -> Field3 {
         *v = rng.next_f64() * 4.0 - 2.0;
     }
     f
+}
+
+/// Never produced by the stencil on finite input, so a surviving sentinel
+/// proves a point was not written and a missing one that it was.
+const SENTINEL: f64 = f64::from_bits(0x7ff8_dead_beef_0002);
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 /// A (possibly empty) sub-range of `0..n` from sampled offsets.
@@ -90,6 +99,47 @@ proptest! {
                     prop_assert_eq!(cells.data(), want.data(), "shared src+dst {:?}", region);
                 }
             }
+        }
+    }
+
+    /// The flat view reads a halo-1 buffer and writes a halo-0 or a
+    /// halo-1 one: on x-walls 1–3 wide (column path), one-row y-walls,
+    /// full rows and arbitrary boxes, the whole destination — region and
+    /// sentinel surroundings — is the scalar oracle's, bit for bit.
+    #[test]
+    fn flat_view_matches_the_scalar_oracle_in_both_layouts(
+        nx in 1usize..12, ny in 1usize..10, nz in 1usize..8,
+        kind in 0usize..4,
+        x0 in 0usize..12, xs in 0usize..13,
+        y0 in 0usize..10, ys in 0usize..11,
+        z0 in 0usize..8, zs in 0usize..9,
+        seed in 0u64..u64::MAX,
+    ) {
+        let s = Stencil27::new(Velocity::new(-0.6, 0.9, 0.35), 0.8);
+        let src = random_field(nx, ny, nz, seed);
+        let full = src.interior_range();
+        let (x, y, z) = (
+            sub_range(nx, x0 % nx, xs),
+            sub_range(ny, y0 % ny, ys),
+            sub_range(nz, z0 % nz, zs),
+        );
+        let region = match kind {
+            0 => Range3::new(x, y, z),
+            1 => Range3::new(sub_range(nx, x0 % nx, 1 + xs % 3), full.y, z),
+            2 => Range3::new(full.x, sub_range(ny, y0 % ny, 1), z),
+            _ => Range3::new(full.x, y, z),
+        };
+        let mut want = Field3::new(nx, ny, nz, 1);
+        want.data_mut().fill(SENTINEL);
+        apply_stencil_region_scalar(&src, &mut want, &s, region);
+
+        let src_dims = FieldDims { nx, ny, nz, halo: 1 };
+        for halo in [0, 1] {
+            let dst_dims = FieldDims { halo, ..src_dims };
+            let mut got = vec![SENTINEL; dst_dims.len()];
+            apply_stencil_flat(src.data(), src_dims, &mut got, dst_dims, &s.a, region);
+            let image = if halo == 0 { want.pack_vec(full) } else { want.data().to_vec() };
+            prop_assert_eq!(bits(&got), bits(&image), "halo {} {:?}", halo, region);
         }
     }
 

@@ -34,12 +34,7 @@ impl DeviceField {
     /// contents (untimed — initialization is excluded from measurements).
     pub fn from_host(gpu: &Gpu, host: &Field3) -> Self {
         let (nx, ny, nz) = host.interior();
-        let dims = FieldDims {
-            nx,
-            ny,
-            nz,
-            halo: host.halo(),
-        };
+        let dims = host.dims();
         let cur = gpu.alloc(dims.len());
         let new = gpu.alloc(dims.len());
         // Staging sized for the largest transfer we make: a full halo

@@ -66,8 +66,8 @@ struct Inner {
     buffers: Vec<Vec<f64>>,
     /// Total f64 values allocated across `buffers`.
     used: usize,
-    /// Shared-memory scratch of the stencil kernel, reused by every launch.
-    shared: Vec<f64>,
+    /// The stencil kernel's staged chunk, reused by every launch.
+    scratch: Vec<f64>,
     constant: Option<[f64; 27]>,
     streams: Vec<StreamState>,
     /// visible[reader][writer]: highest op seq of `writer` whose effects
@@ -119,7 +119,7 @@ impl Gpu {
                 timeline: Timeline::default(),
                 buffers: Vec::new(),
                 used: 0,
-                shared: Vec::new(),
+                scratch: Vec::new(),
                 constant: None,
                 streams: vec![StreamState { time: 0.0, seq: 0 }],
                 visible: vec![vec![0]],
@@ -340,7 +340,7 @@ impl Gpu {
         // Functional execution: split the buffers to run the kernel.
         let g = &mut *g;
         let (src_data, dst_data) = Self::two_buffers(&mut g.buffers, src.0, dst.0);
-        kernels::run_stencil(src_data, dst_data, &coeffs, &p, &mut g.shared);
+        kernels::run_stencil(src_data, dst_data, &coeffs, &p, &mut g.scratch);
     }
 
     /// Launch a pack kernel: gather `region` of `field` into the linear

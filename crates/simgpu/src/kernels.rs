@@ -1,95 +1,34 @@
 //! Functional kernel bodies.
 //!
-//! These execute the same arithmetic a CUDA Fortran kernel would, with the
-//! same thread-block structure: a 2-D grid of `(bx, by)` thread blocks
-//! tiles the x/y extent of the launch region; the interior threads of each
-//! block compute while the edge ("halo") threads only perform memory
-//! operations; the block marches along z reusing three staged planes —
-//! the algorithm of Micikevicius (2009) the paper builds on.
+//! The stencil kernel executes the arithmetic of the paper's CUDA Fortran
+//! kernel through `advect_core`'s one sweep ([`apply_stencil_flat`]), so
+//! the GPU kernels produce **bit-identical** results to the CPU
+//! reference, which is how the cross-implementation tests can require
+//! exact equality.
 //!
-//! # Staging
+//! The kernel's thread-block structure — 2-D `(bx, by)` blocks tiling
+//! x/y whose edge ("halo") threads only load, each marching z through
+//! shared memory, the algorithm of Micikevicius (2009) the paper builds
+//! on — changes no result, only time, so it is not executed: the time is
+//! [`crate::timing`]'s, which prices the launch shape through
+//! [`StencilLaunch::blocks`].
 //!
-//! A block's shared memory is a ring of three `bx × by` plane slots. The
-//! march loads planes `z₀-1` and `z₀` once, then each z step stages
-//! **one** new plane (`z+1`, over the slot `z-2` vacated) and computes
-//! plane `z` from the three resident slots — every source point of a
-//! block's column is loaded from global memory once, not three times. A
-//! staged plane is copied a contiguous x-row at a time: with halo storage
-//! one slice copy per row; in the periodic (halo-free) layout y and z
-//! wrap once per row and only the columns hanging over the x ends of the
-//! domain wrap individually. The pack/unpack kernels move whole x-rows
-//! the same way. Shared memory is allocated once per device, not per
-//! launch. None of this is visible on the virtual timeline:
-//! [`StencilLaunch::blocks`] and [`crate::timing`] charge the launch
-//! shape, not the host-side execution.
+//! # Layouts
 //!
-//! Because the tap order matches `advect_core::stencil`, the GPU kernels
-//! produce **bit-identical** results to the CPU reference, which is how
-//! the cross-implementation tests can require exact equality.
+//! A halo-layout launch (IV-F..I) sweeps the device buffers directly. A
+//! periodic launch (IV-E's halo-free layout) stages its z-range
+//! [`CHUNK_PLANES`] planes at a time: the chunk and one plane either side,
+//! wrapped in x, y and z, go into a halo'd scratch the device owns
+//! (`(nx+2)(ny+2)(chunk+2)` values, not a copy of the field), and the
+//! chunk is swept from there into the halo-free destination. The
+//! pack/unpack kernels move whole x-rows.
 
+pub use advect_core::field::FieldDims;
 use advect_core::field::Range3;
-use advect_core::simd::{accumulate_block, TapBlock};
+use advect_core::stencil::apply_stencil_flat;
 
-/// Device-side field layout: interior extent plus halo width, x fastest —
-/// identical to `advect_core::Field3` so host fields map 1:1 to buffers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FieldDims {
-    /// Interior extent.
-    pub nx: usize,
-    /// Interior extent.
-    pub ny: usize,
-    /// Interior extent.
-    pub nz: usize,
-    /// Halo width (0 for the GPU-resident layout where periodicity is
-    /// applied by wrap-around indexing in shared-memory loads).
-    pub halo: usize,
-}
-
-impl FieldDims {
-    /// Total allocation length.
-    pub fn len(&self) -> usize {
-        (self.nx + 2 * self.halo) * (self.ny + 2 * self.halo) * (self.nz + 2 * self.halo)
-    }
-
-    /// Whether the allocation is empty (never for valid dims).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Flat index of interior-relative coordinates (may address halo).
-    #[inline]
-    pub fn idx(&self, x: i64, y: i64, z: i64) -> usize {
-        let h = self.halo as i64;
-        let sx = self.nx + 2 * self.halo;
-        let sy = self.ny + 2 * self.halo;
-        debug_assert!(x >= -h && (x) < (self.nx + self.halo) as i64);
-        debug_assert!(y >= -h && (y) < (self.ny + self.halo) as i64);
-        debug_assert!(z >= -h && (z) < (self.nz + self.halo) as i64);
-        (x + h) as usize + sx * ((y + h) as usize + sy * (z + h) as usize)
-    }
-
-    /// Flat index ranges of the contiguous x-rows of `region`, in pack
-    /// order (y fastest, then z); nothing for an empty region.
-    pub fn rows(&self, region: Range3) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
-        let w = (region.x.1 - region.x.0).max(0) as usize;
-        let ys = if w == 0 { (0, 0) } else { region.y };
-        (region.z.0..region.z.1).flat_map(move |z| {
-            (ys.0..ys.1).map(move |y| {
-                let i = self.idx(region.x.0, y, z);
-                i..i + w
-            })
-        })
-    }
-
-    /// The interior as a region.
-    pub fn interior(&self) -> Range3 {
-        Range3::new(
-            (0, self.nx as i64),
-            (0, self.ny as i64),
-            (0, self.nz as i64),
-        )
-    }
-}
+/// z-planes of a periodic launch staged and swept at a time.
+pub const CHUNK_PLANES: usize = 8;
 
 /// Parameters of a stencil kernel launch.
 #[derive(Debug, Clone, Copy)]
@@ -99,9 +38,10 @@ pub struct StencilLaunch {
     /// Region of points to update (interior-relative).
     pub region: Range3,
     /// Thread-block shape `(bx, by)`; the block's edge threads only load.
+    /// Priced by [`crate::timing`]; results do not depend on it.
     pub block: (usize, usize),
-    /// Wrap reads periodically (GPU-resident layout) instead of reading
-    /// halo storage.
+    /// Wrap reads periodically (the GPU-resident, halo-free layout)
+    /// instead of reading halo storage.
     pub periodic: bool,
 }
 
@@ -122,134 +62,63 @@ impl StencilLaunch {
     }
 }
 
-/// A kernel's source field: the global-memory buffer and how halo
-/// threads address it.
-struct Source<'a> {
-    data: &'a [f64],
-    dims: FieldDims,
-    periodic: bool,
-}
-
-impl Source<'_> {
-    /// Stage one (tile+halo) plane into a shared-memory slot: rows
-    /// `y0-1 ..= y1` of plane `z`, columns `x0-1 ..= x1`, `sw` values
-    /// apart.
-    ///
-    /// Every staged row is one contiguous slice of the source. With halo
-    /// storage that is a single `copy_from_slice`; in the periodic layout
-    /// `y` and `z` wrap once per row, the columns inside `0..nx` are
-    /// copied as one slice and only the columns hanging over either end
-    /// wrap individually.
-    fn stage_plane(
-        &self,
-        slot: &mut [f64],
-        sw: usize,
-        (x0, x1): (i64, i64),
-        (y0, y1): (i64, i64),
-        z: i64,
-    ) {
-        let d = self.dims;
-        let (gx0, gx1) = (x0 - 1, x1 + 1);
-        let w = (gx1 - gx0) as usize;
-        if !self.periodic {
-            let plane = Range3::new((gx0, gx1), (y0 - 1, y1 + 1), (z, z + 1));
-            for (out, row) in slot.chunks_mut(sw).zip(d.rows(plane)) {
-                out[..w].copy_from_slice(&self.data[row]);
-            }
-            return;
-        }
-        let (nx, ny, nz) = (d.nx as i64, d.ny as i64, d.nz as i64);
-        let wz = z.rem_euclid(nz);
-        let lo = gx0.clamp(0, nx);
-        let hi = gx1.clamp(lo, nx);
-        let (a, b) = ((lo - gx0) as usize, (hi - gx0) as usize);
-        for (out, gy) in slot.chunks_mut(sw).zip(y0 - 1..y1 + 1) {
-            let r0 = d.idx(0, gy.rem_euclid(ny), wz);
-            let row = &self.data[r0..r0 + d.nx];
-            out[a..b].copy_from_slice(&row[lo as usize..hi as usize]);
-            for (o, gx) in out[..a].iter_mut().zip(gx0..lo) {
-                *o = row[gx.rem_euclid(nx) as usize];
-            }
-            for (o, gx) in out[b..w].iter_mut().zip(hi..gx1) {
-                *o = row[gx.rem_euclid(nx) as usize];
-            }
-        }
-    }
-}
-
-/// Execute the stencil kernel functionally: block-tiled, z-marching
-/// through a three-slot ring of staged planes in `shared`.
+/// Execute the stencil kernel functionally: `p.region` of `dst` from
+/// `src`, both laid out as `p.dims`.
 ///
-/// `shared` is the block's shared memory, grown on first use to
-/// `3 · bx · by` values and reused by every later launch (the device owns
-/// one; see `Gpu::launch_stencil`).
+/// `scratch` holds a periodic launch's staged chunk, grown on first use
+/// and reused by every later launch (the device owns one; see
+/// `Gpu::launch_stencil`).
 pub fn run_stencil(
     src: &[f64],
     dst: &mut [f64],
     coeffs: &[f64; 27],
     p: &StencilLaunch,
-    shared: &mut Vec<f64>,
+    scratch: &mut Vec<f64>,
 ) {
-    let tile_x = p.block.0.saturating_sub(2).max(1) as i64;
-    let tile_y = p.block.1.saturating_sub(2).max(1) as i64;
-    let r = p.region;
+    let (d, r) = (p.dims, p.region);
+    if !p.periodic {
+        return apply_stencil_flat(src, d, dst, d, coeffs, r);
+    }
+    assert!(
+        d.halo == 0 && d.interior().covers(&r),
+        "a periodic launch of {r:?} needs a halo-free layout around it, not {d:?}"
+    );
     if r.is_empty() {
         return;
     }
-    let d = p.dims;
-    let source = Source {
-        data: src,
-        dims: d,
-        periodic: p.periodic,
-    };
-    let sw = (tile_x + 2) as usize;
-    let plane = sw * (tile_y + 2) as usize;
-    if shared.len() < 3 * plane {
-        shared.resize(3 * plane, 0.0);
-    }
-    let mut by0 = r.y.0;
-    while by0 < r.y.1 {
-        let by1 = (by0 + tile_y).min(r.y.1);
-        let mut bx0 = r.x.0;
-        while bx0 < r.x.1 {
-            let bx1 = (bx0 + tile_x).min(r.x.1);
-            let w = (bx1 - bx0) as usize;
-            // Plane `z` lives in slot `(z - r.z.0 + 1) % 3`. The march
-            // opens with the plane below the region and its first plane...
-            let stage = |shared: &mut [f64], k: usize, z: i64| {
-                let slot = &mut shared[k % 3 * plane..][..plane];
-                source.stage_plane(slot, sw, (bx0, bx1), (by0, by1), z);
-            };
-            stage(shared, 0, r.z.0 - 1);
-            stage(shared, 1, r.z.0);
-            for (k, z) in (r.z.0..r.z.1).enumerate() {
-                // ...and each step all threads (halo threads included)
-                // load only plane z+1, over the slot plane z-2 vacated;
-                // planes z-1 and z are reused from the previous step.
-                stage(shared, k + 2, z + 1);
-                // Plane z of the block is one call of the block kernel
-                // the CPU sweep uses: its rows are the tile's x-rows, each
-                // tap a window of the staged planes (tap order matches the
-                // coefficient order: plane slowest, y, x fastest), so
-                // results stay bit-identical to the scalar reference.
-                // Row 0 (ly = 1, lx = 1) reads tap (dz, dy, dx) at row dy,
-                // column dx of plane z + dz − 1.
-                let b = TapBlock {
-                    rows: (by1 - by0) as usize,
-                    w,
-                    dst: d.idx(bx0, by0, z),
-                    dst_stride: d.nx + 2 * d.halo,
-                    taps: std::array::from_fn(|t| {
-                        let (dz, dy, dx) = (t / 9, t / 3 % 3, t % 3);
-                        (k + dz) % 3 * plane + dy * sw + dx
-                    }),
-                    src_stride: sw,
-                };
-                accumulate_block(dst, shared, &b, coeffs);
-            }
-            bx0 = bx1;
+    let mut z0 = r.z.0;
+    while z0 < r.z.1 {
+        let z1 = (z0 + CHUNK_PLANES as i64).min(r.z.1);
+        let chunk = FieldDims {
+            nz: (z1 - z0) as usize,
+            ..d
+        };
+        let staged = FieldDims { halo: 1, ..chunk };
+        if scratch.len() < staged.len() {
+            scratch.resize(staged.len(), 0.0);
         }
-        by0 = by1;
+        let scratch = &mut scratch[..staged.len()];
+        stage_wrapped(src, d, z0, staged, scratch);
+        let out = &mut dst[d.idx(0, 0, z0)..][..chunk.len()];
+        let region = Range3::new(r.x, r.y, (0, chunk.nz as i64));
+        apply_stencil_flat(scratch, staged, out, chunk, coeffs, region);
+        z0 = z1;
+    }
+}
+
+/// Stage planes `z0 - 1 ..= z0 + staged.nz` of the halo-free periodic
+/// field `src` (laid out as `d`) into `out` (laid out as `staged`): each
+/// row wrapped in y and z, one slice copy, plus its two halo columns
+/// wrapped in x.
+fn stage_wrapped(src: &[f64], d: FieldDims, z0: i64, staged: FieldDims, out: &mut [f64]) {
+    let (nx, ny, nz) = (d.nx, d.ny as i64, d.nz as i64);
+    let rows = (-1..=staged.nz as i64).flat_map(|k| (-1..=ny).map(move |y| (y, z0 + k)));
+    for (row, (y, z)) in out.chunks_exact_mut(nx + 2).zip(rows) {
+        let i = d.idx(0, y.rem_euclid(ny), z.rem_euclid(nz));
+        let line = &src[i..i + nx];
+        row[1..=nx].copy_from_slice(line);
+        row[0] = line[nx - 1];
+        row[nx + 1] = line[0];
     }
 }
 
@@ -284,19 +153,6 @@ mod tests {
     use advect_core::field::Field3;
     use advect_core::stencil::apply_stencil_interior;
 
-    fn device_field_from(f: &Field3) -> (Vec<f64>, FieldDims) {
-        let (nx, ny, nz) = f.interior();
-        (
-            f.data().to_vec(),
-            FieldDims {
-                nx,
-                ny,
-                nz,
-                halo: f.halo(),
-            },
-        )
-    }
-
     #[test]
     fn gpu_stencil_matches_cpu_bitwise() {
         let s = Stencil27::new(Velocity::new(1.0, 0.5, 0.25), 0.9);
@@ -306,11 +162,11 @@ mod tests {
         let mut cpu = Field3::new(9, 8, 7, 1);
         apply_stencil_interior(&cur, &mut cpu, &s);
 
-        let (src, dims) = device_field_from(&cur);
+        let (src, dims) = (cur.data(), cur.dims());
         for block in [(4, 4), (3, 5), (16, 16), (32, 8)] {
             let mut dst = vec![0.0; dims.len()];
             run_stencil(
-                &src,
+                src,
                 &mut dst,
                 &s.a,
                 &StencilLaunch {

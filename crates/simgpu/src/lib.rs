@@ -4,10 +4,11 @@
 //! reproduction of White & Dongarra (IPDPS 2011). See DESIGN.md for the
 //! substitution argument; in short:
 //!
-//! * kernels execute **for real** with the same thread-block structure as
-//!   the paper's CUDA kernels (2-D blocks tiling x/y, halo threads that
-//!   only load, a z-march through shared memory), producing bit-identical
-//!   results to the CPU reference;
+//! * kernels execute **for real** through `advect_core`'s stencil sweep,
+//!   producing bit-identical results to the CPU reference, while the
+//!   paper's thread-block structure (2-D blocks tiling x/y, halo threads
+//!   that only load, a z-march through shared memory) is what [`timing`]
+//!   prices;
 //! * **streams, events and synchronization** follow CUDA semantics,
 //!   including a hazard checker that panics on cross-stream
 //!   read-after-write without synchronization;

@@ -1,15 +1,18 @@
 //! Differential tests of the functional kernels against the scalar
 //! per-point oracle (`apply_stencil_region_scalar`), compared with
-//! `to_bits`: the ring-staged z-march and the row-slice pack/unpack
-//! must reproduce it exactly for any grid (down to
-//! one point wide, narrower than a tile), any sub-region, any block shape
-//! and both layouts, and must write nothing outside the launch region.
+//! `to_bits`: the stencil kernel — the shared sweep over the device
+//! buffers, or over wrapped z-chunks staged from the halo-free periodic
+//! layout — and the row-slice pack/unpack must reproduce it exactly for
+//! any grid (down to one point wide; deep enough in z to cross several
+//! chunk seams), any sub-region, any block shape and both layouts, and
+//! must write nothing outside the launch region.
 
 use advect_core::coeffs::{Stencil27, Velocity};
 use advect_core::field::{Field3, Range3};
 use advect_core::stencil::apply_stencil_region_scalar;
+use decomp::BoxPartition;
 use proptest::prelude::*;
-use simgpu::kernels::{run_pack, run_stencil, run_unpack, FieldDims, StencilLaunch};
+use simgpu::kernels::{run_pack, run_stencil, run_unpack, FieldDims, StencilLaunch, CHUNK_PLANES};
 
 /// Never produced by the stencil on finite input, so a surviving sentinel
 /// proves a point was not written and a missing one that it was.
@@ -32,14 +35,14 @@ fn periodic_field(nx: usize, ny: usize, nz: usize, seed: u64) -> Field3 {
 
 /// Run the kernel on `region` in one layout and compare every value of
 /// the destination buffer — region and surroundings — with the oracle.
-/// `shared` is carried across calls so stale ring contents from earlier
-/// launches (other blocks, other layouts) are part of what is tested.
+/// `scratch` is carried across calls so stale chunks from earlier
+/// launches (other grids, other layouts) are part of what is tested.
 fn check_launch(
     src: &Field3,
     region: Range3,
     block: (usize, usize),
     periodic: bool,
-    shared: &mut Vec<f64>,
+    scratch: &mut Vec<f64>,
 ) {
     let (nx, ny, nz) = src.interior();
     let s = Stencil27::new(Velocity::new(1.0, 0.5, -0.25), 0.9);
@@ -68,33 +71,37 @@ fn check_launch(
         block,
         periodic,
     };
-    run_stencil(&dev_src, &mut dst, &s.a, &launch, shared);
+    run_stencil(&dev_src, &mut dst, &s.a, &launch, scratch);
     assert_eq!(bits(&dst), want, "{launch:?}");
 }
 
-/// A (possibly empty) sub-range of `0..n`.
+/// A (possibly empty) sub-range of `0..n`, starting anywhere in `0..=n`.
 fn sub_range(n: usize, lo: usize, span: usize) -> (i64, i64) {
-    let lo = lo.min(n) as i64;
+    let lo = (lo % (n + 1)) as i64;
     (lo, (lo + span as i64).min(n as i64))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// Half the cases stay shallow (`nz < 7`); the other half reach three
+    /// chunks deep, so periodic launches cross chunk seams at any offset.
     #[test]
     fn stencil_kernels_match_the_scalar_oracle_bitwise(
-        nx in 1usize..40, ny in 1usize..12, nz in 1usize..7,
+        nx in 1usize..40, ny in 1usize..12,
+        deep in 0usize..2, nz in 1usize..3 * CHUNK_PLANES + 1,
         x0 in 0usize..40, xs in 0usize..41,
         y0 in 0usize..12, ys in 0usize..13,
-        z0 in 0usize..7, zs in 0usize..8,
+        z0 in 0usize..3 * CHUNK_PLANES, zs in 0usize..3 * CHUNK_PLANES + 1,
         block in 0usize..5,
         seed in 0u64..1000,
     ) {
+        let nz = if deep == 1 { nz } else { 1 + nz % 6 };
         let src = periodic_field(nx, ny, nz, seed);
         let region = Range3::new(sub_range(nx, x0, xs), sub_range(ny, y0, ys), sub_range(nz, z0, zs));
-        let mut shared = Vec::new();
+        let mut scratch = Vec::new();
         for periodic in [false, true] {
-            check_launch(&src, region, BLOCKS[block], periodic, &mut shared);
+            check_launch(&src, region, BLOCKS[block], periodic, &mut scratch);
         }
     }
 
@@ -130,7 +137,7 @@ fn every_face_slab_and_the_whole_interior_match_under_every_block() {
     // 35 wide: a full 32-wide tile of block (34, 10) plus a 3-wide one, a
     // 30- and a 5-wide tile of block (32, 8). The two small grids are
     // narrower than the tile of every block but (3, 3), and one has nz = 1.
-    let mut shared = Vec::new();
+    let mut scratch = Vec::new();
     for (nx, ny, nz) in [(35, 9, 4), (5, 3, 1), (1, 1, 1)] {
         let src = periodic_field(nx, ny, nz, 7);
         let (ex, ey, ez) = (nx as i64, ny as i64, nz as i64);
@@ -146,9 +153,33 @@ fn every_face_slab_and_the_whole_interior_match_under_every_block() {
         for region in regions {
             for (bx, by) in BLOCKS {
                 for periodic in [false, true] {
-                    check_launch(&src, region, (bx, by), periodic, &mut shared);
+                    check_launch(&src, region, (bx, by), periodic, &mut scratch);
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn gpu_round_launches_match_the_scalar_oracle() {
+    // The launches of the benchmark's GPU round at its block: IV-E's
+    // periodic 48³ interior (six chunks), and the halo-layout regions of
+    // IV-F..I on one of two 48×48×24 subdomains — the deep interior and
+    // the six boundary-ring walls, without (IV-F/G) and with (IV-H/I) a
+    // CPU veneer.
+    let block = (32, 8);
+    let mut scratch = Vec::new();
+    let cube = periodic_field(48, 48, 48, 11);
+    check_launch(&cube, cube.interior_range(), block, true, &mut scratch);
+    let slab = periodic_field(48, 48, 24, 12);
+    for thickness in [0, 2] {
+        let part = BoxPartition::new((48, 48, 24), thickness);
+        for region in part
+            .gpu_boundary_ring
+            .into_iter()
+            .chain([part.gpu_deep_interior])
+        {
+            check_launch(&slab, region, block, false, &mut scratch);
         }
     }
 }
