@@ -1,8 +1,9 @@
 //! A small discrete-event engine for composing per-step schedules.
 //!
 //! Each implementation's time step is a DAG of operations bound to
-//! resources (GPU compute engine, PCIe copy engines, the NIC, the CPU
-//! team). An operation starts when its dependencies have finished *and*
+//! resources (GPU compute engine, PCIe copy engines, the NIC); CPU work
+//! is a resource-free op that only waits for its dependencies. An
+//! operation starts when its dependencies have finished *and*
 //! its resource is free; the step time is the makespan. This is how the
 //! GPU-implementation models express "what overlaps what" without ad-hoc
 //! `max()` algebra: bulk-synchronous scheduling chains everything on one
@@ -23,8 +24,6 @@ pub enum Res {
     CopyD2H,
     /// The node's network interface.
     Nic,
-    /// The CPU thread team.
-    Cpu,
     /// Pure dependency node (no resource).
     None,
 }
@@ -33,14 +32,10 @@ pub enum Res {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpId(usize);
 
-/// One operation: a duration on a resource after some dependencies.
+/// One scheduled operation: its resource, dependencies and window.
 #[derive(Debug, Clone)]
 struct Op {
-    dur: f64,
     res: Res,
-    /// Phase tag (`"mpi"`, `"interior"`, …) for timeline export; `""`
-    /// for untagged ops.
-    tag: &'static str,
     deps: Vec<OpId>,
     start: f64,
     end: f64,
@@ -63,12 +58,6 @@ impl Schedule {
     /// in submission order (list scheduling): start = max(resource free,
     /// dependencies' end).
     pub fn add(&mut self, res: Res, dur: f64, deps: &[OpId]) -> OpId {
-        self.add_tagged(res, "", dur, deps)
-    }
-
-    /// Like [`Schedule::add`], carrying a phase tag the timeline export
-    /// ([`Schedule::ops`]) preserves.
-    pub fn add_tagged(&mut self, res: Res, tag: &'static str, dur: f64, deps: &[OpId]) -> OpId {
         assert!(dur >= 0.0, "durations must be non-negative");
         let dep_end = deps
             .iter()
@@ -85,9 +74,7 @@ impl Schedule {
             self.res_free.insert(res, end);
         }
         self.ops.push(Op {
-            dur,
             res,
-            tag,
             deps: deps.to_vec(),
             start,
             end,
@@ -95,42 +82,9 @@ impl Schedule {
         OpId(self.ops.len() - 1)
     }
 
-    /// The scheduled timeline: `(resource, tag, start, end)` per op, in
-    /// submission order. This is the export the model-vs-measured
-    /// divergence report aligns against real traces.
-    pub fn ops(&self) -> Vec<(Res, &'static str, f64, f64)> {
-        self.ops
-            .iter()
-            .map(|o| (o.res, o.tag, o.start, o.end))
-            .collect()
-    }
-
-    /// Convenience: a chain of dependent operations on one resource.
-    pub fn chain(&mut self, res: Res, durs: &[f64], mut after: Option<OpId>) -> Option<OpId> {
-        for &d in durs {
-            let deps: Vec<OpId> = after.into_iter().collect();
-            after = Some(self.add(res, d, &deps));
-        }
-        after
-    }
-
-    /// Completion time of an operation.
-    pub fn end_of(&self, id: OpId) -> f64 {
-        self.ops[id.0].end
-    }
-
     /// Makespan: when the last operation finishes.
     pub fn makespan(&self) -> f64 {
         self.ops.iter().map(|o| o.end).fold(0.0, f64::max)
-    }
-
-    /// Total busy time of a resource (for utilization reports).
-    pub fn busy(&self, res: Res) -> f64 {
-        self.ops
-            .iter()
-            .filter(|o| o.res == res)
-            .map(|o| o.dur)
-            .sum()
     }
 
     /// Number of operations.
@@ -191,16 +145,9 @@ mod tests {
         let mut s = Schedule::new();
         let a = s.add(Res::CopyD2H, 5.0, &[]);
         let b = s.add(Res::Nic, 3.0, &[a]);
-        let c = s.add(Res::CopyH2D, 2.0, &[b]);
-        assert_eq!(s.end_of(c), 10.0);
+        s.add(Res::CopyH2D, 2.0, &[b]);
+        assert_eq!(s.makespan(), 10.0);
         assert!(s.validate());
-    }
-
-    #[test]
-    fn chain_builds_serial_pipeline() {
-        let mut s = Schedule::new();
-        let end = s.chain(Res::Cpu, &[1.0, 2.0, 3.0], None).unwrap();
-        assert_eq!(s.end_of(end), 6.0);
     }
 
     #[test]
@@ -220,29 +167,5 @@ mod tests {
         let n = overlapped.add(Res::Nic, durs[1], &[d]);
         overlapped.add(Res::CopyH2D, durs[2], &[n]);
         assert_eq!(overlapped.makespan(), 15.0);
-    }
-
-    #[test]
-    fn tagged_ops_export_the_timeline() {
-        let mut s = Schedule::new();
-        let a = s.add_tagged(Res::Nic, "mpi", 3.0, &[]);
-        s.add_tagged(Res::Cpu, "wall", 2.0, &[a]);
-        let ops = s.ops();
-        assert_eq!(ops.len(), 2);
-        assert_eq!(ops[0], (Res::Nic, "mpi", 0.0, 3.0));
-        assert_eq!(ops[1], (Res::Cpu, "wall", 3.0, 5.0));
-        // Untagged adds carry the empty tag.
-        s.add(Res::Cpu, 1.0, &[]);
-        assert_eq!(s.ops()[2].1, "");
-    }
-
-    #[test]
-    fn busy_time_accumulates_per_resource() {
-        let mut s = Schedule::new();
-        s.add(Res::Nic, 1.0, &[]);
-        s.add(Res::Nic, 2.0, &[]);
-        s.add(Res::Cpu, 4.0, &[]);
-        assert_eq!(s.busy(Res::Nic), 3.0);
-        assert_eq!(s.busy(Res::Cpu), 4.0);
     }
 }

@@ -5,16 +5,19 @@
 //! engine, the PCIe copy engines, the NIC, and the CPU team. The chains
 //! mirror the functional code in the `overlap` crate exactly:
 //!
-//! * **IV-F** chains everything: pack → D2H → MPI → H2D → unpack → face
-//!   kernels → interior kernel;
-//! * **IV-G** issues the interior kernel first, then runs the same halo
-//!   chain beside it;
-//! * **IV-H** adds CPU walls in parallel with the GPU kernels but keeps
-//!   the communication chain serial and up front;
+//! * **IV-H** chains the exchange up front: pack → D2H → MPI → H2D →
+//!   unpack → face kernels → interior kernel, with the CPU walls beside
+//!   the kernels once MPI is done;
+//! * **IV-F** is IV-H with no veneer (thickness 0, so no wall op);
+//! * **IV-G** issues the interior kernel first, runs the incoming half of
+//!   the same chain beside it, and downloads the outgoing boundary last;
 //! * **IV-I** decouples: the PCIe ring traffic (asynchronous, page-locked)
 //!   and GPU boundary kernels run beside the interior kernel, while the
 //!   MPI phases overlap CPU wall computation — no path contains both MPI
 //!   and PCIe.
+//!
+//! [`GpuScenario::schedule`] builds an implementation's schedule and
+//! [`GpuScenario::step_time`] prices it; everything else is private.
 //!
 //! The blocking copies of IV-F/G/H run at the degraded *pageable* PCIe
 //! rate; IV-I's async copies run at the spec rate (see
@@ -22,7 +25,7 @@
 //! Section V-E's "decoupling of MPI communication and CPU-GPU
 //! communication".
 
-use crate::event::{Res, Schedule};
+use crate::event::{OpId, Res, Schedule};
 use crate::params;
 use advect_core::flops::{FLOPS_PER_POINT, PAPER_GRID};
 use decomp::factor3;
@@ -258,315 +261,138 @@ impl<'a> GpuScenario<'a> {
             * params::CPU_WALL_EFF
     }
 
-    /// Step time of IV-E (single GPU, whole problem resident).
-    pub fn step_resident(&self) -> f64 {
-        let g = PAPER_GRID;
-        let launch = simgpu::StencilLaunch {
-            dims: simgpu::FieldDims {
-                nx: g,
-                ny: g,
-                nz: g,
-                halo: 0,
-            },
-            region: advect_core::field::Range3::new((0, g as i64), (0, g as i64), (0, g as i64)),
-            block: self.block,
-            periodic: true,
+    /// Outgoing half of a blocking exchange: pack the boundary ring,
+    /// download it (pageable), stage it on the host. Returns the staging op.
+    fn add_outgoing(&self, s: &mut Schedule, geo: &Geometry, deps: &[OpId]) -> OpId {
+        let pack = s.add(Res::GpuCompute, self.pack_dur(geo.ring_pts), deps);
+        let d2h = s.add(Res::CopyD2H, self.pcie_dur(geo.ring_pts, false), &[pack]);
+        s.add(Res::None, self.staging_dur(geo.ring_pts), &[d2h])
+    }
+
+    /// Incoming half of a blocking exchange: MPI, host staging, upload
+    /// (pageable), unpack, face kernels. Returns the MPI and face ops.
+    fn add_incoming(&self, s: &mut Schedule, geo: &Geometry, deps: &[OpId]) -> (OpId, OpId) {
+        let mpi = s.add(Res::Nic, self.mpi_total(geo), deps);
+        let stage = s.add(Res::None, self.staging_dur(geo.halo_ring_pts), &[mpi]);
+        let h2d = s.add(
+            Res::CopyH2D,
+            self.pcie_dur(geo.halo_ring_pts, false),
+            &[stage],
+        );
+        let unpack = s.add(Res::GpuCompute, self.pack_dur(geo.halo_ring_pts), &[h2d]);
+        let faces = s.add(
+            Res::GpuCompute,
+            self.face_kernels_dur(geo, false),
+            &[unpack],
+        );
+        (mpi, faces)
+    }
+
+    /// One task of IV-F/IV-H: the whole exchange chained up front, then
+    /// the face and interior kernels; the CPU walls (IV-H only: IV-F's
+    /// geometry has none) run beside the kernels once MPI is done.
+    fn add_bulk_sync_task(&self, s: &mut Schedule, geo: &Geometry) {
+        let staged = self.add_outgoing(s, geo, &[]);
+        let (mpi, faces) = self.add_incoming(s, geo, &[staged]);
+        s.add(Res::GpuCompute, self.interior_kernel_dur(geo), &[faces]);
+        if geo.wall_pts > 0.0 {
+            s.add(Res::None, geo.wall_pts / self.cpu_wall_rate(), &[mpi]);
+        }
+    }
+
+    /// One task of IV-G: the interior kernel beside the incoming halo
+    /// chain, whose MPI uses the boundary downloaded at the end of the
+    /// previous step; the outgoing boundary for the next step follows.
+    fn add_streams_task(&self, s: &mut Schedule, geo: &Geometry) {
+        let interior = s.add(Res::GpuCompute, self.interior_kernel_dur(geo), &[]);
+        let (_, faces) = self.add_incoming(s, geo, &[]);
+        self.add_outgoing(s, geo, &[faces, interior]);
+    }
+
+    /// One task of IV-I.
+    fn add_hybrid_overlap_task(&self, s: &mut Schedule, geo: &Geometry) {
+        // GPU side: interior on the compute engine; halo ring H2D
+        // (async, page-locked), boundary kernels, ring D2H beside it.
+        let interior = s.add(Res::GpuCompute, self.interior_kernel_dur(geo), &[]);
+        let h2d = s.add(Res::CopyH2D, self.pcie_dur(geo.halo_ring_pts, true), &[]);
+        let faces = if self.spec().concurrent_kernels {
+            // Fermi co-schedules the small boundary kernels beside the
+            // interior kernel (at a throughput penalty).
+            s.add(Res::None, self.face_kernels_dur(geo, true), &[h2d])
+        } else {
+            s.add(
+                Res::GpuCompute,
+                self.face_kernels_dur(geo, false),
+                &[h2d, interior],
+            )
         };
-        timing::stencil_kernel_time(self.spec(), &launch)
-    }
-
-    /// The IV-F schedule (bulk-synchronous, everything chained).
-    pub fn build_bulk_sync(&self) -> Schedule {
-        let geo = self.geometry(0);
-        let mut s = Schedule::new();
-        for _task in 0..self.tasks_per_node() {
-            self.context_switch(&mut s);
-            let pack = s.add_tagged(Res::GpuCompute, "pack", self.pack_dur(geo.ring_pts), &[]);
-            let d2h = s.add_tagged(
-                Res::CopyD2H,
-                "d2h",
-                self.pcie_dur(geo.ring_pts, false),
-                &[pack],
-            );
-            let stage1 = s.add_tagged(Res::None, "stage", self.staging_dur(geo.ring_pts), &[d2h]);
-            let mpi = s.add_tagged(Res::Nic, "mpi", self.mpi_total(&geo), &[stage1]);
-            let stage2 = s.add_tagged(
+        s.add(Res::CopyD2H, self.pcie_dur(geo.ring_pts, true), &[faces]);
+        // CPU side: each dimension's phase overlaps that dimension's
+        // inner wall points. A phase's sends need the previous phase's
+        // halo; the task's thread team computes one wall chunk at a
+        // time, so the chunks chain. Outer wall points follow the last
+        // phase and the last chunk.
+        let mut prev_phase: Option<OpId> = None;
+        let mut prev_wall: Option<OpId> = None;
+        for d in 0..3 {
+            let phase_deps: Vec<_> = prev_phase.into_iter().collect();
+            let phase = s.add(Res::Nic, self.phase_net(geo, d), &phase_deps);
+            let wall_deps: Vec<_> = prev_wall.into_iter().chain(prev_phase).collect();
+            let wall = s.add(
                 Res::None,
-                "stage",
-                self.staging_dur(geo.halo_ring_pts),
-                &[mpi],
+                geo.inner_wall_pts / 3.0 / self.cpu_wall_rate(),
+                &wall_deps,
             );
-            let h2d = s.add_tagged(
-                Res::CopyH2D,
-                "h2d",
-                self.pcie_dur(geo.halo_ring_pts, false),
-                &[stage2],
-            );
-            let unpack = s.add_tagged(
-                Res::GpuCompute,
-                "unpack",
-                self.pack_dur(geo.halo_ring_pts),
-                &[h2d],
-            );
-            let faces = s.add_tagged(
-                Res::GpuCompute,
-                "faces",
-                self.face_kernels_dur(&geo, false),
-                &[unpack],
-            );
-            s.add_tagged(
-                Res::GpuCompute,
-                "interior",
-                self.interior_kernel_dur(&geo),
-                &[faces],
-            );
+            prev_phase = Some(phase);
+            prev_wall = Some(wall);
         }
-        s
-    }
-
-    /// Step time of IV-F (bulk-synchronous, everything chained).
-    pub fn step_bulk_sync(&self) -> f64 {
-        self.build_bulk_sync().makespan() + params::GPU_STEP_FIXED_S
-    }
-
-    /// Context-switch cost on the GPU engine when several MPI tasks share
-    /// the device (pre-MPS process serialization).
-    fn context_switch(&self, s: &mut Schedule) {
-        if self.tasks_per_node() > 1 {
-            s.add_tagged(Res::GpuCompute, "ctx", params::GPU_CONTEXT_SWITCH_S, &[]);
+        let outer = (geo.wall_pts - geo.inner_wall_pts).max(0.0);
+        if outer > 0.0 {
+            let deps: Vec<_> = prev_phase.into_iter().chain(prev_wall).collect();
+            s.add(Res::None, outer / self.cpu_wall_rate(), &deps);
         }
     }
 
-    /// The IV-G schedule (interior kernel beside the halo chain; the
-    /// outgoing boundary was downloaded at the end of the previous step).
-    pub fn build_streams(&self) -> Schedule {
-        let geo = self.geometry(0);
-        let mut s = Schedule::new();
-        for _task in 0..self.tasks_per_node() {
-            self.context_switch(&mut s);
-            let interior = s.add_tagged(
-                Res::GpuCompute,
-                "interior",
-                self.interior_kernel_dur(&geo),
-                &[],
-            );
-            // MPI first: it uses last step's boundary buffers.
-            let mpi = s.add_tagged(Res::Nic, "mpi", self.mpi_total(&geo), &[]);
-            let stage = s.add_tagged(
-                Res::None,
-                "stage",
-                self.staging_dur(geo.halo_ring_pts),
-                &[mpi],
-            );
-            let h2d = s.add_tagged(
-                Res::CopyH2D,
-                "h2d",
-                self.pcie_dur(geo.halo_ring_pts, false),
-                &[stage],
-            );
-            let unpack = s.add_tagged(
-                Res::GpuCompute,
-                "unpack",
-                self.pack_dur(geo.halo_ring_pts),
-                &[h2d],
-            );
-            let faces = s.add_tagged(
-                Res::GpuCompute,
-                "faces",
-                self.face_kernels_dur(&geo, false),
-                &[unpack],
-            );
-            // Outgoing boundary for the next step: pack + D2H at the end.
-            let pack = s.add_tagged(
-                Res::GpuCompute,
-                "pack",
-                self.pack_dur(geo.ring_pts),
-                &[faces, interior],
-            );
-            let d2h = s.add_tagged(
-                Res::CopyD2H,
-                "d2h",
-                self.pcie_dur(geo.ring_pts, false),
-                &[pack],
-            );
-            s.add_tagged(Res::None, "stage", self.staging_dur(geo.ring_pts), &[d2h]);
-        }
-        s
-    }
-
-    /// Step time of IV-G.
-    pub fn step_streams(&self) -> f64 {
-        self.build_streams().makespan() + params::GPU_STEP_FIXED_S
-    }
-
-    /// The IV-H schedule (hybrid, bulk-synchronous communication).
-    pub fn build_hybrid_bulk_sync(&self) -> Schedule {
-        let geo = self.geometry(self.thickness);
-        let mut s = Schedule::new();
-        for _task in 0..self.tasks_per_node() {
-            self.context_switch(&mut s);
-            let pack = s.add_tagged(Res::GpuCompute, "pack", self.pack_dur(geo.ring_pts), &[]);
-            let d2h = s.add_tagged(
-                Res::CopyD2H,
-                "d2h",
-                self.pcie_dur(geo.ring_pts, false),
-                &[pack],
-            );
-            let stage1 = s.add_tagged(Res::None, "stage", self.staging_dur(geo.ring_pts), &[d2h]);
-            let mpi = s.add_tagged(Res::Nic, "mpi", self.mpi_total(&geo), &[stage1]);
-            let stage2 = s.add_tagged(
-                Res::None,
-                "stage",
-                self.staging_dur(geo.halo_ring_pts),
-                &[mpi],
-            );
-            let h2d = s.add_tagged(
-                Res::CopyH2D,
-                "h2d",
-                self.pcie_dur(geo.halo_ring_pts, false),
-                &[stage2],
-            );
-            let unpack = s.add_tagged(
-                Res::GpuCompute,
-                "unpack",
-                self.pack_dur(geo.halo_ring_pts),
-                &[h2d],
-            );
-            // GPU kernels and CPU walls proceed in parallel after the
-            // exchange.
-            let faces = s.add_tagged(
-                Res::GpuCompute,
-                "faces",
-                self.face_kernels_dur(&geo, false),
-                &[unpack],
-            );
-            s.add_tagged(
-                Res::GpuCompute,
-                "interior",
-                self.interior_kernel_dur(&geo),
-                &[faces],
-            );
-            if geo.wall_pts > 0.0 {
-                s.add_tagged(
-                    Res::None,
-                    "wall",
-                    geo.wall_pts / self.cpu_wall_rate(),
-                    &[mpi],
-                );
-            }
-        }
-        s
-    }
-
-    /// Step time of IV-H.
-    pub fn step_hybrid_bulk_sync(&self) -> f64 {
-        self.build_hybrid_bulk_sync().makespan() + params::GPU_STEP_FIXED_S
-    }
-
-    /// The IV-I schedule (full overlap). Requires thickness ≥ 1.
-    pub fn build_hybrid_overlap(&self) -> Schedule {
-        assert!(self.thickness >= 1, "IV-I needs a CPU veneer");
-        let geo = self.geometry(self.thickness);
-        let concurrent = self.spec().concurrent_kernels;
-        let mut s = Schedule::new();
-        for _task in 0..self.tasks_per_node() {
-            // GPU side: interior on the compute engine; halo ring H2D
-            // (async, page-locked), boundary kernels, ring D2H beside it.
-            self.context_switch(&mut s);
-            let interior = s.add_tagged(
-                Res::GpuCompute,
-                "interior",
-                self.interior_kernel_dur(&geo),
-                &[],
-            );
-            let h2d = s.add_tagged(
-                Res::CopyH2D,
-                "h2d",
-                self.pcie_dur(geo.halo_ring_pts, true),
-                &[],
-            );
-            let faces = if concurrent {
-                // Fermi co-schedules the small boundary kernels beside the
-                // interior kernel (at a throughput penalty).
-                s.add_tagged(
-                    Res::None,
-                    "faces",
-                    self.face_kernels_dur(&geo, true),
-                    &[h2d],
-                )
-            } else {
-                s.add_tagged(
-                    Res::GpuCompute,
-                    "faces",
-                    self.face_kernels_dur(&geo, false),
-                    &[h2d, interior],
-                )
-            };
-            s.add_tagged(
-                Res::CopyD2H,
-                "d2h",
-                self.pcie_dur(geo.ring_pts, true),
-                &[faces],
-            );
-            // CPU side: each dimension's phase overlaps that dimension's
-            // inner wall points. A phase's sends need the previous phase's
-            // halo; the task's thread team computes one wall chunk at a
-            // time, so the chunks chain. Outer wall points follow the last
-            // phase and the last chunk.
-            let mut prev_phase: Option<crate::event::OpId> = None;
-            let mut prev_wall: Option<crate::event::OpId> = None;
-            for d in 0..3 {
-                let phase_deps: Vec<_> = prev_phase.into_iter().collect();
-                let phase = s.add_tagged(Res::Nic, "mpi", self.phase_net(&geo, d), &phase_deps);
-                let wall_deps: Vec<_> = prev_wall.into_iter().chain(prev_phase).collect();
-                let wall = s.add_tagged(
-                    Res::None,
-                    "wall",
-                    geo.inner_wall_pts / 3.0 / self.cpu_wall_rate(),
-                    &wall_deps,
-                );
-                prev_phase = Some(phase);
-                prev_wall = Some(wall);
-            }
-            let outer = (geo.wall_pts - geo.inner_wall_pts).max(0.0);
-            if outer > 0.0 {
-                let deps: Vec<_> = prev_phase.into_iter().chain(prev_wall).collect();
-                s.add_tagged(Res::None, "wall", outer / self.cpu_wall_rate(), &deps);
-            }
-        }
-        s
-    }
-
-    /// Step time of IV-I.
-    pub fn step_hybrid_overlap(&self) -> f64 {
-        self.build_hybrid_overlap().makespan() + params::GPU_STEP_FIXED_S
-    }
-
-    /// The per-step schedule of the given implementation (IV-E is a
-    /// single resident kernel, modeled as one tagged op).
+    /// The per-step schedule of the given implementation on one node:
+    /// IV-E is its single resident kernel; IV-F…IV-I repeat one task's
+    /// ops for every task sharing the GPU. IV-F is IV-H at thickness 0,
+    /// whatever the scenario's thickness. IV-I requires thickness ≥ 1.
     pub fn schedule(&self, im: GpuImpl) -> Schedule {
-        match im {
+        let mut s = Schedule::new();
+        let (thickness, add_task): (usize, fn(&Self, &mut Schedule, &Geometry)) = match im {
             GpuImpl::Resident => {
-                let mut s = Schedule::new();
-                s.add_tagged(Res::GpuCompute, "interior", self.step_resident(), &[]);
-                s
+                let t = timing::resident_kernel_time(self.spec(), PAPER_GRID, self.block);
+                s.add(Res::GpuCompute, t, &[]);
+                return s;
             }
-            GpuImpl::BulkSync => self.build_bulk_sync(),
-            GpuImpl::Streams => self.build_streams(),
-            GpuImpl::HybridBulkSync => self.build_hybrid_bulk_sync(),
-            GpuImpl::HybridOverlap => self.build_hybrid_overlap(),
+            GpuImpl::BulkSync => (0, Self::add_bulk_sync_task),
+            GpuImpl::Streams => (0, Self::add_streams_task),
+            GpuImpl::HybridBulkSync => (self.thickness, Self::add_bulk_sync_task),
+            GpuImpl::HybridOverlap => {
+                assert!(self.thickness >= 1, "IV-I needs a CPU veneer");
+                (self.thickness, Self::add_hybrid_overlap_task)
+            }
+        };
+        let geo = self.geometry(thickness);
+        for _task in 0..self.tasks_per_node() {
+            // Tasks sharing the device pay a context switch on its engine
+            // (pre-MPS process serialization).
+            if self.tasks_per_node() > 1 {
+                s.add(Res::GpuCompute, params::GPU_CONTEXT_SWITCH_S, &[]);
+            }
+            add_task(self, &mut s, &geo);
         }
+        s
     }
 
-    /// Step time of the given implementation.
+    /// Step time of the given implementation: the schedule's makespan,
+    /// plus [`params::GPU_STEP_FIXED_S`] for IV-F…IV-I.
     pub fn step_time(&self, im: GpuImpl) -> f64 {
-        match im {
-            GpuImpl::Resident => self.step_resident(),
-            GpuImpl::BulkSync => self.step_bulk_sync(),
-            GpuImpl::Streams => self.step_streams(),
-            GpuImpl::HybridBulkSync => self.step_hybrid_bulk_sync(),
-            GpuImpl::HybridOverlap => self.step_hybrid_overlap(),
-        }
+        let fixed = match im {
+            GpuImpl::Resident => 0.0,
+            _ => params::GPU_STEP_FIXED_S,
+        };
+        self.schedule(im).makespan() + fixed
     }
 
     /// Whole-machine GF (strong scaling at 420³).
@@ -640,6 +466,20 @@ mod tests {
             best_i > 0.85 * resident,
             "IV-I {best_i} not near resident {resident}"
         );
+    }
+
+    #[test]
+    fn bulk_sync_ignores_the_scenario_thickness() {
+        // IV-F is IV-H with no veneer: no thickness may reach its schedule.
+        let m = yona();
+        let at = |t| {
+            GpuScenario::new(&m, 12, 6)
+                .with_thickness(t)
+                .schedule(GpuImpl::BulkSync)
+        };
+        let (thin, thick) = (at(0), at(3));
+        assert_eq!(thin.len(), thick.len());
+        assert_eq!(thin.makespan().to_bits(), thick.makespan().to_bits());
     }
 
     #[test]

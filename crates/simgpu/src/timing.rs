@@ -162,9 +162,9 @@ pub fn pcie_time(spec: &GpuSpec, points: usize) -> f64 {
     spec.pcie_latency_s + points as f64 * 8.0 / (spec.pcie_bw_gbs * 1e9)
 }
 
-/// Achieved GF of a full-device resident stencil pass (the block-size
-/// sweep of Figures 7 and 8).
-pub fn resident_gigaflops(spec: &GpuSpec, grid: usize, block: (usize, usize)) -> f64 {
+/// Duration of a full-device resident stencil pass: the periodic,
+/// halo-free `grid³` launch of IV-E.
+pub fn resident_kernel_time(spec: &GpuSpec, grid: usize, block: (usize, usize)) -> f64 {
     let launch = StencilLaunch {
         dims: crate::kernels::FieldDims {
             nx: grid,
@@ -180,7 +180,13 @@ pub fn resident_gigaflops(spec: &GpuSpec, grid: usize, block: (usize, usize)) ->
         block,
         periodic: true,
     };
-    let t = stencil_kernel_time(spec, &launch);
+    stencil_kernel_time(spec, &launch)
+}
+
+/// Achieved GF of a full-device resident stencil pass (the block-size
+/// sweep of Figures 7 and 8).
+pub fn resident_gigaflops(spec: &GpuSpec, grid: usize, block: (usize, usize)) -> f64 {
+    let t = resident_kernel_time(spec, grid, block);
     (grid as f64).powi(3) * FLOPS_PER_POINT as f64 / t / 1e9
 }
 
