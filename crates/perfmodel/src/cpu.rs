@@ -46,9 +46,10 @@ pub struct StepBreakdown {
 }
 
 impl StepBreakdown {
-    /// Total step time.
+    /// Total step time: overhead + communication + compute, summed in
+    /// that order.
     pub fn total(&self) -> f64 {
-        self.compute + self.communication + self.overhead
+        self.overhead + self.communication + self.compute
     }
 }
 
@@ -168,15 +169,15 @@ impl<'a> CpuScenario<'a> {
     }
 
     /// Step time of IV-A (single task; uses at most one node's cores).
-    pub fn step_single_task(&self) -> f64 {
+    fn single_task_step(&self) -> f64 {
         let threads = self.threads.min(self.machine.cores_per_node());
         let rate = self.machine.cpu.stencil_points_per_second(threads, 1);
         let omp = self.machine.cpu.omp_region_cost(threads);
         (self.grid as f64).powi(3) / rate + params::REGIONS_BULK as f64 * omp
     }
 
-    /// Component breakdown of the bulk-synchronous step (for the
-    /// introspection harness).
+    /// Component breakdown of the bulk-synchronous step (IV-B); its
+    /// total is IV-B's step time.
     pub fn breakdown_bulk_sync(&self) -> StepBreakdown {
         let omp = self.region_cost();
         let comm: f64 = (0..3).map(|d| self.phase_cpu() + self.phase_net(d)).sum();
@@ -208,16 +209,8 @@ impl<'a> CpuScenario<'a> {
         }
     }
 
-    /// Step time of IV-B (bulk-synchronous).
-    pub fn step_bulk_sync(&self) -> f64 {
-        let omp = self.region_cost();
-        let comm: f64 = (0..3).map(|d| self.phase_cpu() + self.phase_net(d)).sum();
-        let comp = self.points_per_task() / self.rate();
-        params::REGIONS_BULK as f64 * omp + comm + comp
-    }
-
     /// Step time of IV-C (nonblocking overlap, interior thirds).
-    pub fn step_nonblocking(&self) -> f64 {
+    fn nonblocking_step(&self) -> f64 {
         let omp = self.region_cost();
         let (pi, pb) = self.interior_boundary_split();
         let t_int = pi / self.rate();
@@ -234,7 +227,7 @@ impl<'a> CpuScenario<'a> {
     }
 
     /// Step time of IV-D (OpenMP master-thread overlap, guided interior).
-    pub fn step_thread_overlap(&self) -> f64 {
+    fn thread_overlap_step(&self) -> f64 {
         let omp = self.region_cost();
         let (pi, pb) = self.interior_boundary_split();
         let comm: f64 = (0..3).map(|d| self.phase_cpu() + self.phase_net(d)).sum();
@@ -242,7 +235,7 @@ impl<'a> CpuScenario<'a> {
         if self.threads == 1 {
             // No thread to hide behind: bulk-synchronous plus the guided
             // scheduling overhead.
-            return self.step_bulk_sync() * params::GUIDED_PENALTY;
+            return self.breakdown_bulk_sync().total() * params::GUIDED_PENALTY;
         }
         // Interior proceeds on T-1 threads (guided) while the master
         // communicates; the master joins late. Only part of the
@@ -259,10 +252,10 @@ impl<'a> CpuScenario<'a> {
     /// Step time of the given implementation.
     pub fn step_time(&self, im: CpuImpl) -> f64 {
         match im {
-            CpuImpl::SingleTask => self.step_single_task(),
-            CpuImpl::BulkSync => self.step_bulk_sync(),
-            CpuImpl::Nonblocking => self.step_nonblocking(),
-            CpuImpl::ThreadOverlap => self.step_thread_overlap(),
+            CpuImpl::SingleTask => self.single_task_step(),
+            CpuImpl::BulkSync => self.breakdown_bulk_sync().total(),
+            CpuImpl::Nonblocking => self.nonblocking_step(),
+            CpuImpl::ThreadOverlap => self.thread_overlap_step(),
         }
     }
 
@@ -377,9 +370,9 @@ mod tests {
         for cores in [192usize, 6144] {
             let s = CpuScenario::new(&m, cores, 6);
             let b = s.breakdown_bulk_sync();
-            assert!((b.total() - s.step_bulk_sync()).abs() / s.step_bulk_sync() < 1e-9);
+            assert!((b.total() - s.step_time(CpuImpl::BulkSync)).abs() / b.total() < 1e-9);
             let nb = s.breakdown_nonblocking();
-            assert!((nb.total() - s.step_nonblocking()).abs() / s.step_nonblocking() < 1e-9);
+            assert!((nb.total() - s.nonblocking_step()).abs() / nb.total() < 1e-9);
         }
     }
 
