@@ -36,7 +36,7 @@ fn figure_exports_match_the_pinned_digest() {
             )
         });
     assert_eq!(
-        digest, 0xb23c_c7e3_6d0e_2813,
+        digest, 0x04ac_4400_e922_5bf1,
         "figure exports moved: digest {digest:#018x}"
     );
 }

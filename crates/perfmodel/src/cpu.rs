@@ -188,8 +188,9 @@ impl<'a> CpuScenario<'a> {
         }
     }
 
-    /// Component breakdown of the nonblocking-overlap step: communication
-    /// is only the *unhidden* part.
+    /// Component breakdown of the nonblocking-overlap step (IV-C,
+    /// interior thirds); its total is IV-C's step time. Communication is
+    /// only the *unhidden* part.
     pub fn breakdown_nonblocking(&self) -> StepBreakdown {
         let omp = self.region_cost();
         let (pi, pb) = self.interior_boundary_split();
@@ -198,6 +199,8 @@ impl<'a> CpuScenario<'a> {
         let mut unhidden = 0.0;
         for d in 0..3 {
             let net = self.phase_net(d);
+            // The CPU overhead and the non-progressing fraction of the
+            // transfer cannot hide under the interior third.
             unhidden +=
                 self.phase_cpu() + (1.0 - alpha) * net + (alpha * net - t_int / 3.0).max(0.0);
         }
@@ -207,23 +210,6 @@ impl<'a> CpuScenario<'a> {
             overhead: params::REGIONS_NONBLOCKING as f64 * omp
                 + pb / self.rate() * (1.0 / params::BOUNDARY_PASS_EFF - 1.0),
         }
-    }
-
-    /// Step time of IV-C (nonblocking overlap, interior thirds).
-    fn nonblocking_step(&self) -> f64 {
-        let omp = self.region_cost();
-        let (pi, pb) = self.interior_boundary_split();
-        let t_int = pi / self.rate();
-        let t_bnd = pb / (self.rate() * params::BOUNDARY_PASS_EFF);
-        let alpha = self.machine.net.async_progress;
-        let mut step = params::REGIONS_NONBLOCKING as f64 * omp + t_bnd;
-        for d in 0..3 {
-            let net = self.phase_net(d);
-            // The CPU overhead and the non-progressing fraction of the
-            // transfer cannot hide under the interior third.
-            step += self.phase_cpu() + (1.0 - alpha) * net + (t_int / 3.0).max(alpha * net);
-        }
-        step
     }
 
     /// Step time of IV-D (OpenMP master-thread overlap, guided interior).
@@ -254,7 +240,7 @@ impl<'a> CpuScenario<'a> {
         match im {
             CpuImpl::SingleTask => self.single_task_step(),
             CpuImpl::BulkSync => self.breakdown_bulk_sync().total(),
-            CpuImpl::Nonblocking => self.nonblocking_step(),
+            CpuImpl::Nonblocking => self.breakdown_nonblocking().total(),
             CpuImpl::ThreadOverlap => self.thread_overlap_step(),
         }
     }
@@ -361,18 +347,6 @@ mod tests {
                     m.name
                 );
             }
-        }
-    }
-
-    #[test]
-    fn breakdown_components_sum_to_step_time() {
-        let m = jaguarpf();
-        for cores in [192usize, 6144] {
-            let s = CpuScenario::new(&m, cores, 6);
-            let b = s.breakdown_bulk_sync();
-            assert!((b.total() - s.step_time(CpuImpl::BulkSync)).abs() / b.total() < 1e-9);
-            let nb = s.breakdown_nonblocking();
-            assert!((nb.total() - s.nonblocking_step()).abs() / nb.total() < 1e-9);
         }
     }
 
