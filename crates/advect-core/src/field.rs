@@ -603,9 +603,6 @@ impl<'a> SharedField<'a> {
     }
 }
 
-/// Backwards-compatible alias: the write-only use of [`SharedField`].
-pub type SharedWriter<'a> = SharedField<'a>;
-
 /// A mutable, contiguous z-slab of a [`Field3`], produced by
 /// [`Field3::z_slabs_mut`]. Covers interior z in `[z0, z1)` plus, on the
 /// outermost slabs, the z-halo planes.

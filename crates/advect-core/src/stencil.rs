@@ -37,14 +37,10 @@
 //! the SIMD kernel — which never reorders the additions *within* one
 //! output element (see the [`crate::simd`] module docs); tiling only
 //! permutes the order in which whole tiles are produced.
-//! [`apply_stencil_region_pooled`] fans the tiles out over a
-//! [`crate::sweep::SweepPool`] work queue — tiles are disjoint, so the
-//! result is identical at any worker count.
 
 use crate::coeffs::Stencil27;
 use crate::field::{Field3, FieldDims, Range3, SharedField, ZSlabMut};
 use crate::simd::{accumulate_block, accumulate_block_raw, level, rows_end, TapBlock};
-use crate::sweep::SweepPool;
 use crate::tile::TileSpec;
 
 /// Precompute the 27 flat-index offsets for an `(sx, sy)`-strided field,
@@ -289,27 +285,6 @@ pub fn apply_stencil_interior(src: &Field3, dst: &mut Field3, s: &Stencil27) {
     apply_stencil_region(src, dst, s, region);
 }
 
-/// Apply Equation 2 to `region`, fanning the cache-sized tiles out over a
-/// [`SweepPool`] work queue. Tiles are disjoint, so each output element
-/// is produced by exactly one worker with the fixed per-element operation
-/// order — the result is bit-identical to [`apply_stencil_region`] at
-/// any worker count.
-pub fn apply_stencil_region_pooled(
-    src: &Field3,
-    dst: &mut Field3,
-    s: &Stencil27,
-    region: Range3,
-    tile: TileSpec,
-    pool: &SweepPool,
-) {
-    assert_eq!(src.interior(), dst.interior(), "field sizes must match");
-    let tiles: Vec<Range3> = tile.tiles(region).collect();
-    let (src, shared) = (Flat::of(src), SharedField::new(dst));
-    pool.for_each_index(tiles.len(), |i| {
-        sweep_tile(&src, &mut &shared, &s.a, tiles[i]);
-    });
-}
-
 /// Apply Equation 2 to `region` of a flat buffer `src` laid out as
 /// `src_dims`, writing the same region of `dst` laid out as `dst_dims` —
 /// the body of [`apply_stencil_region`] and of the functional GPU
@@ -402,8 +377,7 @@ pub fn apply_stencil_slab_tiled(
     sweep(&Flat::of(src), dst, &s.a, clipped, tile);
 }
 
-/// Apply Equation 2 to `region`, writing through a
-/// [`crate::field::SharedWriter`] so
+/// Apply Equation 2 to `region`, writing through a [`SharedField`] so
 /// that multiple threads with *disjoint* regions can fill one destination
 /// field concurrently (the CPU walls of implementation IV-H).
 pub fn apply_stencil_shared_tiled(
@@ -530,7 +504,7 @@ mod tests {
 
     #[test]
     fn shared_writer_matches_direct_under_threads() {
-        use crate::field::SharedWriter;
+        use crate::field::SharedField;
         use crate::team::{Schedule, ThreadTeam};
         use crate::tile::TileSpec;
         let s = Stencil27::new(Velocity::new(0.9, 0.4, -0.6), 0.85);
@@ -539,7 +513,7 @@ mod tests {
         apply_stencil_interior(&src, &mut direct, &s);
         let mut shared = Field3::new(10, 10, 10, 1);
         {
-            let writer = SharedWriter::new(&mut shared);
+            let writer = SharedField::new(&mut shared);
             let team = ThreadTeam::new(4);
             let src_ref = &src;
             let s_ref = &s;
@@ -549,33 +523,6 @@ mod tests {
             });
         }
         assert_eq!(direct.max_abs_diff(&shared), 0.0);
-    }
-
-    #[test]
-    fn pooled_matches_scalar_oracle_exactly() {
-        use crate::sweep::SweepPool;
-        use crate::tile::TileSpec;
-        let s = Stencil27::new(Velocity::new(0.41, -0.73, 0.66), 0.88);
-        let src = filled(11, |x, y, z| {
-            ((x * 31 + y * 17 + z * 53) % 23) as f64 * 0.217 - 2.3
-        });
-        let region = Range3::new((1, 10), (0, 11), (2, 9));
-        let mut oracle = Field3::new(11, 11, 11, 1);
-        apply_stencil_region_scalar(&src, &mut oracle, &s, region);
-        // Degenerate, odd-shaped, and larger-than-region tiles.
-        for tile in [
-            TileSpec::new(1, 1),
-            TileSpec::new(3, 2),
-            TileSpec::new(5, 16),
-            TileSpec::new(64, 64),
-        ] {
-            for workers in [1usize, 2, 4, 7] {
-                let mut pooled = Field3::new(11, 11, 11, 1);
-                let pool = SweepPool::new(workers);
-                apply_stencil_region_pooled(&src, &mut pooled, &s, region, tile, &pool);
-                assert_eq!(pooled.data(), oracle.data(), "tile {tile:?} w={workers}");
-            }
-        }
     }
 
     #[test]

@@ -132,11 +132,10 @@ impl SweepPool {
     }
 
     /// Run `f(0), …, f(n-1)` for side effects across the pool, workers
-    /// stealing indices from a shared atomic counter. This is the
-    /// tile-granular executor of the cache-blocked stencil sweeps: each
-    /// index names a disjoint unit of output (a tile), so no reduction
-    /// step exists and the result is deterministic — each output element
-    /// is written by exactly one claim, whatever the steal order.
+    /// stealing indices from a shared atomic counter. When each index
+    /// names a disjoint unit of output, no reduction step exists and the
+    /// result is deterministic: each output element is written by exactly
+    /// one claim, whatever the steal order.
     pub fn for_each_index<F>(&self, n: usize, f: F)
     where
         F: Fn(usize) + Sync,

@@ -1,20 +1,15 @@
-//! Differential property tests for the cache-blocked (tiled) and pooled
-//! stencil sweeps: every configuration — random grid sizes, region
-//! shapes, tile sizes (including degenerate 1-wide tiles and tiles
-//! larger than the region), and every `SweepPool` worker count — must be
-//! **bit-identical** to the scalar per-point oracle
-//! (`apply_stencil_region_scalar`). Tiling only permutes whole output
-//! rows and pooling only distributes disjoint tiles, so no rounding
-//! difference is tolerated: the comparison is `data()` equality, not an
-//! epsilon.
+//! Differential property tests for the cache-blocked (tiled) stencil
+//! sweep: every configuration — random grid sizes, region shapes and
+//! tile sizes (including degenerate 1-wide tiles and tiles larger than
+//! the region) — must be **bit-identical** to the scalar per-point
+//! oracle (`apply_stencil_region_scalar`). Tiling only permutes whole
+//! output rows, so no rounding difference is tolerated: the comparison
+//! is `data()` equality, not an epsilon.
 
 use advect_core::coeffs::{Stencil27, Velocity};
 use advect_core::field::{Field3, Range3};
 use advect_core::simd::{accumulate_block_at, SimdLevel, TapBlock};
-use advect_core::stencil::{
-    apply_stencil_region_pooled, apply_stencil_region_scalar, apply_stencil_slab_tiled,
-};
-use advect_core::sweep::SweepPool;
+use advect_core::stencil::{apply_stencil_region_scalar, apply_stencil_slab_tiled};
 use advect_core::tile::TileSpec;
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -66,34 +61,6 @@ proptest! {
             apply_stencil_slab_tiled(&src, slab, &s, region, TileSpec::new(ty, tz));
         }
         prop_assert_eq!(got.data(), want.data(), "n {n} region {region:?} tile {ty}x{tz}");
-    }
-
-    /// The pooled sweep distributes disjoint tiles over a work-stealing
-    /// queue; any worker count (including oversubscription) must still
-    /// be the scalar oracle, bit for bit.
-    #[test]
-    fn pooled_region_matches_scalar_oracle_at_any_worker_count(
-        n in 6usize..13,
-        salt in 0usize..1000,
-        x0 in 0usize..12, xs in 0usize..12,
-        y0 in 0usize..12, ys in 0usize..12,
-        z0 in 0usize..12, zs in 0usize..12,
-        ty in 1usize..80, tz in 1usize..80,
-        workers in 1usize..8,
-    ) {
-        let src = filled(n, salt);
-        let s = stencil(salt);
-        let region = Range3::new(sub_range(n, x0, xs), sub_range(n, y0, ys), sub_range(n, z0, zs));
-        let mut want = Field3::new(n, n, n, 1);
-        apply_stencil_region_scalar(&src, &mut want, &s, region);
-        let pool = SweepPool::new(workers);
-        let mut got = Field3::new(n, n, n, 1);
-        apply_stencil_region_pooled(&src, &mut got, &s, region, TileSpec::new(ty, tz), &pool);
-        prop_assert_eq!(
-            got.data(),
-            want.data(),
-            "n {n} region {region:?} tile {ty}x{tz} workers {workers}"
-        );
     }
 
     /// Every SIMD tier (portable chunked loop, 4-lane AVX, 8-lane
