@@ -520,7 +520,7 @@ pub fn detect_stragglers(b: &Blame) -> StragglerVerdict {
 /// The per-rank net blame is split at its largest sorted gap into a
 /// baseline cluster and candidates; candidates are flagged when their
 /// robust z-score against the baseline (median / MAD with a floored
-/// scale) exceeds [`Z_THRESHOLD`] *and* they clear a relative-plus-
+/// scale) exceeds `Z_THRESHOLD` (4) *and* they clear a relative-plus-
 /// absolute margin over the baseline median *and* they exceed
 /// `floor_ns`. The gap split (rather than a plain z-score over all
 /// ranks) keeps the detector exact when several ranks straggle at once —

@@ -35,8 +35,9 @@ const POLLS: u32 = 512;
 /// its producer needs.
 const YIELD_EVERY: u32 = 8;
 
-/// Wait for `ready()` to hold: poll it [`POLLS`] times — yielding the
-/// CPU on every [`YIELD_EVERY`]th — then call `sleep()` until it does.
+/// Wait for `ready()` to hold: poll it `POLLS` (512) times — yielding
+/// the CPU on every `YIELD_EVERY`th (8th) — then call `sleep()` until it
+/// does.
 ///
 /// `sleep` is one blocking wait that may return early (`thread::park`,
 /// a condvar wait). The caller's protocol must make the pair

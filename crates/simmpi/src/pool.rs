@@ -80,7 +80,7 @@ impl BufferPool {
 }
 
 /// A leased message buffer: derefs to `[f64]`, returns itself to the
-/// world's [`BufferPool`] when dropped.
+/// world's buffer pool when dropped.
 ///
 /// `recv`/`wait` return leases, so a receive's payload recycles into the
 /// pool as soon as the caller is done with it; `send_pooled` consumes a
