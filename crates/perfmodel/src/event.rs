@@ -3,8 +3,8 @@
 //! Each implementation's time step is a DAG of operations bound to
 //! resources (GPU compute engine, PCIe copy engines, the NIC); CPU work
 //! is a resource-free op that only waits for its dependencies. An
-//! operation starts when its dependencies have finished *and*
-//! its resource is free; the step time is the makespan. This is how the
+//! operation starts when its dependencies have finished *and* its
+//! resource is free; the step time is the makespan. This is how the
 //! GPU-implementation models express "what overlaps what" without ad-hoc
 //! `max()` algebra: bulk-synchronous scheduling chains everything on one
 //! stream, the overlap implementations split the chains exactly as the
