@@ -111,7 +111,7 @@ fn fault_spans_validate_through_chrome_trace() {
     assert!(report.total_redelivered() > 0, "no drops redelivered");
     assert!(report.total_throttle_ns() > 0, "no straggler throttle");
     let text = obs::chrome::chrome_trace(&report.traces);
-    let check = serve::validate::validate_chrome_trace(&text).expect("fault trace must validate");
+    let check = obs::validate::validate_chrome_trace(&text).expect("fault trace must validate");
     assert!(
         check.has_categories(&["fault.stall", "fault.redeliver", "fault.throttle"]),
         "missing fault categories in {:?}",

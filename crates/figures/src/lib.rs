@@ -21,11 +21,15 @@ pub mod cpu_figs;
 pub mod data;
 pub mod extensions;
 pub mod gpu_figs;
-pub mod json;
 pub mod loc;
 pub mod plot;
 pub mod report;
 pub mod tables;
+
+/// The JSON writer and parser live in `obs`, beneath every crate; the
+/// re-export keeps `figures::json::{escape, Value}` resolving for the
+/// benchmark harness, which names them by this path.
+pub use obs::json;
 
 pub use data::{FigureData, Series};
 pub use plot::{render_plot, PlotOptions};

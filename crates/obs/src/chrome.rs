@@ -22,6 +22,7 @@
 //! into the run. Each stored run gets its own process-id block so causal
 //! matching and track timestamps from different runs never collide.
 
+use crate::json::escape;
 use crate::recorder::StoredRun;
 use crate::{causal, Axis, Trace};
 
@@ -42,20 +43,6 @@ pub const STITCH_FLOW_BASE: u64 = 1 << 32;
 
 /// Flow-id block size reserved per stored run for its causal edges.
 const RUN_FLOW_STRIDE: u64 = 1_000_000;
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn fmt_us(us: f64) -> String {
     // Chrome-trace timestamps are microseconds; three decimals keeps
@@ -175,7 +162,7 @@ fn serialise(mut events: Vec<Event>, meta: Vec<String>) -> String {
     let mut lines: Vec<String> = meta;
     lines.extend(events.iter().map(|e| match e.ph {
         "s" => format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"s\",\"id\":{},\"pid\":{},\"tid\":{},\"ts\":{}}}",
+            "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"s\",\"id\":{},\"pid\":{},\"tid\":{},\"ts\":{}}}",
             escape(&e.name),
             e.cat,
             e.id,
@@ -184,7 +171,7 @@ fn serialise(mut events: Vec<Event>, meta: Vec<String>) -> String {
             fmt_us(e.ts_us)
         ),
         "f" => format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{},\"pid\":{},\"tid\":{},\"ts\":{}}}",
+            "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{},\"pid\":{},\"tid\":{},\"ts\":{}}}",
             escape(&e.name),
             e.cat,
             e.id,
@@ -193,7 +180,7 @@ fn serialise(mut events: Vec<Event>, meta: Vec<String>) -> String {
             fmt_us(e.ts_us)
         ),
         _ => format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{}}}",
+            "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{}}}",
             escape(&e.name),
             e.cat,
             e.pid,
@@ -214,7 +201,7 @@ fn serialise(mut events: Vec<Event>, meta: Vec<String>) -> String {
 
 fn process_name(pid: u64, name: &str) -> String {
     format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":\"{}\"}}}}",
+        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":{}}}}}",
         escape(name)
     )
 }
@@ -347,6 +334,7 @@ pub fn chrome_trace_stitched(service: &Trace, runs: &[StoredRun]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::validate_chrome_trace;
     use crate::{Category, Span};
 
     #[test]
@@ -375,6 +363,7 @@ mod tests {
         assert!(compute < send);
         // Unlabelled spans use the bare category name.
         assert!(json.contains("\"name\":\"compute.interior\""));
+        assert!(validate_chrome_trace(&json).is_ok());
     }
 
     #[test]
@@ -417,6 +406,7 @@ mod tests {
         let slice = json.find("\"cat\":\"mpi.send\"").unwrap();
         let flow_s = json.find("\"ph\":\"s\"").unwrap();
         assert!(slice < flow_s);
+        assert!(validate_chrome_trace(&json).is_ok());
     }
 
     #[test]
@@ -478,6 +468,7 @@ mod tests {
         assert!(json.contains(&format!(
             "\"ph\":\"f\",\"bp\":\"e\",\"id\":{sid},\"pid\":10000,\"tid\":1,\"ts\":15.000"
         )));
+        assert!(validate_chrome_trace(&json).is_ok());
     }
 
     #[test]
@@ -506,7 +497,17 @@ mod tests {
 
     #[test]
     fn escape_handles_quotes_and_controls() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        let label = "a\"b\\c\nd\t\u{1}";
+        let t = Trace {
+            rank: 0,
+            spans: vec![Span::wall(Category::MpiSend, label, 1, 0, 10)],
+            dropped: 0,
+        };
+        let json = chrome_trace(&[t]);
+        assert!(!json.bytes().any(|b| b < 0x20), "{json}");
+        let doc = crate::json::Value::parse(&json).expect("export parses");
+        let name = format!("mpi.send ({label})");
+        let events = doc["traceEvents"].as_array().unwrap();
+        assert!(events.iter().any(|e| e["name"] == name.as_str()));
     }
 }

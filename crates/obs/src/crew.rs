@@ -245,9 +245,8 @@ impl<T> Monitor<T> {
         }
     }
 
-    /// Acquire the lock. Poison is absorbed (as `parking_lot` does): a
-    /// panicking rank must surface as that panic, not as poison errors
-    /// in its peers.
+    /// Acquire the lock. Poison is absorbed: a panicking rank must
+    /// surface as that panic, not as poison errors in its peers.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }

@@ -1,10 +1,11 @@
-//! Minimal JSON support for figure export.
+//! Minimal JSON support for the whole workspace.
 //!
 //! The build environment is offline, so instead of `serde`/`serde_json`
-//! this module provides the two things the crate needs: a writer used by
-//! [`crate::data::FigureData::to_json`] (string escaping + number
-//! formatting) and a small recursive-descent parser producing a [`Value`]
-//! tree, used by tests and downstream tooling to validate exported JSON.
+//! this module provides the two things the workspace needs: a writer
+//! (string escaping + number formatting) used by the trace and metrics
+//! exporters, the figure export and the run server, and a small
+//! recursive-descent parser producing a [`Value`] tree, used by the
+//! server's protocol, the [`crate::validate`] checks and tests.
 
 use std::collections::BTreeMap;
 use std::fmt;

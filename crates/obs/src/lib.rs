@@ -40,6 +40,9 @@
 //!   trace to its most-binding span and reports the per-category
 //!   attribution plus the slack (fully hidden) spans, turning the
 //!   paper's "off the critical path" claim into a checkable table.
+//! * [`json`] — the workspace's one JSON writer and parser (no
+//!   `serde` offline), and [`validate`] — structural checks of the
+//!   Chrome-trace and Prometheus documents the exporters above write.
 //! * [`crew`] — not observability: the resident worker crew and the
 //!   spin→yield→park wait that `advect-core`'s thread teams and
 //!   `simmpi`'s blocking calls share. It lives here because `obs` is the
@@ -50,9 +53,11 @@ pub mod causal;
 pub mod chrome;
 pub mod crew;
 pub mod critical;
+pub mod json;
 pub mod recorder;
 pub mod registry;
 mod summary;
+pub mod validate;
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};

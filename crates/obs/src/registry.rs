@@ -19,6 +19,7 @@
 //! relative width per bucket — quantile estimates ([`HistogramSnapshot::quantile`])
 //! are therefore within ~12.5% of the true value at the midpoint rule.
 
+use crate::json;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -510,7 +511,7 @@ impl Metrics {
             for ((name, labels), cell) in t.series.iter() {
                 let lbl = labels
                     .iter()
-                    .map(|(k, v)| format!("\"{}\": \"{}\"", escape(k), escape(v)))
+                    .map(|(k, v)| format!("{}: {}", json::escape(k), json::escape(v)))
                     .collect::<Vec<_>>()
                     .join(", ");
                 let body = match cell {
@@ -551,7 +552,9 @@ impl Metrics {
     }
 }
 
-fn escape(s: &str) -> String {
+/// Escape a Prometheus label value: the text format escapes only `\`,
+/// `"` and newline, so this is not [`json::escape`].
+fn escape_prometheus_label(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {
@@ -567,7 +570,7 @@ fn escape(s: &str) -> String {
 fn render_label_pairs(labels: &Labels) -> String {
     labels
         .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape(v)))
+        .map(|(k, v)| format!("{k}=\"{}\"", escape_prometheus_label(v)))
         .collect::<Vec<_>>()
         .join(",")
 }
@@ -721,6 +724,7 @@ mod tests {
             .inc();
         let text = m.render_prometheus();
         assert_eq!(text.matches("# TYPE t_total counter").count(), 1);
+        assert!(crate::validate::validate_prometheus(&text).is_ok());
     }
 
     #[test]
@@ -736,6 +740,21 @@ mod tests {
         assert!(json.contains("\"count\": 10"));
         assert!(json.contains("\"p50\""));
         assert!(json.contains("\"p999\""));
+        assert!(crate::json::Value::parse(&json).is_ok());
+    }
+
+    #[test]
+    fn label_values_escape_for_json_and_prometheus() {
+        let m = Metrics::on();
+        let label = "q\"b\\n\nt\tc\u{1}";
+        m.counter("t_esc_total", "h", &[("who", label.to_string())])
+            .inc();
+        let json = m.render_json();
+        // No raw control byte, apart from the layout's line breaks.
+        assert!(!json.bytes().any(|b| b < 0x20 && b != b'\n'), "{json}");
+        let doc = crate::json::Value::parse(&json).expect("render_json parses");
+        assert_eq!(doc["metrics"][0]["labels"]["who"], label);
+        crate::validate::validate_prometheus(&m.render_prometheus()).expect("valid exposition");
     }
 
     #[test]

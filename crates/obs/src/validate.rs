@@ -1,10 +1,10 @@
-//! Structural validators for the two text artifacts this crate produces:
-//! Chrome-trace JSON (run artifacts, stitched exports, anomaly bundles)
-//! and Prometheus text expositions. They live here (not in `obs`) so the
-//! tracing crate stays dependency-free — the trace validator reuses the
-//! offline JSON parser from `figures::json`.
+//! Structural validators for the two text artifacts this crate writes:
+//! Chrome-trace JSON ([`crate::chrome`]: run artifacts, stitched exports,
+//! anomaly bundles) and Prometheus text expositions
+//! ([`crate::registry`]). The trace validator reads the document with
+//! [`crate::json::Value::parse`].
 
-use figures::json::Value;
+use crate::json::Value;
 use std::collections::BTreeSet;
 
 /// Summary of a validated Chrome-trace document.
@@ -299,7 +299,7 @@ pub fn validate_prometheus(text: &str) -> Result<PromCheck, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::{Category, Span, Trace};
+    use crate::{Category, Span, Trace};
 
     fn sample() -> String {
         let t = Trace {
@@ -311,7 +311,7 @@ mod tests {
             ],
             dropped: 0,
         };
-        obs::chrome::chrome_trace(&[t])
+        crate::chrome::chrome_trace(&[t])
     }
 
     #[test]
@@ -434,7 +434,7 @@ mod tests {
             )],
             dropped: 0,
         };
-        let check = validate_chrome_trace(&obs::chrome::chrome_trace(&[t0, t1])).expect("valid");
+        let check = validate_chrome_trace(&crate::chrome::chrome_trace(&[t0, t1])).expect("valid");
         assert_eq!(check.flow_start_events, 1);
         assert_eq!(check.flow_finish_events, 1);
         assert!(check.has_categories(&["flow"]));
@@ -507,7 +507,7 @@ mod tests {
 
     #[test]
     fn validates_registry_prometheus_output() {
-        let m = obs::registry::Metrics::on();
+        let m = crate::registry::Metrics::on();
         let c = m.counter("advect_test_total", "help", &[("rank", "0".into())]);
         c.add(3);
         let g = m.gauge("advect_test_pending", "help", &[]);

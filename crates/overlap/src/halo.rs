@@ -23,12 +23,12 @@
 use advect_core::field::{Field3, SharedField};
 use decomp::{Decomposition, ExchangePlan, PhasePlan};
 use obs::Category;
-use parking_lot::Mutex;
 use simmpi::{Comm, PooledBuf, RecvRequest};
+use std::sync::{Mutex, PoisonError};
 
 /// Persistent per-rank staging for the six transfers of a halo exchange.
 ///
-/// Slots are interior-mutable (a `parking_lot::Mutex` around the array)
+/// Slots are interior-mutable (a `std::sync::Mutex` around the array)
 /// so the thread-overlap implementation's master thread can drive an
 /// exchange through a shared reference while worker threads compute. The
 /// lock is uncontended in every schedule — only the communicating thread
@@ -55,7 +55,7 @@ impl HaloBuffers {
     /// fresh one from the pool if the slot is empty (first use, or a
     /// caller that dropped a payload instead of depositing it).
     pub fn take(&self, dim: usize, i: usize, len: usize, comm: &Comm) -> PooledBuf {
-        match self.slots.lock()[dim][i].take() {
+        match self.slots.lock().unwrap_or_else(PoisonError::into_inner)[dim][i].take() {
             Some(buf) => {
                 debug_assert_eq!(
                     buf.len(),
@@ -72,7 +72,7 @@ impl HaloBuffers {
     /// Refill the slot for transfer `i` of phase `dim` with a received
     /// payload, keeping it rank-local for the next step's send.
     pub fn deposit(&self, dim: usize, i: usize, buf: PooledBuf) {
-        self.slots.lock()[dim][i] = Some(buf);
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)[dim][i] = Some(buf);
     }
 }
 

@@ -7,13 +7,13 @@
 //! For each `dump_*.json` bundle: parse it, check the required members
 //! (`kind`, `seq`, `captured_at_ns`, `request_events`, `trace`,
 //! `metrics`, `stats`), and run the embedded stitched trace
-//! through [`serve::validate::validate_chrome_trace`]. Exits non-zero if any
+//! through [`obs::validate::validate_chrome_trace`]. Exits non-zero if any
 //! bundle fails, or if no bundle was found at all — the CI
 //! recorder-smoke job points this at the server's `--dump-dir` after
 //! inducing anomalies, so "no bundles" means the trigger never fired.
 
-use figures::json::Value;
-use serve::validate::validate_chrome_trace;
+use obs::json::Value;
+use obs::validate::validate_chrome_trace;
 
 fn check_bundle(path: &std::path::Path) -> Result<String, String> {
     let body = std::fs::read_to_string(path).map_err(|e| format!("read: {e}"))?;

@@ -48,8 +48,8 @@ impl Fields {
     pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
         self.buf.push_str(&format!(
             ",{}:{}",
-            figures::json::escape(key),
-            figures::json::escape(value)
+            obs::json::escape(key),
+            obs::json::escape(value)
         ));
         self
     }
@@ -57,14 +57,14 @@ impl Fields {
     /// Append an unsigned integer field.
     pub fn num(&mut self, key: &str, value: u64) -> &mut Self {
         self.buf
-            .push_str(&format!(",{}:{value}", figures::json::escape(key)));
+            .push_str(&format!(",{}:{value}", obs::json::escape(key)));
         self
     }
 
     /// Append a float field (3 decimals).
     pub fn float(&mut self, key: &str, value: f64) -> &mut Self {
         self.buf
-            .push_str(&format!(",{}:{value:.3}", figures::json::escape(key)));
+            .push_str(&format!(",{}:{value:.3}", obs::json::escape(key)));
         self
     }
 }
@@ -112,7 +112,7 @@ impl Log {
             "{{\"ts_ms\":{},\"level\":\"{}\",\"event\":{}{}}}",
             wall_ms(),
             level.as_str(),
-            figures::json::escape(kind),
+            obs::json::escape(kind),
             fields.buf
         );
         if self.stderr {
@@ -141,7 +141,7 @@ impl Log {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use figures::json::Value;
+    use obs::json::Value;
 
     #[test]
     fn events_render_as_json_lines() {

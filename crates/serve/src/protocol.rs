@@ -21,7 +21,7 @@
 //! once per execution, so identical canonicalized requests receive
 //! byte-identical artifact bytes (see [`crate::artifact`]).
 
-use figures::json::{self, Value};
+use obs::json::{self, Value};
 use overlap::RunParams;
 
 /// A parsed run request: who is asking, for what, and how long they

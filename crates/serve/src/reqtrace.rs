@@ -186,13 +186,13 @@ pub struct BundleInput<'a> {
 
 /// Render one self-contained anomaly bundle. The `trace` member is a
 /// complete Chrome-trace document (the stitched export) and must pass
-/// [`crate::validate::validate_chrome_trace`].
+/// [`obs::validate::validate_chrome_trace`].
 pub fn render_bundle(input: &BundleInput<'_>) -> String {
     let mut out = String::with_capacity(4096);
     out.push('{');
     out.push_str(&format!(
         "\"kind\":{},\"seq\":{},\"captured_at_ns\":{}",
-        figures::json::escape(input.kind),
+        obs::json::escape(input.kind),
         input.seq,
         input.now_ns
     ));
@@ -232,7 +232,7 @@ pub fn render_bundle(input: &BundleInput<'_>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use figures::json::Value;
+    use obs::json::Value;
 
     #[test]
     fn tenant_hash_is_stable_and_distinguishes() {

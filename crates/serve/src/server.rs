@@ -51,12 +51,11 @@ use crate::reqtrace::{self, Anomaly, BundleInput, ReqEvent, RequestId, Stage};
 use obs::recorder::{Ring, StoredRun, TraceRing};
 use obs::registry::{Counter, Gauge, Histogram, Metrics};
 use overlap::{RunKey, RunLimits};
-use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -183,7 +182,7 @@ impl Pending {
     }
 
     fn publish(&self, result: Result<Arc<String>, ServeError>) {
-        *self.state.lock() = PendState::Done(result);
+        *self.state.lock().unwrap_or_else(PoisonError::into_inner) = PendState::Done(result);
         self.cv.notify_all();
     }
 }
@@ -262,6 +261,12 @@ struct Inner {
 }
 
 impl Inner {
+    /// The scheduler state. Poison is absorbed: a worker that panicked
+    /// outside `catch_unwind` must not take the whole server down.
+    fn sched(&self) -> MutexGuard<'_, Sched> {
+        self.sched.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn now_ns(&self) -> u64 {
         self.obs.anchor.elapsed_ns()
     }
@@ -526,7 +531,7 @@ impl Server {
             .unwrap_or(DEFAULT_DEADLINE);
         let submitted = Instant::now();
         let m = &self.inner.metrics;
-        let mut sched = self.inner.sched.lock();
+        let mut sched = self.inner.sched();
         if let Some(hit) = sched.cache.get(&key) {
             drop(sched);
             m.requests.inc();
@@ -552,7 +557,10 @@ impl Server {
             });
         }
         if let Some(pending) = sched.inflight.get(&key).cloned() {
-            *pending.waiters.lock() += 1;
+            *pending
+                .waiters
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner) += 1;
             drop(sched);
             m.requests.inc();
             m.dedup_joins.inc();
@@ -642,11 +650,16 @@ impl Server {
     /// join the workers. Idempotent.
     pub fn shutdown(&self) {
         {
-            let mut sched = self.inner.sched.lock();
+            let mut sched = self.inner.sched();
             sched.shutdown = true;
         }
         self.inner.work_cv.notify_all();
-        let handles: Vec<_> = self.workers.lock().drain(..).collect();
+        let handles: Vec<_> = self
+            .workers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .drain(..)
+            .collect();
         for h in handles {
             let _ = h.join();
         }
@@ -735,12 +748,12 @@ impl Server {
 
     /// Number of cached artifacts right now.
     pub fn cache_len(&self) -> usize {
-        self.inner.sched.lock().cache.len()
+        self.inner.sched().cache.len()
     }
 
     /// Jobs queued and not yet picked by a worker.
     pub fn queue_depth(&self) -> usize {
-        self.inner.sched.lock().queued
+        self.inner.sched().queued
     }
 }
 
@@ -776,7 +789,11 @@ impl Ticket {
             return Ok(ready);
         }
         let deadline = self.submitted + self.deadline;
-        let mut state = self.pending.state.lock();
+        let mut state = self
+            .pending
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         loop {
             if let PendState::Done(result) = &*state {
                 let result = result.clone();
@@ -805,9 +822,12 @@ impl Ticket {
                 self.inner.trigger_anomaly(Anomaly::DeadlineMiss, None);
                 return Err(ServeError::Timeout);
             }
-            self.pending
+            state = self
+                .pending
                 .cv
-                .wait_for(&mut state, deadline.duration_since(now));
+                .wait_timeout(state, deadline.duration_since(now))
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 
@@ -817,9 +837,13 @@ impl Ticket {
         // Take the scheduler lock before touching the waiter count:
         // dedup joins increment under the same lock, so "last waiter"
         // and "job still queued" are decided atomically.
-        let mut sched = self.inner.sched.lock();
+        let mut sched = self.inner.sched();
         let last = {
-            let mut waiters = self.pending.waiters.lock();
+            let mut waiters = self
+                .pending
+                .waiters
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             *waiters -= 1;
             *waiters == 0
         };
@@ -885,7 +909,7 @@ fn pick_next(sched: &mut Sched) -> Option<Job> {
 fn worker_loop(inner: &Inner) {
     loop {
         let job = {
-            let mut sched = inner.sched.lock();
+            let mut sched = inner.sched();
             loop {
                 if let Some(job) = pick_next(&mut sched) {
                     inner.metrics.queue_depth.set(sched.queued as i64);
@@ -894,7 +918,10 @@ fn worker_loop(inner: &Inner) {
                 if sched.shutdown {
                     return;
                 }
-                inner.work_cv.wait(&mut sched);
+                sched = inner
+                    .work_cv
+                    .wait(sched)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         let picked_ns = inner.now_ns();
@@ -969,7 +996,7 @@ fn worker_loop(inner: &Inner) {
         };
         inner.metrics.executions.inc();
         {
-            let mut sched = inner.sched.lock();
+            let mut sched = inner.sched();
             if let Some(n) = sched.running.get_mut(&job.pending.tenant) {
                 *n -= 1;
                 if *n == 0 {

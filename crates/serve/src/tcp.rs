@@ -126,7 +126,7 @@ fn handle_connection(stream: TcpStream, server: &Server, stop: &AtomicBool) -> s
             Ok(Command::Ping) => "{\"status\":\"ok\",\"pong\":true}".to_string(),
             Ok(Command::Metrics) => format!(
                 "{{\"status\":\"ok\",\"metrics\":{}}}",
-                figures::json::escape(&server.metrics_text())
+                obs::json::escape(&server.metrics_text())
             ),
             Ok(Command::Events) => {
                 format!("{{\"status\":\"ok\",\"events\":{}}}", server.events_json())

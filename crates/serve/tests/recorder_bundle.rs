@@ -1,13 +1,13 @@
 //! The flight-recorder bundle must be self-contained and loadable: its
 //! embedded stitched trace has to pass the same structural validator
-//! (`serve::validate::validate_chrome_trace`) the per-run Chrome exports are held
+//! (`obs::validate::validate_chrome_trace`) the per-run Chrome exports are held
 //! to — per-track monotone timestamps, terminated flow chains, matched
 //! begin/end pairs.
 
-use figures::json::Value;
+use obs::json::Value;
+use obs::validate::validate_chrome_trace;
 use overlap::RunParams;
 use serve::server::{Server, ServerConfig};
-use serve::validate::validate_chrome_trace;
 use serve::Request;
 
 fn request(impl_slug: &str, seed: u64, trace: bool) -> Request {

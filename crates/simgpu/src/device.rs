@@ -7,8 +7,7 @@ use crate::timeline::{EngineKind as TlEngine, Timeline, TimelineEntry};
 use crate::timing;
 use advect_core::field::Range3;
 use obs::{Category, Tracer};
-use parking_lot::Mutex;
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Handle to a device (global-memory) buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,10 +165,16 @@ impl Gpu {
         &self.spec
     }
 
+    /// The device state. Poison is absorbed: a panicked issuing thread
+    /// leaves the state as it was, which the others may keep using.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Allocate a zero-filled device buffer of `len` f64 values.
     /// Panics if the allocation would exceed the device's memory capacity.
     pub fn alloc(&self, len: usize) -> GpuBuffer {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         assert!(
             g.used + len <= self.spec.capacity_f64(),
             "device out of memory: {} + {} > {} f64 ({})",
@@ -186,12 +191,12 @@ impl Gpu {
 
     /// Load the 27 stencil coefficients into constant memory.
     pub fn set_constant(&self, coeffs: [f64; 27]) {
-        self.inner.lock().constant = Some(coeffs);
+        self.lock().constant = Some(coeffs);
     }
 
     /// Create a new stream.
     pub fn create_stream(&self) -> Stream {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         g.streams.push(StreamState { time: 0.0, seq: 0 });
         let n = g.streams.len();
         for row in g.visible.iter_mut() {
@@ -277,7 +282,7 @@ impl Gpu {
     /// Asynchronous host→device copy on `stream`.
     pub fn h2d(&self, stream: Stream, host: &[f64], dst: GpuBuffer, dst_off: usize) {
         let _span = self.tracer().span(Category::PcieH2d, "h2d");
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         let dur = timing::pcie_time(&self.spec, host.len());
         self.schedule(&mut g, stream.0, EngineKind::CopyH2D, dur, "h2d");
         self.note_write(&mut g, stream.0, dst);
@@ -289,7 +294,7 @@ impl Gpu {
     /// Asynchronous device→host copy on `stream`.
     pub fn d2h(&self, stream: Stream, src: GpuBuffer, src_off: usize, host: &mut [f64]) {
         let _span = self.tracer().span(Category::PcieD2h, "d2h");
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         self.check_read(&g, stream.0, src, "d2h");
         let dur = timing::pcie_time(&self.spec, host.len());
         self.schedule(&mut g, stream.0, EngineKind::CopyD2H, dur, "d2h");
@@ -301,7 +306,7 @@ impl Gpu {
     /// Upload without charging virtual time (initial state: the paper
     /// excludes the initial copy from its measurements).
     pub fn upload_untimed(&self, dst: GpuBuffer, data: &[f64]) {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         g.buffers[dst.0][..data.len()].copy_from_slice(data);
         g.last_write[dst.0] = None;
     }
@@ -311,7 +316,7 @@ impl Gpu {
     /// locked, so it must not call back into the device. Call a sync first —
     /// the read is not ordered against in-flight streams.
     pub fn read_untimed<R>(&self, src: GpuBuffer, f: impl FnOnce(&[f64]) -> R) -> R {
-        let g = self.inner.lock();
+        let g = self.lock();
         f(&g.buffers[src.0])
     }
 
@@ -327,7 +332,7 @@ impl Gpu {
             self.spec.name
         );
         let _span = self.tracer().span(Category::KernelLaunch, "stencil");
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         let coeffs = g
             .constant
             .expect("constant memory not loaded: call set_constant");
@@ -355,7 +360,7 @@ impl Gpu {
         out_off: usize,
     ) {
         let _span = self.tracer().span(Category::KernelLaunch, "pack");
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         self.check_read(&g, stream.0, field, "pack");
         let dur = timing::pack_kernel_time(&self.spec, region.len());
         self.schedule(&mut g, stream.0, EngineKind::Compute, dur, "pack");
@@ -382,7 +387,7 @@ impl Gpu {
         in_off: usize,
     ) {
         let _span = self.tracer().span(Category::KernelLaunch, "unpack");
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         self.check_read(&g, stream.0, input, "unpack");
         let dur = timing::pack_kernel_time(&self.spec, region.len());
         self.schedule(&mut g, stream.0, EngineKind::Compute, dur, "unpack");
@@ -405,7 +410,7 @@ impl Gpu {
 
     /// Record an event on `stream` (like `cudaEventRecord`).
     pub fn record_event(&self, stream: Stream) -> Event {
-        let g = self.inner.lock();
+        let g = self.lock();
         Event {
             stream: stream.0,
             seq: g.streams[stream.0].seq,
@@ -417,7 +422,7 @@ impl Gpu {
     /// subsequent work on `stream` is ordered after — and sees — the
     /// event's stream's work up to the record point.
     pub fn wait_event(&self, stream: Stream, event: Event) {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         let v = &mut g.visible[stream.0][event.stream];
         *v = (*v).max(event.seq);
         let t = g.streams[stream.0].time.max(event.time);
@@ -427,7 +432,7 @@ impl Gpu {
     /// Block the host until `stream` completes; returns the virtual time.
     /// All of the stream's work becomes visible to every stream.
     pub fn sync_stream(&self, stream: Stream) -> f64 {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         let seq = g.streams[stream.0].seq;
         let t = g.streams[stream.0].time;
         for r in 0..g.visible.len() {
@@ -441,7 +446,7 @@ impl Gpu {
     /// Block the host until the whole device is idle; returns the virtual
     /// time. Everything becomes visible everywhere.
     pub fn sync_device(&self) -> f64 {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         let n = g.streams.len();
         let mut t = g.host_time;
         for s in 0..n {
@@ -460,7 +465,7 @@ impl Gpu {
     /// e.g. MPI communication — between device calls). Operations issued
     /// afterwards cannot start before the new host time.
     pub fn host_advance(&self, dt: f64) -> f64 {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         g.host_time += dt;
         g.host_time
     }
@@ -468,7 +473,7 @@ impl Gpu {
     /// Reset all clocks to zero (keeps buffers and visibility). Used to
     /// exclude setup from measurements, as the paper does.
     pub fn reset_clock(&self) {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         g.host_time = 0.0;
         g.compute_free = 0.0;
         for c in g.copy_free.iter_mut() {
@@ -484,12 +489,12 @@ impl Gpu {
 
     /// Cumulative statistics.
     pub fn stats(&self) -> GpuStats {
-        self.inner.lock().stats
+        self.lock().stats
     }
 
     /// A snapshot of the recorded device timeline (since construction or
     /// the last [`Gpu::reset_clock`]).
     pub fn timeline(&self) -> Timeline {
-        self.inner.lock().timeline.clone()
+        self.lock().timeline.clone()
     }
 }

@@ -5,9 +5,8 @@ use crate::fault::{ns_to_duration, Delivery, FaultPlan, FaultStats};
 use crate::mailbox::{Mailbox, Message};
 use crate::pool::{BufferPool, PooledBuf};
 use obs::{Category, Tracer};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Message tag (like MPI's integer tags).
@@ -107,7 +106,7 @@ impl Comm {
     /// Traffic counters accumulated so far. `peak_bytes_in_flight` is
     /// sampled from the mailbox high-water mark at call time.
     pub fn stats(&self) -> CommStats {
-        let mut s = *self.stats.lock();
+        let mut s = *self.stats.lock().unwrap_or_else(PoisonError::into_inner);
         s.peak_bytes_in_flight = self.inner.mailboxes[self.rank].peak_bytes() as u64;
         s
     }
@@ -117,7 +116,7 @@ impl Comm {
     /// counters at call time (like `peak_bytes_in_flight`); see
     /// [`FaultStats::deterministic_view`] for the replayable projection.
     pub fn fault_stats(&self) -> FaultStats {
-        let mut f = *self.fault.lock();
+        let mut f = *self.fault.lock().unwrap_or_else(PoisonError::into_inner);
         let (delayed, redelivered) = self.inner.mailboxes[self.rank].fault_counters();
         f.delayed = delayed;
         f.redelivered = redelivered;
@@ -156,7 +155,10 @@ impl Comm {
         let extra = elapsed.mul_f64(scale - 1.0);
         let _span = self.tracer().span(Category::FaultThrottle, "straggler");
         std::thread::sleep(extra);
-        self.fault.lock().compute_throttle_ns += extra.as_nanos() as u64;
+        self.fault
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .compute_throttle_ns += extra.as_nanos() as u64;
     }
 
     /// Seeded straggler stall before an allreduce participates (results
@@ -173,7 +175,10 @@ impl Comm {
                 .tracer()
                 .span(Category::FaultThrottle, "allreduce.straggler");
             std::thread::sleep(ns_to_duration(stall));
-            self.fault.lock().allreduce_stall_ns += stall;
+            self.fault
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .allreduce_stall_ns += stall;
         }
     }
 
@@ -221,7 +226,7 @@ impl Comm {
             let now = tracer.now_ns();
             tracer.record_wall(Category::FaultRedeliver, "redelivered", stall_start_ns, now);
         }
-        let mut f = self.fault.lock();
+        let mut f = self.fault.lock().unwrap_or_else(PoisonError::into_inner);
         f.retries += retries;
         f.max_stall_ns = f.max_stall_ns.max(stalled_ns);
         taken
@@ -241,7 +246,7 @@ impl Comm {
     /// [`Comm::send_pooled`] consumes it without a copy.
     pub fn lease(&self, len: usize) -> PooledBuf {
         let (buf, recycled) = self.inner.pool.lease(len);
-        let mut s = self.stats.lock();
+        let mut s = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
         if recycled {
             s.buffers_recycled += 1;
         } else {
@@ -254,7 +259,10 @@ impl Comm {
     /// staging, e.g. halo-buffer slots, feeds this counter so steady-state
     /// allocation behavior stays observable through [`CommStats`]).
     pub fn note_buffer_recycled(&self) {
-        self.stats.lock().buffers_recycled += 1;
+        self.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .buffers_recycled += 1;
     }
 
     /// Blocking buffered send: the payload is moved into the destination
@@ -269,7 +277,7 @@ impl Comm {
         let tracer = self.tracer();
         let start_ns = tracer.now_ns();
         {
-            let mut s = self.stats.lock();
+            let mut s = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
             s.messages_sent += 1;
             s.values_sent += data.len() as u64;
         }
@@ -338,7 +346,10 @@ impl Comm {
     /// Block until every rank reaches the barrier.
     pub fn barrier(&self) {
         let _span = self.tracer().span(Category::MpiBarrier, "barrier");
-        self.stats.lock().barriers += 1;
+        self.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .barriers += 1;
         self.inner.barrier.wait();
     }
 
@@ -418,7 +429,11 @@ impl RecvRequest<'_> {
             self.tag,
             seq,
         );
-        let mut s = self.comm.stats.lock();
+        let mut s = self
+            .comm
+            .stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         s.messages_received += 1;
         s.values_received += data.len() as u64;
         s.wait_ns += waited;

@@ -11,10 +11,9 @@
 //! allocates no new buffers at all — asserted by tests through
 //! [`crate::CommStats::buffers_allocated`].
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Smallest capacity class handed out, so tiny messages (allreduce-sized)
 /// share one class instead of fragmenting the pool.
@@ -46,7 +45,7 @@ impl BufferPool {
     pub fn lease(self: &Arc<Self>, len: usize) -> (PooledBuf, bool) {
         let class = class_for_len(len);
         let reused = {
-            let mut classes = self.classes.lock();
+            let mut classes = self.classes.lock().unwrap_or_else(PoisonError::into_inner);
             classes.get_mut(&class).and_then(|free| free.pop())
         };
         let recycled = reused.is_some();
@@ -70,12 +69,22 @@ impl BufferPool {
         }
         // Largest class the buffer can serve without reallocating.
         let class = (1usize << (usize::BITS - 1)) >> capacity.leading_zeros();
-        self.classes.lock().entry(class).or_default().push(data);
+        self.classes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(class)
+            .or_default()
+            .push(data);
     }
 
     /// Number of buffers currently parked in the free list (diagnostic).
     pub fn free_buffers(&self) -> usize {
-        self.classes.lock().values().map(|v| v.len()).sum()
+        self.classes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .values()
+            .map(|v| v.len())
+            .sum()
     }
 }
 
