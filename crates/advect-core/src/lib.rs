@@ -23,9 +23,8 @@
 //! * an **OpenMP-like thread team** with `static` and `guided` loop
 //!   scheduling, used by the threaded steppers and by the overlap
 //!   implementations in the `overlap` crate ([`team`]),
-//! * a **work-queue sweep executor** with deterministic result ordering,
-//!   used by the tuning sweeps and figure generators downstream
-//!   ([`sweep`]),
+//! * a fixed-width **index sweep** over the crew, kept only for the
+//!   benchmark harness's sweep probe ([`sweep`]),
 //! * **explicit SIMD** tap-accumulation kernels with runtime dispatch
 //!   that preserve the per-element FP order ([`simd`]),
 //! * **cache-blocked tiling** of region sweeps with a cache-derived
@@ -57,7 +56,6 @@ pub use norms::{l1_norm, l2_norm, linf_norm, Norms};
 pub use simd::SimdLevel;
 pub use stencil::apply_stencil_region;
 pub use stepper::{AdvectionProblem, SerialStepper, ThreadedStepper};
-pub use sweep::SweepPool;
 pub use team::{Schedule, ThreadTeam};
 pub use tile::TileSpec;
 pub use vonneumann::{amplification_factor, is_stable, max_amplification};

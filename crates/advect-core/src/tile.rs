@@ -13,12 +13,10 @@
 //! them from a cache size in bytes (the `machine` crate feeds Table II
 //! cache parameters through this for modeled machines, and
 //! [`TileSpec::host`] applies a typical per-core L2 budget for the
-//! machine the benches actually run on). Tiles are also the unit of
-//! parallel work: [`TileSpec::tiles`] enumerates them in a fixed
-//! deterministic order (z-major, then y) that both the serial tiled
-//! sweep and the [`crate::sweep::SweepPool`] tile queue follow, so the
-//! set of output rows each tile writes — and therefore the result — is
-//! identical no matter which worker claims which tile.
+//! machine the benches actually run on). [`TileSpec::tiles`] enumerates
+//! the tiles in a fixed deterministic order (z-major, then y), the order
+//! the one sweep body visits them in; each tile writes a disjoint set of
+//! output rows.
 
 use crate::field::Range3;
 
@@ -31,8 +29,8 @@ pub const HOST_L2_BUDGET_BYTES: usize = 256 * 1024;
 /// enormous rows).
 const MIN_TY: usize = 4;
 
-/// Default z-band depth: z streams through the band, so `tz` only sets
-/// the work-stealing granularity, not the cache footprint.
+/// Default z-band depth: z streams through the band, so `tz` sets how
+/// many planes one tile spans, not the cache footprint.
 const DEFAULT_TZ: usize = 16;
 
 /// Cache-blocking specification for a region sweep: the sweep visits the

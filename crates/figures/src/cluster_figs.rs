@@ -2,10 +2,9 @@
 //! and the CPU-GPU overlap tuning sweeps.
 
 use crate::data::{FigureData, Series};
-use advect_core::sweep::SweepPool;
 use machine::{lens, yona, Machine};
 use perfmodel::gpu::{GpuImpl, GpuScenario};
-use perfmodel::sweep::{best_gf, AnyImpl, THICKNESS_CHOICES};
+use perfmodel::sweep::{best_gf, best_gpu_gf, AnyImpl};
 
 /// Lens core counts (16-core nodes, up to all 31 nodes).
 pub fn lens_cores() -> Vec<usize> {
@@ -24,18 +23,19 @@ fn best_per_impl(
     cores: &[usize],
     block: (usize, usize),
 ) -> FigureData {
-    // One sweep task per implementation; results come back in
-    // `AnyImpl::ALL` order so the series order is identical to serial.
-    let series = SweepPool::global().map(&AnyImpl::ALL, |im| Series {
-        label: im.label().into(),
-        points: cores
-            .iter()
-            .filter_map(|&c| {
-                let b = best_gf(m, *im, c, block);
-                (b.gf > 0.0).then_some((c as f64, b.gf))
-            })
-            .collect(),
-    });
+    let series = AnyImpl::ALL
+        .iter()
+        .map(|&im| Series {
+            label: im.label().into(),
+            points: cores
+                .iter()
+                .filter_map(|&c| {
+                    let b = best_gf(m, im, c, block);
+                    (b.gf > 0.0).then_some((c as f64, b.gf))
+                })
+                .collect(),
+        })
+        .collect();
     let gpus_per = m.cores_per_node();
     FigureData {
         id,
@@ -72,50 +72,33 @@ fn overlap_combos(
     cores: &[usize],
     block: (usize, usize),
 ) -> FigureData {
-    // Find the winning combination per core count. Each core count's
-    // (threads × thickness) scan is one sweep task; the scan itself keeps
-    // the serial strict-`>` fold so ties break identically, and the
-    // dedup below runs serially over the pool's core-ordered results.
-    let per_core = SweepPool::global().map(cores, |&c| {
-        let mut best = (0.0f64, (0usize, 0usize));
-        for &t in m.thread_choices {
-            if c % t != 0 {
-                continue;
-            }
-            for &th in &THICKNESS_CHOICES {
-                let gf = GpuScenario::new(m, c, t)
-                    .with_block(block)
-                    .with_thickness(th)
-                    .gf(GpuImpl::HybridOverlap);
-                if gf > best.0 {
-                    best = (gf, (t, th));
-                }
-            }
-        }
-        best.1
-    });
+    // The winning (threads, thickness) per core count, in core order.
     let mut winners: Vec<(usize, usize)> = Vec::new();
-    for combo in per_core {
-        if !winners.contains(&combo) {
-            winners.push(combo);
+    for &c in cores {
+        let b = best_gpu_gf(m, GpuImpl::HybridOverlap, c, block);
+        if !winners.contains(&(b.threads, b.thickness)) {
+            winners.push((b.threads, b.thickness));
         }
     }
-    let series = SweepPool::global().map(&winners, |&(t, th)| Series {
-        label: format!("{t} threads, thickness {th}"),
-        points: cores
-            .iter()
-            .filter(|&&c| c % t == 0)
-            .map(|&c| {
-                (
-                    c as f64,
-                    GpuScenario::new(m, c, t)
-                        .with_block(block)
-                        .with_thickness(th)
-                        .gf(GpuImpl::HybridOverlap),
-                )
-            })
-            .collect(),
-    });
+    let series = winners
+        .iter()
+        .map(|&(t, th)| Series {
+            label: format!("{t} threads, thickness {th}"),
+            points: cores
+                .iter()
+                .filter(|&&c| c % t == 0)
+                .map(|&c| {
+                    (
+                        c as f64,
+                        GpuScenario::new(m, c, t)
+                            .with_block(block)
+                            .with_thickness(th)
+                            .gf(GpuImpl::HybridOverlap),
+                    )
+                })
+                .collect(),
+        })
+        .collect();
     FigureData {
         id,
         title: format!(

@@ -1,7 +1,6 @@
 //! Figures 3–6: CPU-only performance on JaguarPF and Hopper II.
 
 use crate::data::{FigureData, Series};
-use advect_core::sweep::SweepPool;
 use machine::{hopper_ii, jaguarpf, Machine};
 use perfmodel::cpu::{best_cpu_gf, CpuImpl, CpuScenario};
 
@@ -23,22 +22,13 @@ fn best_per_impl(id: &'static str, m: &Machine, cores: &[usize]) -> FigureData {
         (CpuImpl::Nonblocking, "MPI nonblocking overlap"),
         (CpuImpl::ThreadOverlap, "MPI OpenMP-thread overlap"),
     ];
-    // One sweep task per (implementation, core count); results come back
-    // in submission order so the series are byte-identical to a serial run.
-    let grid: Vec<(CpuImpl, usize)> = impls
-        .iter()
-        .flat_map(|&(im, _)| cores.iter().map(move |&c| (im, c)))
-        .collect();
-    let gfs = SweepPool::global().map(&grid, |&(im, c)| best_cpu_gf(m, im, c).0);
     let series = impls
         .iter()
-        .enumerate()
-        .map(|(i, (_, label))| Series {
-            label: (*label).into(),
+        .map(|&(im, label)| Series {
+            label: label.into(),
             points: cores
                 .iter()
-                .zip(&gfs[i * cores.len()..(i + 1) * cores.len()])
-                .map(|(&c, &gf)| (c as f64, gf))
+                .map(|&c| (c as f64, best_cpu_gf(m, im, c).0))
                 .collect(),
         })
         .collect();

@@ -2,28 +2,28 @@
 
 use crate::data::{FigureData, Series};
 use advect_core::flops::PAPER_GRID;
-use advect_core::sweep::SweepPool;
 use simgpu::timing::resident_gigaflops;
 use simgpu::GpuSpec;
 
 /// Block-size sweep for one GPU: one series per x extent, y on the x axis
 /// (matching the paper's presentation).
 fn block_sweep(id: &'static str, spec: &GpuSpec, system: &str) -> FigureData {
-    // One sweep task per x extent; the pool returns the series in the
-    // [16, 32, 64, 128] submission order, matching the serial loop.
-    let series = SweepPool::global().map(&[16usize, 32, 64, 128], |&bx| {
-        let mut points = Vec::new();
-        for by in 1..=spec.max_threads_per_block / bx {
-            let gf = resident_gigaflops(spec, PAPER_GRID, (bx, by));
-            if gf > 0.0 {
-                points.push((by as f64, gf));
+    let series: Vec<Series> = [16usize, 32, 64, 128]
+        .iter()
+        .map(|&bx| {
+            let mut points = Vec::new();
+            for by in 1..=spec.max_threads_per_block / bx {
+                let gf = resident_gigaflops(spec, PAPER_GRID, (bx, by));
+                if gf > 0.0 {
+                    points.push((by as f64, gf));
+                }
             }
-        }
-        Series {
-            label: format!("x = {bx}"),
-            points,
-        }
-    });
+            Series {
+                label: format!("x = {bx}"),
+                points,
+            }
+        })
+        .collect();
     // Record the argmax in the notes (the paper's headline per figure).
     let mut best = ((0usize, 0usize), 0.0f64);
     for s in &series {

@@ -34,12 +34,8 @@ pub use obs::json;
 pub use data::{FigureData, Series};
 pub use plot::{render_plot, PlotOptions};
 
-/// All regenerable figures, in paper order.
-///
-/// The generators are independent, so they are evaluated on the
-/// [`advect_core::sweep::SweepPool`]; results come back in this fixed
-/// order regardless of worker count, so exported CSV/JSON stays
-/// byte-identical to a serial run.
+/// All regenerable figures, in paper order, computed on the calling
+/// thread.
 pub fn all_figures() -> Vec<FigureData> {
     type FigureFn = fn() -> FigureData;
     const GENERATORS: [FigureFn; 18] = [
@@ -62,7 +58,7 @@ pub fn all_figures() -> Vec<FigureData> {
         extensions::ext05_breakdown,
         extensions::ext06_weak_scaling,
     ];
-    advect_core::sweep::SweepPool::global().map(&GENERATORS, |g| g())
+    GENERATORS.iter().map(|g| g()).collect()
 }
 
 /// Look up a figure by id (e.g. "fig03").

@@ -15,22 +15,25 @@
 
 use crate::params;
 use advect_core::flops::{FLOPS_PER_POINT, PAPER_GRID};
-use decomp::factor3;
 use machine::Machine;
 
-/// A CPU-only run configuration being modeled.
+/// A CPU-only run configuration being modeled. The core count, threads
+/// and grid are fixed at construction, because the subdomain box is
+/// derived from them there.
 #[derive(Debug, Clone, Copy)]
 pub struct CpuScenario<'a> {
     /// The machine.
     pub machine: &'a Machine,
     /// Total cores used.
-    pub cores: usize,
+    cores: usize,
     /// OpenMP threads per MPI task.
-    pub threads: usize,
+    threads: usize,
     /// Global grid points per dimension (the paper's strong-scaling runs
     /// fix this at 420; weak-scaling experiments grow it with the task
     /// count).
-    pub grid: usize,
+    grid: usize,
+    /// Average subdomain extents (paper's near-cubic factorization).
+    sub: (f64, f64, f64),
 }
 
 /// Additive breakdown of a modeled step.
@@ -76,12 +79,14 @@ impl<'a> CpuScenario<'a> {
             cores,
             threads,
             grid: PAPER_GRID,
+            sub: crate::average_box(cores / threads, PAPER_GRID),
         }
     }
 
     /// Use a different global grid (weak-scaling experiments).
     pub fn with_grid(mut self, grid: usize) -> Self {
         self.grid = grid;
+        self.sub = crate::average_box(self.ntasks(), grid);
         self
     }
 
@@ -93,17 +98,6 @@ impl<'a> CpuScenario<'a> {
     /// Tasks sharing one node's memory system and NIC.
     pub fn tasks_per_node(&self) -> usize {
         (self.machine.cores_per_node() / self.threads).max(1)
-    }
-
-    /// Average subdomain dimensions (paper's near-cubic factorization).
-    pub fn subdomain(&self) -> (f64, f64, f64) {
-        let g = self.grid;
-        let (px, py, pz) = factor3(self.ntasks().min(g * g * g), (g, g, g));
-        (
-            g as f64 / px as f64,
-            g as f64 / py as f64,
-            g as f64 / pz as f64,
-        )
     }
 
     /// Grid points per task.
@@ -121,7 +115,7 @@ impl<'a> CpuScenario<'a> {
     /// Network time of one exchange phase (latency + both directions'
     /// transfers at the task's NIC share), excluding CPU message overhead.
     fn phase_net(&self, dim: usize) -> f64 {
-        let (sx, sy, sz) = self.subdomain();
+        let (sx, sy, sz) = self.sub;
         let pts = match dim {
             0 => sy * sz,
             1 => (sx + 2.0) * sz,
@@ -154,7 +148,7 @@ impl<'a> CpuScenario<'a> {
     /// Interior (core) and boundary (shell) points per task for the
     /// partitioned implementations.
     fn interior_boundary_split(&self) -> (f64, f64) {
-        let (sx, sy, sz) = self.subdomain();
+        let (sx, sy, sz) = self.sub;
         let core = (sx - 2.0).max(0.0) * (sy - 2.0).max(0.0) * (sz - 2.0).max(0.0);
         (core, sx * sy * sz - core)
     }
@@ -259,18 +253,13 @@ impl<'a> CpuScenario<'a> {
 /// Best GF over the machine's thread-per-task choices at a core count.
 /// Returns `(gf, best_threads)`.
 pub fn best_cpu_gf(machine: &Machine, im: CpuImpl, cores: usize) -> (f64, usize) {
-    // Evaluated on the sweep pool; the serial strict-`>` fold over results
-    // in candidate order keeps the winner identical to a serial scan.
-    let candidates: Vec<usize> = machine
-        .thread_choices
-        .iter()
-        .copied()
-        .filter(|&t| cores.is_multiple_of(t))
-        .collect();
-    let gfs = advect_core::sweep::SweepPool::global()
-        .map(&candidates, |&t| CpuScenario::new(machine, cores, t).gf(im));
+    // A strict `>` in candidate order: the first winner takes ties.
     let mut best = (0.0f64, 1usize);
-    for (&t, &gf) in candidates.iter().zip(&gfs) {
+    for &t in machine.thread_choices {
+        if !cores.is_multiple_of(t) {
+            continue;
+        }
+        let gf = CpuScenario::new(machine, cores, t).gf(im);
         if gf > best.0 {
             best = (gf, t);
         }

@@ -28,7 +28,6 @@
 use crate::event::{OpId, Res, Schedule};
 use crate::params;
 use advect_core::flops::{FLOPS_PER_POINT, PAPER_GRID};
-use decomp::factor3;
 use machine::Machine;
 use simgpu::timing;
 
@@ -57,15 +56,19 @@ pub enum GpuImpl {
     HybridOverlap,
 }
 
-/// A GPU run configuration being modeled (one GPU per node).
+/// A GPU run configuration being modeled (one GPU per node). The core
+/// count and threads are fixed at construction, because the subdomain
+/// box is derived from them there.
 #[derive(Debug, Clone, Copy)]
 pub struct GpuScenario<'a> {
     /// The machine (must have a GPU).
     pub machine: &'a Machine,
     /// Total cores (whole nodes; one GPU per node).
-    pub cores: usize,
+    cores: usize,
     /// OpenMP threads per MPI task.
-    pub threads: usize,
+    threads: usize,
+    /// Average subdomain extents (paper's near-cubic factorization).
+    sub: (f64, f64, f64),
     /// GPU thread-block shape.
     pub block: (usize, usize),
     /// CPU box thickness (hybrid implementations; 0 otherwise).
@@ -106,6 +109,7 @@ impl<'a> GpuScenario<'a> {
             machine,
             cores,
             threads,
+            sub: crate::average_box((cores / threads).max(1), PAPER_GRID),
             block: (32, 8),
             thickness: 0,
             pcie_scale: 1.0,
@@ -157,13 +161,7 @@ impl<'a> GpuScenario<'a> {
     }
 
     fn geometry(&self, thickness: usize) -> Geometry {
-        let g = PAPER_GRID;
-        let (px, py, pz) = factor3(self.ntasks().min(g * g * g), (g, g, g));
-        let sub = (
-            g as f64 / px as f64,
-            g as f64 / py as f64,
-            g as f64 / pz as f64,
-        );
+        let sub = self.sub;
         let t = thickness as f64;
         let b = (sub.0 - 2.0 * t, sub.1 - 2.0 * t, sub.2 - 2.0 * t);
         let gpu_pts = clamped_product(b.0, b.1, b.2);

@@ -29,3 +29,15 @@ pub use cpu::{best_cpu_gf, CpuImpl, CpuScenario};
 pub use event::{Res, Schedule};
 pub use gpu::{GpuImpl, GpuScenario};
 pub use sweep::{best_gf, best_gpu_gf, AnyImpl, BestPoint};
+
+/// Average subdomain extents of `ntasks` tasks on a `g`³ grid under the
+/// paper's near-cubic factorization. Each scenario computes its box
+/// once, at construction.
+fn average_box(ntasks: usize, g: usize) -> (f64, f64, f64) {
+    let (px, py, pz) = decomp::factor3(ntasks.min(g * g * g), (g, g, g));
+    (
+        g as f64 / px as f64,
+        g as f64 / py as f64,
+        g as f64 / pz as f64,
+    )
+}

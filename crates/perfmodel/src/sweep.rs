@@ -7,7 +7,6 @@
 
 use crate::cpu::CpuImpl;
 use crate::gpu::{GpuImpl, GpuScenario};
-use advect_core::sweep::SweepPool;
 use machine::Machine;
 
 /// Box thicknesses the sweeps consider (Figures 11/12 plot a subset).
@@ -94,33 +93,26 @@ pub fn best_gpu_gf(
         }
         return best;
     }
-    // Enumerate the candidate grid, evaluate it on the sweep pool, then
-    // reduce serially in candidate order — the strict `>` fold keeps the
-    // argmax identical to the original nested-loop scan (first winner on
-    // ties), so results are deterministic under any worker count.
+    // A strict `>` over threads, then thickness: the first winner takes
+    // ties. One scenario per thread count computes the box once.
     let thicknesses: &[usize] = match im {
         GpuImpl::HybridBulkSync | GpuImpl::HybridOverlap => &THICKNESS_CHOICES,
         _ => &[0],
     };
-    let candidates: Vec<(usize, usize)> = machine
-        .thread_choices
-        .iter()
-        .filter(|&&t| cores.is_multiple_of(t))
-        .flat_map(|&t| thicknesses.iter().map(move |&th| (t, th)))
-        .collect();
-    let gfs = SweepPool::global().map(&candidates, |&(t, th)| {
-        GpuScenario::new(machine, cores, t)
-            .with_block(block)
-            .with_thickness(th)
-            .gf(im)
-    });
-    for (&(t, th), &gf) in candidates.iter().zip(&gfs) {
-        if gf > best.gf {
-            best = BestPoint {
-                gf,
-                threads: t,
-                thickness: th,
-            };
+    for &t in machine.thread_choices {
+        if !cores.is_multiple_of(t) {
+            continue;
+        }
+        let s = GpuScenario::new(machine, cores, t).with_block(block);
+        for &th in thicknesses {
+            let gf = s.with_thickness(th).gf(im);
+            if gf > best.gf {
+                best = BestPoint {
+                    gf,
+                    threads: t,
+                    thickness: th,
+                };
+            }
         }
     }
     best
