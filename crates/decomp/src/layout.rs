@@ -21,16 +21,6 @@ impl Subdomain {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Whether a global point lies inside this subdomain.
-    pub fn contains_global(&self, g: (usize, usize, usize)) -> bool {
-        (0..3).all(|d| {
-            let o = [self.offset.0, self.offset.1, self.offset.2][d];
-            let e = [self.extent.0, self.extent.1, self.extent.2][d];
-            let p = [g.0, g.1, g.2][d];
-            p >= o && p < o + e
-        })
-    }
 }
 
 /// A full decomposition of a global grid over `ntasks` ranks.
@@ -50,32 +40,37 @@ impl Decomposition {
     /// at most one point per dimension.
     pub fn new(ntasks: usize, global: (usize, usize, usize)) -> Self {
         let pgrid = factor3(ntasks, global);
-        let starts = |g: usize, p: usize| -> Vec<usize> {
-            // Block distribution: first (g % p) blocks get one extra point.
-            let base = g / p;
-            let rem = g % p;
-            (0..=p).map(|i| i * base + i.min(rem)).collect()
-        };
-        let xs = starts(global.0, pgrid.0);
-        let ys = starts(global.1, pgrid.1);
-        let zs = starts(global.2, pgrid.2);
-        let mut subdomains = Vec::with_capacity(ntasks);
-        for rank in 0..ntasks {
-            let (cx, cy, cz) = Self::coords_of(rank, pgrid);
-            subdomains.push(Subdomain {
-                offset: (xs[cx], ys[cy], zs[cz]),
-                extent: (
-                    xs[cx + 1] - xs[cx],
-                    ys[cy + 1] - ys[cy],
-                    zs[cz + 1] - zs[cz],
-                ),
-            });
-        }
+        let subdomains = (0..ntasks)
+            .map(|rank| {
+                let (cx, cy, cz) = Self::coords_of(rank, pgrid);
+                let (x, y, z) = (
+                    block(global.0, pgrid.0, cx),
+                    block(global.1, pgrid.1, cy),
+                    block(global.2, pgrid.2, cz),
+                );
+                Subdomain {
+                    offset: (x.0, y.0, z.0),
+                    extent: (x.1, y.1, z.1),
+                }
+            })
+            .collect();
         Self {
             global,
             pgrid,
             subdomains,
         }
+    }
+
+    /// Rank 0's extent in the decomposition [`Decomposition::new`] builds,
+    /// without building the per-rank table. Rank 0 holds the first block
+    /// of every dimension, so its subdomain is the largest.
+    pub fn rank0_extent(ntasks: usize, global: (usize, usize, usize)) -> (usize, usize, usize) {
+        let (px, py, pz) = factor3(ntasks, global);
+        (
+            block(global.0, px, 0).1,
+            block(global.1, py, 0).1,
+            block(global.2, pz, 0).1,
+        )
     }
 
     /// Number of ranks.
@@ -113,24 +108,13 @@ impl Decomposition {
         }
         self.rank_of(c)
     }
+}
 
-    /// All 26 distinct-direction neighbors of a rank (may contain
-    /// duplicates and the rank itself for small process grids).
-    pub fn neighbors26(&self, rank: usize) -> Vec<usize> {
-        let (cx, cy, cz) = self.coords(rank);
-        let mut out = Vec::with_capacity(26);
-        for dz in -1isize..=1 {
-            for dy in -1isize..=1 {
-                for dx in -1isize..=1 {
-                    if (dx, dy, dz) == (0, 0, 0) {
-                        continue;
-                    }
-                    out.push(self.rank_of((cx as isize + dx, cy as isize + dy, cz as isize + dz)));
-                }
-            }
-        }
-        out
-    }
+/// Offset and extent of block `i` when `g` points are split into `p`
+/// blocks: the first `g mod p` blocks get one extra point.
+fn block(g: usize, p: usize, i: usize) -> (usize, usize) {
+    let (base, rem) = (g / p, g % p);
+    (i * base + i.min(rem), base + usize::from(i < rem))
 }
 
 #[cfg(test)]
@@ -149,6 +133,10 @@ mod tests {
 
     #[test]
     fn every_global_point_owned_exactly_once() {
+        let contains = |s: &Subdomain, g: [usize; 3]| {
+            let (o, e) = (<[usize; 3]>::from(s.offset), <[usize; 3]>::from(s.extent));
+            (0..3).all(|d| g[d] >= o[d] && g[d] < o[d] + e[d])
+        };
         let d = Decomposition::new(10, (7, 6, 5));
         for x in 0..7 {
             for y in 0..6 {
@@ -156,7 +144,7 @@ mod tests {
                     let owners = d
                         .subdomains
                         .iter()
-                        .filter(|s| s.contains_global((x, y, z)))
+                        .filter(|s| contains(s, [x, y, z]))
                         .count();
                     assert_eq!(owners, 1, "point ({x},{y},{z})");
                 }
@@ -214,18 +202,16 @@ mod tests {
             assert_eq!(d.neighbor(0, dim, -1), 0);
             assert_eq!(d.neighbor(0, dim, 1), 0);
         }
-        assert!(d.neighbors26(0).iter().all(|&n| n == 0));
     }
 
     #[test]
-    fn twenty_six_neighbors_listed() {
-        let d = Decomposition::new(27, (27, 27, 27));
-        let n = d.neighbors26(13);
-        assert_eq!(n.len(), 26);
-        // Center rank of a 3×3×3 grid: all neighbors distinct.
-        let mut sorted = n.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 26);
+    fn rank0_extent_is_rank_zeros_and_the_largest() {
+        for ntasks in [1, 2, 3, 4, 5, 8, 12, 27, 40] {
+            let global = (13, 11, 17);
+            let d = Decomposition::new(ntasks, global);
+            let e = Decomposition::rank0_extent(ntasks, global);
+            assert_eq!(e, d.subdomains[0].extent, "ntasks = {ntasks}");
+            assert!(d.subdomains.iter().all(|s| s.len() <= e.0 * e.1 * e.2));
+        }
     }
 }

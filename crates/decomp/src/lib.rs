@@ -9,7 +9,7 @@
 //!   enable memory locality";
 //! * [`layout`] — per-rank subdomain extents (largest at most one point
 //!   larger than the smallest in each dimension) and rank ↔ coordinate
-//!   maps, with periodic 26-neighbor topology;
+//!   maps, with periodic wrap;
 //! * [`exchange`] — the dimension-serialized 6-phase halo exchange that
 //!   "reduces the number of neighbor exchanges from 26 to 6", as concrete
 //!   send/receive regions plus tags;

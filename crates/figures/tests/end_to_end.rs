@@ -36,7 +36,7 @@ fn figure_exports_match_the_pinned_digest() {
             )
         });
     assert_eq!(
-        digest, 0x04ac_4400_e922_5bf1,
+        digest, 0x4aab_e03a_e26a_2c6f,
         "figure exports moved: digest {digest:#018x}"
     );
 }

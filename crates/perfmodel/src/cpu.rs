@@ -1,9 +1,9 @@
 //! Performance models for the CPU implementations (IV-A … IV-D).
 //!
-//! Analytic step-time models parameterized by machine, total cores, and
-//! OpenMP threads per MPI task. The structural terms follow the
-//! implementations exactly (what is serialized, what can hide what); the
-//! constants are calibrated to the paper's reported shapes:
+//! Analytic step-time models of rank 0's box, parameterized by machine,
+//! total cores, and OpenMP threads per MPI task. The structural terms
+//! follow the implementations exactly (what is serialized, what can hide
+//! what); the constants are calibrated to the paper's reported shapes:
 //!
 //! * nonblocking overlap (IV-C) beats bulk-synchronous (IV-B) slightly
 //!   while per-core work is large, then falls behind as its extra
@@ -18,8 +18,8 @@ use advect_core::flops::{FLOPS_PER_POINT, PAPER_GRID};
 use machine::Machine;
 
 /// A CPU-only run configuration being modeled. The core count, threads
-/// and grid are fixed at construction, because the subdomain box is
-/// derived from them there.
+/// and grid are fixed at construction, because rank 0's box is derived
+/// from them there.
 #[derive(Debug, Clone, Copy)]
 pub struct CpuScenario<'a> {
     /// The machine.
@@ -32,8 +32,8 @@ pub struct CpuScenario<'a> {
     /// fix this at 420; weak-scaling experiments grow it with the task
     /// count).
     grid: usize,
-    /// Average subdomain extents (paper's near-cubic factorization).
-    sub: (f64, f64, f64),
+    /// Rank 0's box, the largest of the decomposition.
+    pub(crate) rank0: crate::Rank0,
 }
 
 /// Additive breakdown of a modeled step.
@@ -79,14 +79,14 @@ impl<'a> CpuScenario<'a> {
             cores,
             threads,
             grid: PAPER_GRID,
-            sub: crate::average_box(cores / threads, PAPER_GRID),
+            rank0: crate::Rank0::new(cores / threads, PAPER_GRID),
         }
     }
 
     /// Use a different global grid (weak-scaling experiments).
     pub fn with_grid(mut self, grid: usize) -> Self {
         self.grid = grid;
-        self.sub = crate::average_box(self.ntasks(), grid);
+        self.rank0 = crate::Rank0::new(self.ntasks(), grid);
         self
     }
 
@@ -100,40 +100,18 @@ impl<'a> CpuScenario<'a> {
         (self.machine.cores_per_node() / self.threads).max(1)
     }
 
-    /// Grid points per task.
-    pub fn points_per_task(&self) -> f64 {
-        (self.grid as f64).powi(3) / self.ntasks() as f64
-    }
-
     /// One task's sustained stencil rate, points/s.
-    pub fn rate(&self) -> f64 {
+    fn rate(&self) -> f64 {
         self.machine
             .cpu
             .stencil_points_per_second(self.threads, self.tasks_per_node())
     }
 
-    /// Network time of one exchange phase (latency + both directions'
-    /// transfers at the task's NIC share), excluding CPU message overhead.
-    fn phase_net(&self, dim: usize) -> f64 {
-        let (sx, sy, sz) = self.sub;
-        let pts = match dim {
-            0 => sy * sz,
-            1 => (sx + 2.0) * sz,
-            _ => (sx + 2.0) * (sy + 2.0),
-        };
-        let bytes = pts * 8.0;
-        let net = &self.machine.net;
-        if self.ntasks() == 1 {
-            // Self-exchange: a shared-memory copy, not a NIC transfer.
-            return 2.0 * bytes / (self.machine.cpu.mem_bw_gbs * 0.5e9);
-        }
-        if self.cores <= self.machine.cores_per_node() {
-            // Single node: all neighbors exchange through shared memory.
-            return 2.0 * bytes / (self.machine.cpu.mem_bw_gbs * 0.33e9);
-        }
-        let tpn = self.tasks_per_node() as f64;
-        let share = net.node_bw_gbs * 1e9 / tpn;
-        net.latency_s * (1.0 + params::INJECTION_CONTENTION * (tpn - 1.0)) + 2.0 * bytes / share
+    /// Network time of exchange phase `dim`, excluding CPU message
+    /// overhead.
+    fn net(&self, dim: usize) -> f64 {
+        let len = self.rank0.messages[dim];
+        crate::phase_net(self.machine, self.cores, self.threads, len, false)
     }
 
     /// CPU software overhead of one phase (post + complete, 2 messages).
@@ -145,12 +123,11 @@ impl<'a> CpuScenario<'a> {
         }
     }
 
-    /// Interior (core) and boundary (shell) points per task for the
-    /// partitioned implementations.
-    fn interior_boundary_split(&self) -> (f64, f64) {
-        let (sx, sy, sz) = self.sub;
-        let core = (sx - 2.0).max(0.0) * (sy - 2.0).max(0.0) * (sz - 2.0).max(0.0);
-        (core, sx * sy * sz - core)
+    /// Interior (core) and boundary (shell) points of rank 0's box for
+    /// the partitioned implementations.
+    fn core_and_shell(&self) -> (f64, f64) {
+        let shell = self.rank0.shell;
+        ((self.rank0.points() - shell) as f64, shell as f64)
     }
 
     /// Per-region cost: OpenMP fork/join, or at least the fixed sweep
@@ -167,16 +144,16 @@ impl<'a> CpuScenario<'a> {
         let threads = self.threads.min(self.machine.cores_per_node());
         let rate = self.machine.cpu.stencil_points_per_second(threads, 1);
         let omp = self.machine.cpu.omp_region_cost(threads);
-        (self.grid as f64).powi(3) / rate + params::REGIONS_BULK as f64 * omp
+        self.grid.pow(3) as f64 / rate + params::REGIONS_BULK as f64 * omp
     }
 
     /// Component breakdown of the bulk-synchronous step (IV-B); its
     /// total is IV-B's step time.
     pub fn breakdown_bulk_sync(&self) -> StepBreakdown {
         let omp = self.region_cost();
-        let comm: f64 = (0..3).map(|d| self.phase_cpu() + self.phase_net(d)).sum();
+        let comm: f64 = (0..3).map(|d| self.phase_cpu() + self.net(d)).sum();
         StepBreakdown {
-            compute: self.points_per_task() / self.rate(),
+            compute: self.rank0.points() as f64 / self.rate(),
             communication: comm,
             overhead: params::REGIONS_BULK as f64 * omp,
         }
@@ -187,12 +164,12 @@ impl<'a> CpuScenario<'a> {
     /// only the *unhidden* part.
     pub fn breakdown_nonblocking(&self) -> StepBreakdown {
         let omp = self.region_cost();
-        let (pi, pb) = self.interior_boundary_split();
+        let (pi, pb) = self.core_and_shell();
         let t_int = pi / self.rate();
         let alpha = self.machine.net.async_progress;
         let mut unhidden = 0.0;
         for d in 0..3 {
-            let net = self.phase_net(d);
+            let net = self.net(d);
             // The CPU overhead and the non-progressing fraction of the
             // transfer cannot hide under the interior third.
             unhidden +=
@@ -209,8 +186,8 @@ impl<'a> CpuScenario<'a> {
     /// Step time of IV-D (OpenMP master-thread overlap, guided interior).
     fn thread_overlap_step(&self) -> f64 {
         let omp = self.region_cost();
-        let (pi, pb) = self.interior_boundary_split();
-        let comm: f64 = (0..3).map(|d| self.phase_cpu() + self.phase_net(d)).sum();
+        let (pi, pb) = self.core_and_shell();
+        let comm: f64 = (0..3).map(|d| self.phase_cpu() + self.net(d)).sum();
         let t_bnd = pb / (self.rate() * params::BOUNDARY_PASS_EFF);
         if self.threads == 1 {
             // No thread to hide behind: bulk-synchronous plus the guided
@@ -239,14 +216,9 @@ impl<'a> CpuScenario<'a> {
         }
     }
 
-    /// Whole-machine GF at a given step time.
-    pub fn gigaflops(&self, step: f64) -> f64 {
-        (self.grid as f64).powi(3) * FLOPS_PER_POINT as f64 / step / 1e9
-    }
-
-    /// GF of the given implementation.
+    /// Whole-machine GF of the given implementation.
     pub fn gf(&self, im: CpuImpl) -> f64 {
-        self.gigaflops(self.step_time(im))
+        self.grid.pow(3) as f64 * FLOPS_PER_POINT as f64 / self.step_time(im) / 1e9
     }
 }
 

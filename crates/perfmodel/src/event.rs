@@ -45,7 +45,9 @@ struct Op {
 #[derive(Debug, Default)]
 pub struct Schedule {
     ops: Vec<Op>,
-    res_free: std::collections::HashMap<Res, f64>,
+    /// When each resource is next free, indexed by `Res`; `None`, the
+    /// last variant, has no slot.
+    res_free: [f64; 4],
 }
 
 impl Schedule {
@@ -63,15 +65,11 @@ impl Schedule {
             .iter()
             .map(|d| self.ops[d.0].end)
             .fold(0.0f64, f64::max);
-        let res_free = if res == Res::None {
-            0.0
-        } else {
-            *self.res_free.get(&res).unwrap_or(&0.0)
-        };
-        let start = dep_end.max(res_free);
+        let free = self.res_free.get_mut(res as usize);
+        let start = dep_end.max(free.as_deref().copied().unwrap_or(0.0));
         let end = start + dur;
-        if res != Res::None {
-            self.res_free.insert(res, end);
+        if let Some(free) = free {
+            *free = end;
         }
         self.ops.push(Op {
             res,

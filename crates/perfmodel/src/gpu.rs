@@ -2,8 +2,11 @@
 //!
 //! Each implementation's time step is composed as a discrete-event
 //! schedule ([`crate::event`]) over the node's resources: the GPU compute
-//! engine, the PCIe copy engines, the NIC, and the CPU team. The chains
-//! mirror the functional code in the `overlap` crate exactly:
+//! engine, the PCIe copy engines, the NIC, and the CPU team. Its ops are
+//! sized by rank 0's Figure 1 partition ([`decomp::BoxPartition`]): the
+//! deep interior, the boundary ring (D2H), the halo ring (H2D) and the CPU
+//! walls. The chains mirror the functional code in the `overlap` crate
+//! exactly:
 //!
 //! * **IV-H** chains the exchange up front: pack → D2H → MPI → H2D →
 //!   unpack → face kernels → interior kernel, with the CPU walls beside
@@ -28,6 +31,7 @@
 use crate::event::{OpId, Res, Schedule};
 use crate::params;
 use advect_core::flops::{FLOPS_PER_POINT, PAPER_GRID};
+use decomp::BoxPartition;
 use machine::Machine;
 use simgpu::timing;
 
@@ -57,7 +61,7 @@ pub enum GpuImpl {
 }
 
 /// A GPU run configuration being modeled (one GPU per node). The core
-/// count and threads are fixed at construction, because the subdomain
+/// count, threads and grid are fixed at construction, because rank 0's
 /// box is derived from them there.
 #[derive(Debug, Clone, Copy)]
 pub struct GpuScenario<'a> {
@@ -67,8 +71,10 @@ pub struct GpuScenario<'a> {
     cores: usize,
     /// OpenMP threads per MPI task.
     threads: usize,
-    /// Average subdomain extents (paper's near-cubic factorization).
-    sub: (f64, f64, f64),
+    /// Global grid points per dimension (420 in the paper's runs).
+    grid: usize,
+    /// Rank 0's box, the largest of the decomposition.
+    pub(crate) rank0: crate::Rank0,
     /// GPU thread-block shape.
     pub block: (usize, usize),
     /// CPU box thickness (hybrid implementations; 0 otherwise).
@@ -83,33 +89,21 @@ pub struct GpuScenario<'a> {
     pub pageable_gbs: Option<f64>,
 }
 
-/// Per-task region point counts derived from the decomposition and the
-/// Figure 1 box partition (continuous approximation).
-#[derive(Debug, Clone, Copy)]
-struct Geometry {
-    sub: (f64, f64, f64),
-    deep_pts: f64,
-    ring_pts: f64,
-    halo_ring_pts: f64,
-    wall_pts: f64,
-    inner_wall_pts: f64,
-    face_x_pts: f64,
-    face_yz_pts: f64,
-}
-
-fn clamped_product(a: f64, b: f64, c: f64) -> f64 {
-    a.max(0.0) * b.max(0.0) * c.max(0.0)
-}
-
 impl<'a> GpuScenario<'a> {
-    /// A new scenario.
+    /// A new scenario on the paper's 420³ grid.
     pub fn new(machine: &'a Machine, cores: usize, threads: usize) -> Self {
+        Self::on_grid(machine, cores, threads, PAPER_GRID)
+    }
+
+    /// A new scenario on a `grid`³ grid.
+    pub(crate) fn on_grid(machine: &'a Machine, cores: usize, threads: usize, grid: usize) -> Self {
         assert!(machine.gpu.is_some(), "{} has no GPUs", machine.name);
         Self {
             machine,
             cores,
             threads,
-            sub: crate::average_box((cores / threads).max(1), PAPER_GRID),
+            grid,
+            rank0: crate::Rank0::new((cores / threads).max(1), grid),
             block: (32, 8),
             thickness: 0,
             pcie_scale: 1.0,
@@ -141,51 +135,13 @@ impl<'a> GpuScenario<'a> {
         self
     }
 
-    /// MPI tasks.
-    pub fn ntasks(&self) -> usize {
-        (self.cores / self.threads).max(1)
-    }
-
     /// Tasks sharing one node (and its GPU).
     pub fn tasks_per_node(&self) -> usize {
         (self.machine.cores_per_node() / self.threads).max(1)
     }
 
-    /// Nodes in use.
-    pub fn nodes(&self) -> usize {
-        self.machine.nodes_for_cores(self.cores)
-    }
-
     fn spec(&self) -> &simgpu::GpuSpec {
         self.machine.gpu.as_ref().expect("machine has a GPU")
-    }
-
-    fn geometry(&self, thickness: usize) -> Geometry {
-        let sub = self.sub;
-        let t = thickness as f64;
-        let b = (sub.0 - 2.0 * t, sub.1 - 2.0 * t, sub.2 - 2.0 * t);
-        let gpu_pts = clamped_product(b.0, b.1, b.2);
-        let deep_pts = clamped_product(b.0 - 2.0, b.1 - 2.0, b.2 - 2.0);
-        let ring_pts = gpu_pts - deep_pts;
-        let halo_ring_pts = clamped_product(b.0 + 2.0, b.1 + 2.0, b.2 + 2.0) - gpu_pts;
-        let total = sub.0 * sub.1 * sub.2;
-        let wall_pts = total - gpu_pts;
-        // Walls not touching the subdomain skin can overlap MPI.
-        let inner_box = clamped_product(sub.0 - 2.0, sub.1 - 2.0, sub.2 - 2.0);
-        let inner_wall_pts = (inner_box - gpu_pts).max(0.0);
-        // Boundary-ring kernel orientation split.
-        let face_x_pts = 2.0 * b.1.max(0.0) * b.2.max(0.0);
-        let face_yz_pts = (ring_pts - face_x_pts).max(0.0);
-        Geometry {
-            sub,
-            deep_pts,
-            ring_pts,
-            halo_ring_pts,
-            wall_pts,
-            inner_wall_pts,
-            face_x_pts,
-            face_yz_pts,
-        }
     }
 
     /// Halo-layout kernel rate, points/s.
@@ -193,62 +149,46 @@ impl<'a> GpuScenario<'a> {
         timing::stencil_points_per_second(self.spec(), self.block) / NONPERIODIC_KERNEL_PENALTY
     }
 
-    fn interior_kernel_dur(&self, geo: &Geometry) -> f64 {
-        self.spec().launch_overhead_s + geo.deep_pts / self.kernel_rate()
+    /// The interior kernel over the GPU block's deep interior.
+    fn interior_kernel_dur(&self, p: &BoxPartition) -> f64 {
+        self.spec().launch_overhead_s + p.gpu_deep_interior.len() as f64 / self.kernel_rate()
     }
 
-    fn face_kernels_dur(&self, geo: &Geometry, aux: bool) -> f64 {
+    /// The six boundary kernels over the GPU block's boundary ring; its
+    /// x walls run at the x faces' efficiency.
+    fn face_kernels_dur(&self, p: &BoxPartition, aux: bool) -> f64 {
         let rate = self.kernel_rate() / if aux { AUX_KERNEL_PENALTY } else { 1.0 };
+        let [x_lo, x_hi, ..] = p.gpu_boundary_ring;
+        let face_x = x_lo.len() + x_hi.len();
         6.0 * self.spec().launch_overhead_s
-            + geo.face_x_pts / (rate * params::FACE_EFF_X)
-            + geo.face_yz_pts / (rate * params::FACE_EFF_YZ)
+            + face_x as f64 / (rate * params::FACE_EFF_X)
+            + (p.d2h_points() - face_x) as f64 / (rate * params::FACE_EFF_YZ)
     }
 
-    fn pack_dur(&self, pts: f64) -> f64 {
-        timing::pack_kernel_time(self.spec(), pts as usize) + 5.0 * self.spec().launch_overhead_s
+    fn pack_dur(&self, pts: usize) -> f64 {
+        timing::pack_kernel_time(self.spec(), pts) + 5.0 * self.spec().launch_overhead_s
     }
 
     /// PCIe transfer duration for `pts` points, pageable or pinned.
-    fn pcie_dur(&self, pts: f64, pinned: bool) -> f64 {
+    fn pcie_dur(&self, pts: usize, pinned: bool) -> f64 {
         let gbs = if pinned {
             self.spec().pcie_bw_gbs
         } else {
             self.pageable_gbs
                 .unwrap_or_else(|| params::pageable_pcie_gbs(self.machine.name))
         } * self.pcie_scale;
-        6.0 * self.spec().pcie_latency_s / self.pcie_scale + pts * 8.0 / (gbs * 1e9)
+        6.0 * self.spec().pcie_latency_s / self.pcie_scale + pts as f64 * 8.0 / (gbs * 1e9)
     }
 
-    fn staging_dur(&self, pts: f64) -> f64 {
-        pts * 8.0 * params::HOST_STAGING_S_PER_BYTE
+    fn staging_dur(&self, pts: usize) -> f64 {
+        pts as f64 * 8.0 * params::HOST_STAGING_S_PER_BYTE
     }
 
-    /// Network time of one exchange phase for the subdomain skin.
-    fn phase_net(&self, geo: &Geometry, dim: usize) -> f64 {
-        let (sx, sy, sz) = geo.sub;
-        let pts = match dim {
-            0 => sy * sz,
-            1 => (sx + 2.0) * sz,
-            _ => (sx + 2.0) * (sy + 2.0),
-        };
-        let bytes = pts * 8.0;
-        if self.ntasks() == 1 {
-            return 2.0 * bytes / (self.machine.cpu.mem_bw_gbs * 0.5e9);
-        }
-        if self.nodes() == 1 {
-            // All neighbors on-node: shared-memory MPI.
-            return 2.0 * bytes / (self.machine.cpu.mem_bw_gbs * 0.33e9);
-        }
-        let net = &self.machine.net;
-        let tpn = self.tasks_per_node() as f64;
-        let share = net.node_bw_gbs * 1e9 / tpn;
-        net.latency_s * (1.0 + params::INJECTION_CONTENTION * (tpn - 1.0))
-            + 2.0 * net.per_message_cpu_s
-            + 2.0 * bytes / share
-    }
-
-    fn mpi_total(&self, geo: &Geometry) -> f64 {
-        (0..3).map(|d| self.phase_net(geo, d)).sum()
+    /// Network time of exchange phase `dim`, CPU message overhead
+    /// included.
+    fn net(&self, dim: usize) -> f64 {
+        let len = self.rank0.messages[dim];
+        crate::phase_net(self.machine, self.cores, self.threads, len, true)
     }
 
     /// CPU wall-computation rate (points/s) for this task's team.
@@ -261,94 +201,82 @@ impl<'a> GpuScenario<'a> {
 
     /// Outgoing half of a blocking exchange: pack the boundary ring,
     /// download it (pageable), stage it on the host. Returns the staging op.
-    fn add_outgoing(&self, s: &mut Schedule, geo: &Geometry, deps: &[OpId]) -> OpId {
-        let pack = s.add(Res::GpuCompute, self.pack_dur(geo.ring_pts), deps);
-        let d2h = s.add(Res::CopyD2H, self.pcie_dur(geo.ring_pts, false), &[pack]);
-        s.add(Res::None, self.staging_dur(geo.ring_pts), &[d2h])
+    fn add_outgoing(&self, s: &mut Schedule, p: &BoxPartition, deps: &[OpId]) -> OpId {
+        let ring = p.d2h_points();
+        let pack = s.add(Res::GpuCompute, self.pack_dur(ring), deps);
+        let d2h = s.add(Res::CopyD2H, self.pcie_dur(ring, false), &[pack]);
+        s.add(Res::None, self.staging_dur(ring), &[d2h])
     }
 
     /// Incoming half of a blocking exchange: MPI, host staging, upload
     /// (pageable), unpack, face kernels. Returns the MPI and face ops.
-    fn add_incoming(&self, s: &mut Schedule, geo: &Geometry, deps: &[OpId]) -> (OpId, OpId) {
-        let mpi = s.add(Res::Nic, self.mpi_total(geo), deps);
-        let stage = s.add(Res::None, self.staging_dur(geo.halo_ring_pts), &[mpi]);
-        let h2d = s.add(
-            Res::CopyH2D,
-            self.pcie_dur(geo.halo_ring_pts, false),
-            &[stage],
-        );
-        let unpack = s.add(Res::GpuCompute, self.pack_dur(geo.halo_ring_pts), &[h2d]);
-        let faces = s.add(
-            Res::GpuCompute,
-            self.face_kernels_dur(geo, false),
-            &[unpack],
-        );
+    fn add_incoming(&self, s: &mut Schedule, p: &BoxPartition, deps: &[OpId]) -> (OpId, OpId) {
+        let halo = p.h2d_points();
+        let mpi = s.add(Res::Nic, (0..3).map(|d| self.net(d)).sum(), deps);
+        let stage = s.add(Res::None, self.staging_dur(halo), &[mpi]);
+        let h2d = s.add(Res::CopyH2D, self.pcie_dur(halo, false), &[stage]);
+        let unpack = s.add(Res::GpuCompute, self.pack_dur(halo), &[h2d]);
+        let faces = s.add(Res::GpuCompute, self.face_kernels_dur(p, false), &[unpack]);
         (mpi, faces)
     }
 
     /// One task of IV-F/IV-H: the whole exchange chained up front, then
     /// the face and interior kernels; the CPU walls (IV-H only: IV-F's
-    /// geometry has none) run beside the kernels once MPI is done.
-    fn add_bulk_sync_task(&self, s: &mut Schedule, geo: &Geometry) {
-        let staged = self.add_outgoing(s, geo, &[]);
-        let (mpi, faces) = self.add_incoming(s, geo, &[staged]);
-        s.add(Res::GpuCompute, self.interior_kernel_dur(geo), &[faces]);
-        if geo.wall_pts > 0.0 {
-            s.add(Res::None, geo.wall_pts / self.cpu_wall_rate(), &[mpi]);
+    /// partition has none) run beside the kernels once MPI is done.
+    fn add_bulk_sync_task(&self, s: &mut Schedule, p: &BoxPartition) {
+        let staged = self.add_outgoing(s, p, &[]);
+        let (mpi, faces) = self.add_incoming(s, p, &[staged]);
+        s.add(Res::GpuCompute, self.interior_kernel_dur(p), &[faces]);
+        if p.cpu_points() > 0 {
+            let walls = p.cpu_points() as f64 / self.cpu_wall_rate();
+            s.add(Res::None, walls, &[mpi]);
         }
     }
 
     /// One task of IV-G: the interior kernel beside the incoming halo
     /// chain, whose MPI uses the boundary downloaded at the end of the
     /// previous step; the outgoing boundary for the next step follows.
-    fn add_streams_task(&self, s: &mut Schedule, geo: &Geometry) {
-        let interior = s.add(Res::GpuCompute, self.interior_kernel_dur(geo), &[]);
-        let (_, faces) = self.add_incoming(s, geo, &[]);
-        self.add_outgoing(s, geo, &[faces, interior]);
+    fn add_streams_task(&self, s: &mut Schedule, p: &BoxPartition) {
+        let interior = s.add(Res::GpuCompute, self.interior_kernel_dur(p), &[]);
+        let (_, faces) = self.add_incoming(s, p, &[]);
+        self.add_outgoing(s, p, &[faces, interior]);
     }
 
     /// One task of IV-I.
-    fn add_hybrid_overlap_task(&self, s: &mut Schedule, geo: &Geometry) {
+    fn add_hybrid_overlap_task(&self, s: &mut Schedule, p: &BoxPartition) {
         // GPU side: interior on the compute engine; halo ring H2D
         // (async, page-locked), boundary kernels, ring D2H beside it.
-        let interior = s.add(Res::GpuCompute, self.interior_kernel_dur(geo), &[]);
-        let h2d = s.add(Res::CopyH2D, self.pcie_dur(geo.halo_ring_pts, true), &[]);
+        let interior = s.add(Res::GpuCompute, self.interior_kernel_dur(p), &[]);
+        let h2d = s.add(Res::CopyH2D, self.pcie_dur(p.h2d_points(), true), &[]);
         let faces = if self.spec().concurrent_kernels {
             // Fermi co-schedules the small boundary kernels beside the
             // interior kernel (at a throughput penalty).
-            s.add(Res::None, self.face_kernels_dur(geo, true), &[h2d])
+            s.add(Res::None, self.face_kernels_dur(p, true), &[h2d])
         } else {
-            s.add(
-                Res::GpuCompute,
-                self.face_kernels_dur(geo, false),
-                &[h2d, interior],
-            )
+            let faces = self.face_kernels_dur(p, false);
+            s.add(Res::GpuCompute, faces, &[h2d, interior])
         };
-        s.add(Res::CopyD2H, self.pcie_dur(geo.ring_pts, true), &[faces]);
+        s.add(Res::CopyD2H, self.pcie_dur(p.d2h_points(), true), &[faces]);
         // CPU side: each dimension's phase overlaps that dimension's
-        // inner wall points. A phase's sends need the previous phase's
-        // halo; the task's thread team computes one wall chunk at a
-        // time, so the chunks chain. Outer wall points follow the last
-        // phase and the last chunk.
+        // inner wall points, those off the box's one-point shell. A
+        // phase's sends need the previous phase's halo; the task's thread
+        // team computes one wall chunk at a time, so the chunks chain. The
+        // shell follows the last phase and the last chunk.
+        let inner_walls = p.cpu_points() - self.rank0.shell;
         let mut prev_phase: Option<OpId> = None;
         let mut prev_wall: Option<OpId> = None;
         for d in 0..3 {
             let phase_deps: Vec<_> = prev_phase.into_iter().collect();
-            let phase = s.add(Res::Nic, self.phase_net(geo, d), &phase_deps);
+            let phase = s.add(Res::Nic, self.net(d), &phase_deps);
             let wall_deps: Vec<_> = prev_wall.into_iter().chain(prev_phase).collect();
-            let wall = s.add(
-                Res::None,
-                geo.inner_wall_pts / 3.0 / self.cpu_wall_rate(),
-                &wall_deps,
-            );
+            let chunk = inner_walls as f64 / 3.0 / self.cpu_wall_rate();
+            let wall = s.add(Res::None, chunk, &wall_deps);
             prev_phase = Some(phase);
             prev_wall = Some(wall);
         }
-        let outer = (geo.wall_pts - geo.inner_wall_pts).max(0.0);
-        if outer > 0.0 {
-            let deps: Vec<_> = prev_phase.into_iter().chain(prev_wall).collect();
-            s.add(Res::None, outer / self.cpu_wall_rate(), &deps);
-        }
+        let deps: Vec<_> = prev_phase.into_iter().chain(prev_wall).collect();
+        let shell = self.rank0.shell as f64 / self.cpu_wall_rate();
+        s.add(Res::None, shell, &deps);
     }
 
     /// The per-step schedule of the given implementation on one node:
@@ -357,9 +285,9 @@ impl<'a> GpuScenario<'a> {
     /// whatever the scenario's thickness. IV-I requires thickness ≥ 1.
     pub fn schedule(&self, im: GpuImpl) -> Schedule {
         let mut s = Schedule::new();
-        let (thickness, add_task): (usize, fn(&Self, &mut Schedule, &Geometry)) = match im {
+        let (thickness, add_task): (usize, fn(&Self, &mut Schedule, &BoxPartition)) = match im {
             GpuImpl::Resident => {
-                let t = timing::resident_kernel_time(self.spec(), PAPER_GRID, self.block);
+                let t = timing::resident_kernel_time(self.spec(), self.grid, self.block);
                 s.add(Res::GpuCompute, t, &[]);
                 return s;
             }
@@ -371,14 +299,14 @@ impl<'a> GpuScenario<'a> {
                 (self.thickness, Self::add_hybrid_overlap_task)
             }
         };
-        let geo = self.geometry(thickness);
+        let part = BoxPartition::new(self.rank0.extent, thickness);
         for _task in 0..self.tasks_per_node() {
             // Tasks sharing the device pay a context switch on its engine
             // (pre-MPS process serialization).
             if self.tasks_per_node() > 1 {
                 s.add(Res::GpuCompute, params::GPU_CONTEXT_SWITCH_S, &[]);
             }
-            add_task(self, &mut s, &geo);
+            add_task(self, &mut s, &part);
         }
         s
     }
@@ -393,9 +321,9 @@ impl<'a> GpuScenario<'a> {
         self.schedule(im).makespan() + fixed
     }
 
-    /// Whole-machine GF (strong scaling at 420³).
+    /// Whole-machine GF (strong scaling on the scenario's grid).
     pub fn gf(&self, im: GpuImpl) -> f64 {
-        (PAPER_GRID as f64).powi(3) * FLOPS_PER_POINT as f64 / self.step_time(im) / 1e9
+        self.grid.pow(3) as f64 * FLOPS_PER_POINT as f64 / self.step_time(im) / 1e9
     }
 }
 
