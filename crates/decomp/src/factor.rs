@@ -24,16 +24,24 @@ pub fn factor3(ntasks: usize, (gx, gy, gz): (usize, usize, usize)) -> (usize, us
         ntasks <= gx * gy * gz,
         "{ntasks} tasks cannot all get non-empty subdomains of a {gx}x{gy}x{gz} grid"
     );
+    best_triple(ntasks, (gx, gy, gz)).unwrap_or_else(|| {
+        panic!(
+            "no axis-aligned factorization of {ntasks} tasks fits a              {gx}x{gy}x{gz} grid with non-empty subdomains"
+        )
+    })
+}
+
+/// The search behind [`factor3`]: every `px` dividing `ntasks`, then
+/// every `py` dividing the rest, both ascending; `None` if no triple
+/// fits. The tie-break depends on this visit order.
+fn best_triple(
+    ntasks: usize,
+    (gx, gy, gz): (usize, usize, usize),
+) -> Option<(usize, usize, usize)> {
     let mut best: Option<((usize, usize, usize), f64)> = None;
-    for px in divisors(ntasks) {
-        if px > gx {
-            continue;
-        }
+    for px in divisors(ntasks).take_while(|&px| px <= gx) {
         let rest = ntasks / px;
-        for py in divisors(rest) {
-            if py > gy {
-                continue;
-            }
+        for py in divisors(rest).take_while(|&py| py <= gy) {
             let pz = rest / py;
             if pz > gz {
                 continue;
@@ -44,27 +52,18 @@ pub fn factor3(ntasks: usize, (gx, gy, gz): (usize, usize, usize)) -> (usize, us
             let sz = gz as f64 / pz as f64;
             // Surface-to-volume ratio; minimal for a cube.
             let cost = 2.0 * (sx * sy + sy * sz + sx * sz) / (sx * sy * sz);
-            let candidate = ((px, py, pz), cost);
-            best = match best {
-                None => Some(candidate),
+            let better = match best {
+                None => true,
                 Some((bp, bc)) => {
-                    let better = cost < bc - 1e-12
-                        || (cost < bc + 1e-12 && prefer_x_largest((px, py, pz), bp));
-                    if better {
-                        Some(candidate)
-                    } else {
-                        Some((bp, bc))
-                    }
+                    cost < bc - 1e-12 || (cost < bc + 1e-12 && prefer_x_largest((px, py, pz), bp))
                 }
             };
+            if better {
+                best = Some(((px, py, pz), cost));
+            }
         }
     }
-    best.unwrap_or_else(|| {
-        panic!(
-            "no axis-aligned factorization of {ntasks} tasks fits a              {gx}x{gy}x{gz} grid with non-empty subdomains"
-        )
-    })
-    .0
+    best.map(|(triple, _)| triple)
 }
 
 /// Tie-break: prefer the triple with fewer cuts in x, then fewer in y
@@ -73,23 +72,16 @@ fn prefer_x_largest(a: (usize, usize, usize), b: (usize, usize, usize)) -> bool 
     (a.0, a.1, a.2) < (b.0, b.1, b.2)
 }
 
-/// All divisors of `n`, ascending.
-fn divisors(n: usize) -> Vec<usize> {
-    let mut small = Vec::new();
-    let mut large = Vec::new();
-    let mut d = 1;
-    while d * d <= n {
-        if n.is_multiple_of(d) {
-            small.push(d);
-            if d != n / d {
-                large.push(n / d);
-            }
-        }
-        d += 1;
-    }
-    large.reverse();
-    small.extend(large);
-    small
+/// All divisors of `n`, ascending, by trial division up to √n: those
+/// up to √n first, then their cofactors. Allocates nothing.
+fn divisors(n: usize) -> impl Iterator<Item = usize> {
+    let root = n.isqrt();
+    let small = (1..=root).filter(move |&d| n.is_multiple_of(d));
+    let large = (1..=root)
+        .rev()
+        .filter(move |&d| n.is_multiple_of(d) && d * d != n)
+        .map(move |d| n / d);
+    small.chain(large)
 }
 
 #[cfg(test)]
@@ -157,9 +149,78 @@ mod tests {
 
     #[test]
     fn divisors_are_sorted_and_complete() {
-        assert_eq!(divisors(12), vec![1, 2, 3, 4, 6, 12]);
-        assert_eq!(divisors(1), vec![1]);
-        assert_eq!(divisors(49), vec![1, 7, 49]);
+        let all = |n| divisors(n).collect::<Vec<_>>();
+        assert_eq!(all(12), vec![1, 2, 3, 4, 6, 12]);
+        assert_eq!(all(1), vec![1]);
+        assert_eq!(all(49), vec![1, 7, 49]);
+    }
+
+    /// The search as it was written before the walk: two `Vec`s of
+    /// divisors per call, out-of-range candidates skipped one by one.
+    fn oracle(ntasks: usize, (gx, gy, gz): (usize, usize, usize)) -> Option<(usize, usize, usize)> {
+        fn divisors(n: usize) -> Vec<usize> {
+            let mut small = Vec::new();
+            let mut large = Vec::new();
+            let mut d = 1;
+            while d * d <= n {
+                if n.is_multiple_of(d) {
+                    small.push(d);
+                    if d != n / d {
+                        large.push(n / d);
+                    }
+                }
+                d += 1;
+            }
+            large.reverse();
+            small.extend(large);
+            small
+        }
+        let mut best: Option<((usize, usize, usize), f64)> = None;
+        for px in divisors(ntasks) {
+            if px > gx {
+                continue;
+            }
+            let rest = ntasks / px;
+            for py in divisors(rest) {
+                if py > gy {
+                    continue;
+                }
+                let pz = rest / py;
+                if pz > gz {
+                    continue;
+                }
+                let sx = gx as f64 / px as f64;
+                let sy = gy as f64 / py as f64;
+                let sz = gz as f64 / pz as f64;
+                let cost = 2.0 * (sx * sy + sy * sz + sx * sz) / (sx * sy * sz);
+                let candidate = ((px, py, pz), cost);
+                best = match best {
+                    None => Some(candidate),
+                    Some((bp, bc)) => {
+                        let better = cost < bc - 1e-12
+                            || (cost < bc + 1e-12 && prefer_x_largest((px, py, pz), bp));
+                        if better {
+                            Some(candidate)
+                        } else {
+                            Some((bp, bc))
+                        }
+                    }
+                };
+            }
+        }
+        best.map(|(triple, _)| triple)
+    }
+
+    #[test]
+    fn walk_picks_the_oracles_triple() {
+        for n in 1..=49_152 {
+            assert_eq!(best_triple(n, G), oracle(n, G), "{n} tasks on 420^3");
+        }
+        for g in [(8, 8, 8), (11, 11, 11), (13, 13, 13), (4, 8, 64)] {
+            for n in 1..=512 {
+                assert_eq!(best_triple(n, g), oracle(n, g), "{n} tasks on {g:?}");
+            }
+        }
     }
 
     #[test]

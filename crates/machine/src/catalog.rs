@@ -32,11 +32,6 @@ impl Machine {
         self.cpu.cores()
     }
 
-    /// Total cores.
-    pub fn total_cores(&self) -> usize {
-        self.nodes * self.cores_per_node()
-    }
-
     /// Nodes needed for a given core count (the paper allocates whole
     /// nodes).
     pub fn nodes_for_cores(&self, cores: usize) -> usize {
@@ -196,14 +191,14 @@ mod tests {
     #[test]
     fn jaguar_peak_is_about_2_3_pf() {
         let j = jaguarpf();
-        let pf = j.cpu.peak_gf(j.total_cores()) / 1e6;
+        let pf = j.cpu.peak_gf(j.nodes * j.cores_per_node()) / 1e6;
         assert!((pf - 2.33).abs() < 0.1, "peak {pf} PF");
     }
 
     #[test]
     fn hopper_peak_is_about_1_3_pf() {
         let h = hopper_ii();
-        let pf = h.cpu.peak_gf(h.total_cores()) / 1e6;
+        let pf = h.cpu.peak_gf(h.nodes * h.cores_per_node()) / 1e6;
         assert!((pf - 1.29).abs() < 0.1, "peak {pf} PF");
     }
 
@@ -213,8 +208,11 @@ mod tests {
             assert_eq!(m.cpu.l2_kib_per_core, 512, "{}", m.name);
             assert!(m.cpu.l3_kib_per_socket >= 2048, "{}", m.name);
             // A 256³ local grid (the paper's per-node scale) must get
-            // y-blocked by the derived tile; tiny rows must not.
-            let spec = m.cpu.tile_spec(258);
+            // y-blocked by the tile half the L2 implies for the three
+            // source planes of a y-band (the other half covers the
+            // destination rows and incidental traffic).
+            let l2_bytes = m.cpu.l2_kib_per_core * 1024;
+            let spec = advect_core::tile::TileSpec::for_cache(l2_bytes / 2, 258);
             assert!(spec.ty < 256, "{}: {spec:?}", m.name);
             assert!(spec.ty >= 4 && spec.tz >= 1);
         }

@@ -95,29 +95,6 @@ impl CpuModel {
         compute.min(bw)
     }
 
-    /// Whole-node sustained stencil rate in GF when divided into
-    /// `tasks_per_node` tasks of `threads` threads each.
-    pub fn node_stencil_gf(&self, threads: usize, tasks_per_node: usize) -> f64 {
-        self.stencil_points_per_second(threads, tasks_per_node)
-            * tasks_per_node as f64
-            * FLOPS_PER_POINT as f64
-            / 1e9
-    }
-
-    /// Private L2 cache per core, in bytes.
-    pub fn l2_bytes_per_core(&self) -> usize {
-        self.l2_kib_per_core * 1024
-    }
-
-    /// The cache-blocking tile this CPU's private cache implies for
-    /// x-rows of allocated width `sx`: half the L2 is budgeted for the
-    /// three source planes of a y-band (the other half covers the
-    /// destination rows and incidental traffic), matching
-    /// [`advect_core::tile::TileSpec::for_cache`]'s working-set model.
-    pub fn tile_spec(&self, sx: usize) -> advect_core::tile::TileSpec {
-        advect_core::tile::TileSpec::for_cache(self.l2_bytes_per_core() / 2, sx)
-    }
-
     /// Cost of one OpenMP parallel region (fork + join/barrier) for a team
     /// of `threads`.
     pub fn omp_region_cost(&self, threads: usize) -> f64 {
@@ -136,12 +113,21 @@ mod tests {
         crate::catalog::jaguarpf().cpu
     }
 
+    /// Whole-node sustained stencil rate in GF when divided into
+    /// `tasks_per_node` tasks of `threads` threads each.
+    fn node_stencil_gf(c: &CpuModel, threads: usize, tasks_per_node: usize) -> f64 {
+        c.stencil_points_per_second(threads, tasks_per_node)
+            * tasks_per_node as f64
+            * FLOPS_PER_POINT as f64
+            / 1e9
+    }
+
     #[test]
     fn node_rate_is_far_below_peak_on_jaguar() {
         let c = jaguar_cpu();
         // 12 cores at 2.6 GHz × 4 flops ≈ 125 GF peak; the compiled
         // stencil sustains a small fraction, capped by memory bandwidth.
-        let node_gf = c.node_stencil_gf(12, 1);
+        let node_gf = node_stencil_gf(&c, 12, 1);
         assert!(node_gf > 10.0 && node_gf < 32.0, "node {node_gf} GF");
         assert!(node_gf < 0.25 * c.peak_gf(12));
     }
@@ -160,9 +146,9 @@ mod tests {
         let c = jaguar_cpu();
         // Full-node throughput is (nearly) invariant to the task split,
         // up to NUMA effects.
-        let whole = c.node_stencil_gf(12, 1);
-        let split = c.node_stencil_gf(6, 2);
-        let fine = c.node_stencil_gf(1, 12);
+        let whole = node_stencil_gf(&c, 12, 1);
+        let split = node_stencil_gf(&c, 6, 2);
+        let fine = node_stencil_gf(&c, 1, 12);
         assert!(split >= whole, "{split} vs {whole}");
         // Fine split cannot exceed bandwidth roof either.
         let bw_roof = c.mem_bw_gbs * 53.0 / CPU_BYTES_PER_POINT;

@@ -19,6 +19,10 @@
 //!   MPI phases overlap CPU wall computation — no path contains both MPI
 //!   and PCIe.
 //!
+//! The k tasks sharing the node's GPU run the same ops, so IV-F…IV-I
+//! size and price one task's ops once, as a [`crate::event::Task`], and
+//! replay it through the node's resources k times, each replayed task
+//! first paying a context switch on the GPU engine when k > 1.
 //! [`GpuScenario::schedule`] builds an implementation's schedule and
 //! [`GpuScenario::step_time`] prices it; everything else is private.
 //!
@@ -28,7 +32,7 @@
 //! Section V-E's "decoupling of MPI communication and CPU-GPU
 //! communication".
 
-use crate::event::{OpId, Res, Schedule};
+use crate::event::{Res, Schedule, Task};
 use crate::params;
 use advect_core::flops::{FLOPS_PER_POINT, PAPER_GRID};
 use decomp::BoxPartition;
@@ -201,7 +205,7 @@ impl<'a> GpuScenario<'a> {
 
     /// Outgoing half of a blocking exchange: pack the boundary ring,
     /// download it (pageable), stage it on the host. Returns the staging op.
-    fn add_outgoing(&self, s: &mut Schedule, p: &BoxPartition, deps: &[OpId]) -> OpId {
+    fn add_outgoing(&self, s: &mut Task, p: &BoxPartition, deps: &[usize]) -> usize {
         let ring = p.d2h_points();
         let pack = s.add(Res::GpuCompute, self.pack_dur(ring), deps);
         let d2h = s.add(Res::CopyD2H, self.pcie_dur(ring, false), &[pack]);
@@ -210,7 +214,7 @@ impl<'a> GpuScenario<'a> {
 
     /// Incoming half of a blocking exchange: MPI, host staging, upload
     /// (pageable), unpack, face kernels. Returns the MPI and face ops.
-    fn add_incoming(&self, s: &mut Schedule, p: &BoxPartition, deps: &[OpId]) -> (OpId, OpId) {
+    fn add_incoming(&self, s: &mut Task, p: &BoxPartition, deps: &[usize]) -> (usize, usize) {
         let halo = p.h2d_points();
         let mpi = s.add(Res::Nic, (0..3).map(|d| self.net(d)).sum(), deps);
         let stage = s.add(Res::None, self.staging_dur(halo), &[mpi]);
@@ -223,7 +227,7 @@ impl<'a> GpuScenario<'a> {
     /// One task of IV-F/IV-H: the whole exchange chained up front, then
     /// the face and interior kernels; the CPU walls (IV-H only: IV-F's
     /// partition has none) run beside the kernels once MPI is done.
-    fn add_bulk_sync_task(&self, s: &mut Schedule, p: &BoxPartition) {
+    fn add_bulk_sync_task(&self, s: &mut Task, p: &BoxPartition) {
         let staged = self.add_outgoing(s, p, &[]);
         let (mpi, faces) = self.add_incoming(s, p, &[staged]);
         s.add(Res::GpuCompute, self.interior_kernel_dur(p), &[faces]);
@@ -236,14 +240,14 @@ impl<'a> GpuScenario<'a> {
     /// One task of IV-G: the interior kernel beside the incoming halo
     /// chain, whose MPI uses the boundary downloaded at the end of the
     /// previous step; the outgoing boundary for the next step follows.
-    fn add_streams_task(&self, s: &mut Schedule, p: &BoxPartition) {
+    fn add_streams_task(&self, s: &mut Task, p: &BoxPartition) {
         let interior = s.add(Res::GpuCompute, self.interior_kernel_dur(p), &[]);
         let (_, faces) = self.add_incoming(s, p, &[]);
         self.add_outgoing(s, p, &[faces, interior]);
     }
 
     /// One task of IV-I.
-    fn add_hybrid_overlap_task(&self, s: &mut Schedule, p: &BoxPartition) {
+    fn add_hybrid_overlap_task(&self, s: &mut Task, p: &BoxPartition) {
         // GPU side: interior on the compute engine; halo ring H2D
         // (async, page-locked), boundary kernels, ring D2H beside it.
         let interior = s.add(Res::GpuCompute, self.interior_kernel_dur(p), &[]);
@@ -263,33 +267,28 @@ impl<'a> GpuScenario<'a> {
         // team computes one wall chunk at a time, so the chunks chain. The
         // shell follows the last phase and the last chunk.
         let inner_walls = p.cpu_points() - self.rank0.shell;
-        let mut prev_phase: Option<OpId> = None;
-        let mut prev_wall: Option<OpId> = None;
-        for d in 0..3 {
-            let phase_deps: Vec<_> = prev_phase.into_iter().collect();
-            let phase = s.add(Res::Nic, self.net(d), &phase_deps);
-            let wall_deps: Vec<_> = prev_wall.into_iter().chain(prev_phase).collect();
-            let chunk = inner_walls as f64 / 3.0 / self.cpu_wall_rate();
-            let wall = s.add(Res::None, chunk, &wall_deps);
-            prev_phase = Some(phase);
-            prev_wall = Some(wall);
+        let chunk = inner_walls as f64 / 3.0 / self.cpu_wall_rate();
+        let mut phase = s.add(Res::Nic, self.net(0), &[]);
+        let mut wall = s.add(Res::None, chunk, &[]);
+        for d in 1..3 {
+            let next = s.add(Res::Nic, self.net(d), &[phase]);
+            wall = s.add(Res::None, chunk, &[wall, phase]);
+            phase = next;
         }
-        let deps: Vec<_> = prev_phase.into_iter().chain(prev_wall).collect();
         let shell = self.rank0.shell as f64 / self.cpu_wall_rate();
-        s.add(Res::None, shell, &deps);
+        s.add(Res::None, shell, &[phase, wall]);
     }
 
-    /// The per-step schedule of the given implementation on one node:
-    /// IV-E is its single resident kernel; IV-F…IV-I repeat one task's
-    /// ops for every task sharing the GPU. IV-F is IV-H at thickness 0,
-    /// whatever the scenario's thickness. IV-I requires thickness ≥ 1.
-    pub fn schedule(&self, im: GpuImpl) -> Schedule {
-        let mut s = Schedule::new();
-        let (thickness, add_task): (usize, fn(&Self, &mut Schedule, &BoxPartition)) = match im {
+    /// One task's ops and how many tasks replay them: IV-E's resident
+    /// kernel once, IV-F…IV-I's task once per task sharing the GPU. IV-F is
+    /// IV-H at thickness 0, whatever the scenario's; IV-I needs thickness ≥ 1.
+    pub(crate) fn task(&self, im: GpuImpl) -> (Task, usize) {
+        let mut task = Task::default();
+        let (thickness, add_task): (usize, fn(&Self, &mut Task, &BoxPartition)) = match im {
             GpuImpl::Resident => {
                 let t = timing::resident_kernel_time(self.spec(), self.grid, self.block);
-                s.add(Res::GpuCompute, t, &[]);
-                return s;
+                task.add(Res::GpuCompute, t, &[]);
+                return (task, 1);
             }
             GpuImpl::BulkSync => (0, Self::add_bulk_sync_task),
             GpuImpl::Streams => (0, Self::add_streams_task),
@@ -300,15 +299,16 @@ impl<'a> GpuScenario<'a> {
             }
         };
         let part = BoxPartition::new(self.rank0.extent, thickness);
-        for _task in 0..self.tasks_per_node() {
-            // Tasks sharing the device pay a context switch on its engine
-            // (pre-MPS process serialization).
-            if self.tasks_per_node() > 1 {
-                s.add(Res::GpuCompute, params::GPU_CONTEXT_SWITCH_S, &[]);
-            }
-            add_task(self, &mut s, &part);
-        }
-        s
+        add_task(self, &mut task, &part);
+        (task, self.tasks_per_node())
+    }
+
+    /// The per-step schedule of the given implementation on one node: its
+    /// task replayed for every task sharing the GPU, each after a context
+    /// switch on its engine when there are several (pre-MPS serialization).
+    pub fn schedule(&self, im: GpuImpl) -> Schedule {
+        let (task, k) = self.task(im);
+        task.replay(k, params::GPU_CONTEXT_SWITCH_S)
     }
 
     /// Step time of the given implementation: the schedule's makespan,

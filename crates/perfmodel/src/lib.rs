@@ -4,23 +4,20 @@
 //! that regenerate the paper's Figures 3–12 from the implementations'
 //! schedules (what serializes, what overlaps) and the Table II machine
 //! descriptions. The functional layer (`overlap` crate) proves the
-//! schedules are *correct*; this crate prices them.
-//!
-//! * [`event`] — a small discrete-event engine (operations on resources
-//!   with dependencies) used to compose the GPU implementations' steps;
-//! * [`cpu`] — step-time models for implementations IV-A…IV-D
-//!   (Figures 3–6);
-//! * [`gpu`] — step-time models for implementations IV-E…IV-I
-//!   (Figures 7–12 and the Section V-E anchors);
-//! * [`sweep`] — "best over tuning parameters" searches mirroring how the
-//!   paper reports each figure point;
-//! * [`params`] — every calibrated constant, with the anchor that pins it.
+//! schedules are *correct*; this crate prices them: [`cpu`] models
+//! IV-A…IV-D (Figures 3–6), [`gpu`] composes IV-E…IV-I (Figures 7–12 and
+//! the Section V-E anchors) on the [`event`] engine, [`sweep`] takes the
+//! best over tuning parameters as the paper reports each point, and
+//! [`params`] holds every calibrated constant with the anchor that pins it.
 //!
 //! Every size the models charge is rank 0's, taken from `decomp`'s plan
 //! for the decomposition the functional layer runs: the exchange's
 //! message lengths, the core and shell IV-C/IV-D split, the Figure 1
 //! partition's rings and walls, and the box each task computes. Rank 0
-//! has the largest box, and every task sharing a node is charged it.
+//! has the largest box, and every task sharing a node is charged it, so
+//! the k tasks sharing a GPU run the same ops: IV-F…IV-I price one task's
+//! ops once and replay them k times through the node's resources. Pricing
+//! a point is arithmetic and allocates nothing.
 //!
 //! Calibration anchors and the measured-vs-paper comparison live in
 //! EXPERIMENTS.md.

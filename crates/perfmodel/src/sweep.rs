@@ -13,7 +13,7 @@ use machine::Machine;
 pub const THICKNESS_CHOICES: [usize; 10] = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32];
 
 /// A best-configuration result.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BestPoint {
     /// Achieved GF.
     pub gf: f64,
@@ -76,30 +76,19 @@ pub fn best_gpu_gf(
     cores: usize,
     block: (usize, usize),
 ) -> BestPoint {
-    let mut best = BestPoint {
-        gf: 0.0,
-        threads: 0,
-        thickness: 0,
-    };
-    if im == GpuImpl::Resident {
-        // Single-GPU only: defined at one node.
-        if cores == machine.cores_per_node() {
-            let s = GpuScenario::new(machine, cores, cores).with_block(block);
-            return BestPoint {
-                gf: s.gf(im),
-                threads: cores,
-                thickness: 0,
-            };
-        }
-        return best;
-    }
     // A strict `>` over threads, then thickness: the first winner takes
     // ties. One scenario per thread count computes the box once.
-    let thicknesses: &[usize] = match im {
-        GpuImpl::HybridBulkSync | GpuImpl::HybridOverlap => &THICKNESS_CHOICES,
-        _ => &[0],
+    let (threads, thicknesses): (&[usize], &[usize]) = match im {
+        // Single-GPU only: defined at one node, as one task.
+        GpuImpl::Resident if cores != machine.cores_per_node() => return BestPoint::default(),
+        GpuImpl::Resident => (std::slice::from_ref(&cores), &[0]),
+        GpuImpl::HybridBulkSync | GpuImpl::HybridOverlap => {
+            (machine.thread_choices, &THICKNESS_CHOICES)
+        }
+        _ => (machine.thread_choices, &[0]),
     };
-    for &t in machine.thread_choices {
+    let mut best = BestPoint::default();
+    for &t in threads {
         if !cores.is_multiple_of(t) {
             continue;
         }
@@ -136,6 +125,7 @@ pub fn best_gf(machine: &Machine, im: AnyImpl, cores: usize, block: (usize, usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use advect_core::flops::FLOPS_PER_POINT;
     use machine::{lens, yona};
 
     #[test]
@@ -145,11 +135,12 @@ mod tests {
         // team width, and bends where the team hits the node's bandwidth
         // roof (`CpuModel::stencil_points_per_second`).
         let cpu = machine::jaguarpf().cpu;
-        let base = cpu.node_stencil_gf(1, 1);
+        let gf_at = |t| cpu.stencil_points_per_second(t, 1) * FLOPS_PER_POINT as f64 / 1e9;
+        let base = gf_at(1);
         let curve: Vec<(f64, f64)> = [1usize, 2, 4, 6, 12]
             .iter()
             .map(|&t| {
-                let gf = cpu.node_stencil_gf(t, 1);
+                let gf = gf_at(t);
                 (gf, gf / (t as f64 * base))
             })
             .collect();
