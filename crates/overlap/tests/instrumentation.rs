@@ -374,3 +374,58 @@ fn phase_breakdown_covers_recorded_categories() {
     assert!(table.contains("compute.interior"));
     assert!(table.contains("**all**"));
 }
+
+/// FNV-1a, 64-bit.
+fn fnv1a64(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The device's virtual timeline, bit for bit: IV-E…IV-I traced at a
+/// small uneven shape on a one-copy-engine part (Lens's C1060) and a
+/// two-copy-engine part (Yona's C2050). Every virtual span's category,
+/// label, track, start and end are hashed in each rank's trace order,
+/// then each rank's scheduled compute and copy busy time. A change to the
+/// device's scheduler that moves any unfaulted start or end fails here.
+#[test]
+fn device_virtual_timeline_matches_the_pinned_digest() {
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    for spec in [GpuSpec::tesla_c1060(), GpuSpec::tesla_c2050()] {
+        for im in [
+            Impl::GpuResident,
+            Impl::GpuBulkSync,
+            Impl::GpuStreams,
+            Impl::HybridBulkSync,
+            Impl::HybridOverlap,
+        ] {
+            let tasks = if im == Impl::GpuResident { 1 } else { 2 };
+            let c = RunConfig::new(AdvectionProblem::general_case(13), 3)
+                .tasks(tasks)
+                .with_threads(2)
+                .with_block((8, 8))
+                .with_thickness(1)
+                .with_trace(true);
+            let (_, mut report) = im.run_with_report(&c, Some(&spec));
+            report.traces.sort_by_key(|t| t.rank);
+            assert_eq!(report.traces.len(), tasks, "{im:?} on {}", spec.name);
+            for t in &report.traces {
+                for s in t.spans.iter().filter(|s| s.axis == Axis::Virtual) {
+                    digest = fnv1a64(digest, s.cat.name().as_bytes());
+                    digest = fnv1a64(digest, s.label.as_bytes());
+                    digest = fnv1a64(digest, &s.tid.to_le_bytes());
+                    digest = fnv1a64(digest, &s.virt_start.to_bits().to_le_bytes());
+                    digest = fnv1a64(digest, &s.virt_end.to_bits().to_le_bytes());
+                }
+            }
+            for g in &report.gpu {
+                digest = fnv1a64(digest, &g.compute_busy.to_bits().to_le_bytes());
+                digest = fnv1a64(digest, &g.copy_busy.to_bits().to_le_bytes());
+            }
+        }
+    }
+    assert_eq!(
+        digest, 0xd094_5c79_ba50_a45d,
+        "device virtual timeline moved: digest {digest:#018x}"
+    );
+}
