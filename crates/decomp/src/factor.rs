@@ -26,7 +26,7 @@ pub fn factor3(ntasks: usize, (gx, gy, gz): (usize, usize, usize)) -> (usize, us
     );
     best_triple(ntasks, (gx, gy, gz)).unwrap_or_else(|| {
         panic!(
-            "no axis-aligned factorization of {ntasks} tasks fits a              {gx}x{gy}x{gz} grid with non-empty subdomains"
+            "no axis-aligned factorization of {ntasks} tasks fits a {gx}x{gy}x{gz} grid with non-empty subdomains"
         )
     })
 }
@@ -140,7 +140,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no axis-aligned factorization")]
+    #[should_panic(
+        expected = "no axis-aligned factorization of 11 tasks fits a 8x8x8 grid with non-empty subdomains"
+    )]
     fn infeasible_prime_count_panics() {
         // 11 is prime and larger than every dimension of an 8x8x8 grid:
         // the only triple is 1x1x11, which does not fit.

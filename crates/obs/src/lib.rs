@@ -4,8 +4,8 @@
 //! resource a step touches — CPU compute, MPI traffic, PCIe transfers,
 //! kernel launches — so the overlap behaviour the paper's Section V-E
 //! argues about is directly visible and machine-checkable instead of
-//! being split across `CommStats` counters, the device Gantt chart, and
-//! the perfmodel event engine.
+//! being split across `CommStats` counters, the device's schedule, and
+//! the performance model.
 //!
 //! The pieces:
 //!
@@ -78,7 +78,7 @@ pub const NO_PEER: u32 = u32::MAX;
 
 /// The span taxonomy shared by every producer (simmpi, simgpu, the
 /// runners, the sweep engine) and every consumer (exporter, breakdown,
-/// metrics, the device Gantt chart).
+/// metrics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Category {
     /// Interior stencil computation (CPU slabs or GPU interior kernels).
@@ -587,7 +587,7 @@ impl Tracer {
         }
     }
 
-    /// Append pre-built spans (e.g. `Timeline::to_trace_events`).
+    /// Append pre-built spans (e.g. `simgpu::Gpu::virtual_spans`).
     pub fn absorb(&self, spans: &[Span]) {
         if self.inner.is_some() {
             for s in spans {

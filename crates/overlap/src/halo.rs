@@ -17,8 +17,6 @@
 //! the slot. After the first step the exchange therefore allocates
 //! nothing: no fresh `Vec` per message, no pool traffic, just six
 //! buffers circulating between a rank and its neighbors.
-//! [`exchange_halos_fresh`] keeps the old allocate-per-message path as
-//! the reference the differential tests compare against.
 
 use advect_core::field::{Field3, SharedField};
 use decomp::{Decomposition, ExchangePlan, PhasePlan};
@@ -217,32 +215,6 @@ pub fn exchange_halos(
         let inflight = post_phase_recvs(phase, decomp, rank, comm);
         send_phase(phase, field, decomp, rank, comm, bufs);
         complete_phase(inflight, field, comm, bufs);
-    }
-}
-
-/// The pre-pool exchange: allocates a fresh buffer per message and drops
-/// every received payload. Kept as the reference the differential tests
-/// compare the pooled path against.
-pub fn exchange_halos_fresh(
-    field: &mut Field3,
-    plan: &ExchangePlan,
-    decomp: &Decomposition,
-    rank: usize,
-    comm: &Comm,
-) {
-    for phase in &plan.phases {
-        let inflight = post_phase_recvs(phase, decomp, rank, comm);
-        for t in &phase.transfers {
-            let to = decomp.neighbor(rank, t.dim, t.send_dir);
-            comm.send(to, t.send_tag, field.pack_vec(t.send_region));
-        }
-        let phase = inflight.phase;
-        for (i, req) in inflight.recvs {
-            let data = req.wait();
-            let region = phase.transfers[i].recv_region;
-            debug_assert_eq!(data.len(), region.len());
-            field.unpack(region, &data.into_vec());
-        }
     }
 }
 

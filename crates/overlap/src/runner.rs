@@ -166,7 +166,7 @@ pub struct RunReport {
     pub gpu: Vec<simgpu::GpuStats>,
     /// Per-rank span traces (empty unless [`RunConfig::trace`]). Wall
     /// spans cover the host's real timing; virtual spans carry the device
-    /// timeline bridged through `Timeline::to_trace_events`.
+    /// schedule bridged through `Gpu::virtual_spans`.
     pub traces: Vec<obs::Trace>,
     /// The run's metrics registry (disabled unless [`RunConfig::metrics`]):
     /// the rank tracers' span summaries — per-source receive wait and
@@ -540,10 +540,10 @@ fn timed_loop(steps: u64, hist: &obs::registry::Histogram, mut step: impl FnMut(
 }
 
 /// Close out one rank after its threads have quiesced: read the device
-/// counters, bridge the device's virtual timeline into the tracer (the
+/// counters, bridge the device's virtual spans into the tracer (the
 /// trace and the kernel/PCIe histograms both come from those spans; a
-/// run neither traced nor metered skips the snapshot altogether), and
-/// finish the trace when the run is traced.
+/// device whose tracer is off recorded none), and finish the trace when
+/// the run is traced.
 fn rank_result(
     global: Option<Field3>,
     comm: simmpi::CommStats,
@@ -551,8 +551,8 @@ fn rank_result(
     gpu: &Option<Gpu>,
     tracer: &obs::Tracer,
 ) -> RankResult {
-    if let Some(gpu) = gpu.as_ref().filter(|_| tracer.is_on()) {
-        tracer.absorb(&gpu.timeline().to_trace_events());
+    if let Some(gpu) = gpu {
+        tracer.absorb(&gpu.virtual_spans());
     }
     let trace = tracer.finish();
     (global, comm, fault, gpu.as_ref().map(Gpu::stats), trace)

@@ -8,10 +8,37 @@
 use advect_core::field::Field3;
 use advect_core::stepper::AdvectionProblem;
 use decomp::{Decomposition, ExchangePlan};
-use overlap::halo::{exchange_halos, exchange_halos_fresh};
+use overlap::halo::exchange_halos;
 use overlap::{HaloBuffers, Impl, RunConfig};
 use proptest::prelude::*;
-use simmpi::World;
+use simmpi::{Comm, World};
+
+/// The pre-pool exchange, the reference the pooled path is compared
+/// against: for each dimension in order it posts both receives, sends a
+/// freshly allocated buffer per message, and unpacks and drops every
+/// received payload.
+fn exchange_halos_fresh(
+    field: &mut Field3,
+    plan: &ExchangePlan,
+    decomp: &Decomposition,
+    rank: usize,
+    comm: &Comm,
+) {
+    for phase in &plan.phases {
+        let recvs: Vec<_> = phase
+            .transfers
+            .iter()
+            .map(|t| comm.irecv(decomp.neighbor(rank, t.dim, -t.send_dir), t.recv_tag))
+            .collect();
+        for t in &phase.transfers {
+            let to = decomp.neighbor(rank, t.dim, t.send_dir);
+            comm.send(to, t.send_tag, field.pack_vec(t.send_region));
+        }
+        for (t, req) in phase.transfers.iter().zip(recvs) {
+            field.unpack(t.recv_region, &req.wait().into_vec());
+        }
+    }
+}
 
 /// Run one exchange per rank over an irregular grid and return every
 /// rank's full local field (interior + halo), bit for bit.

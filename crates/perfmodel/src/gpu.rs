@@ -1,7 +1,7 @@
 //! Performance models for the GPU implementations (IV-E … IV-I).
 //!
 //! Each implementation's time step is composed as a discrete-event
-//! schedule ([`crate::event`]) over the node's resources: the GPU compute
+//! schedule ([`simgpu::event`]) over the node's resources: the GPU compute
 //! engine, the PCIe copy engines, the NIC, and the CPU team. Its ops are
 //! sized by rank 0's Figure 1 partition ([`decomp::BoxPartition`]): the
 //! deep interior, the boundary ring (D2H), the halo ring (H2D) and the CPU
@@ -32,8 +32,9 @@
 //! Section V-E's "decoupling of MPI communication and CPU-GPU
 //! communication".
 
-use crate::event::{Res, Schedule, Task};
+use crate::event::Task;
 use crate::params;
+use crate::{Res, Schedule};
 use advect_core::flops::{FLOPS_PER_POINT, PAPER_GRID};
 use decomp::BoxPartition;
 use machine::Machine;

@@ -6,9 +6,11 @@
 //! descriptions. The functional layer (`overlap` crate) proves the
 //! schedules are *correct*; this crate prices them: [`cpu`] models
 //! IV-A…IV-D (Figures 3–6), [`gpu`] composes IV-E…IV-I (Figures 7–12 and
-//! the Section V-E anchors) on the [`event`] engine, [`sweep`] takes the
-//! best over tuning parameters as the paper reports each point, and
-//! [`params`] holds every calibrated constant with the anchor that pins it.
+//! the Section V-E anchors) from [`event`] task templates on the list
+//! scheduler the simulated device runs on ([`simgpu::event`]), [`sweep`]
+//! takes the best over tuning parameters as the paper reports each point,
+//! and [`params`] holds every calibrated constant with the anchor that
+//! pins it.
 //!
 //! Every size the models charge is rank 0's, taken from `decomp`'s plan
 //! for the decomposition the functional layer runs: the exchange's
@@ -29,8 +31,8 @@ pub mod params;
 pub mod sweep;
 
 pub use cpu::{best_cpu_gf, CpuImpl, CpuScenario};
-pub use event::{Res, Schedule};
 pub use gpu::{GpuImpl, GpuScenario};
+pub use simgpu::event::{Res, Schedule};
 pub use sweep::{best_gf, best_gpu_gf, AnyImpl, BestPoint};
 
 use advect_core::field::Range3;

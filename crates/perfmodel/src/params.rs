@@ -73,9 +73,10 @@ pub const GPU_STEP_FIXED_S: f64 = 5e-4;
 /// the base latency to every message (message-rate limit of the NIC).
 pub const INJECTION_CONTENTION: f64 = 0.25;
 
-/// GPU context-switch cost per extra task sharing a GPU, per step
-/// (pre-MPS process-serialized contexts): makes "few tasks per node" the
-/// winning hybrid configuration, as in Figures 11/12.
+/// GPU context-switch cost per step of each task sharing a GPU, charged
+/// on its compute engine only when k > 1 tasks share it, so k switches a
+/// step (pre-MPS process-serialized contexts): makes "few tasks per
+/// node" the winning hybrid configuration, as in Figures 11/12.
 pub const GPU_CONTEXT_SWITCH_S: f64 = 1.5e-3;
 
 /// Per-extra-thread efficiency slope of an OpenMP team (synchronization

@@ -1,12 +1,13 @@
-//! The simulated device: buffers, streams, events, hazards, timeline.
+//! The simulated device: buffers, streams, events, hazards, and the
+//! virtual schedule of its ops on the shared list scheduler.
 
+use crate::event::{OpId, Res, Schedule};
 use crate::fault::GpuFaultPlan;
 use crate::kernels::{self, FieldDims, StencilLaunch};
 use crate::spec::GpuSpec;
-use crate::timeline::{EngineKind as TlEngine, Timeline, TimelineEntry};
 use crate::timing;
 use advect_core::field::Range3;
-use obs::{Category, Tracer};
+use obs::{Category, Span, Tracer};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Handle to a device (global-memory) buffer.
@@ -29,7 +30,7 @@ impl Stream {
 pub struct Event {
     stream: usize,
     seq: u64,
-    time: f64,
+    op: OpId,
 }
 
 /// Cumulative device statistics.
@@ -55,13 +56,19 @@ pub struct GpuStats {
     pub copy_busy: f64,
 }
 
+#[derive(Default)]
 struct StreamState {
-    time: f64,
+    /// The stream's last op; later ones on the stream wait for its end.
+    last: OpId,
     seq: u64,
 }
 
 struct Inner {
-    timeline: Timeline,
+    /// Every op since construction or the last reset, on the compute and
+    /// copy engines.
+    schedule: Schedule,
+    /// The ops' virtual spans, recorded only while a tracer is on.
+    spans: Vec<Span>,
     buffers: Vec<Vec<f64>>,
     /// Total f64 values allocated across `buffers`.
     used: usize,
@@ -73,18 +80,10 @@ struct Inner {
     /// `reader` is ordered after.
     visible: Vec<Vec<u64>>,
     last_write: Vec<Option<(usize, u64)>>,
-    compute_free: f64,
-    copy_free: Vec<f64>,
     host_time: f64,
     stats: GpuStats,
     /// Ops scheduled so far — the counter seeding per-op fault jitter.
     fault_ops: u64,
-}
-
-enum EngineKind {
-    Compute,
-    CopyH2D,
-    CopyD2H,
 }
 
 /// A simulated GPU.
@@ -93,10 +92,11 @@ enum EngineKind {
 /// results are deterministic; a read-after-write **hazard checker** panics
 /// when a stream consumes another stream's output without an intervening
 /// event wait or synchronization — the class of bug missing CUDA stream
-/// discipline causes on real hardware. In parallel, a **virtual timeline**
-/// schedules each operation on its engine (compute, or one of the PCIe
-/// copy engines) honoring stream order, event dependencies, and host
-/// synchronization points, so overlap behavior can be measured.
+/// discipline causes on real hardware. In parallel, each operation is
+/// added to a virtual [`Schedule`] on its engine (compute, or one of the
+/// PCIe copy engines) after its stream's last op, the events the stream
+/// waited on, and the host's last synchronization point, so overlap
+/// behavior can be measured.
 ///
 /// Methods take `&self`; the device is internally locked, so several host
 /// threads (MPI tasks sharing one GPU, as in Section IV-F) may issue
@@ -111,20 +111,18 @@ pub struct Gpu {
 impl Gpu {
     /// A new device with the given spec.
     pub fn new(spec: GpuSpec) -> Self {
-        let copy_engines = spec.copy_engines.max(1);
         Self {
             spec,
             inner: Mutex::new(Inner {
-                timeline: Timeline::default(),
+                schedule: Schedule::default(),
+                spans: Vec::new(),
                 buffers: Vec::new(),
                 used: 0,
                 scratch: Vec::new(),
                 constant: None,
-                streams: vec![StreamState { time: 0.0, seq: 0 }],
+                streams: vec![StreamState::default()],
                 visible: vec![vec![0]],
                 last_write: Vec::new(),
-                compute_free: 0.0,
-                copy_free: vec![0.0; copy_engines],
                 host_time: 0.0,
                 stats: GpuStats::default(),
                 fault_ops: 0,
@@ -137,11 +135,12 @@ impl Gpu {
     /// Install a span recorder, the device's only instrumentation hook:
     /// transfers record wall-clock `pcie.*` spans and kernel launches
     /// record `kernel.launch` spans (the host-side issue cost). The
-    /// *scheduled* device time lives on the virtual axis: the owner
-    /// bridges it into the same tracer via `Timeline::to_trace_events`,
+    /// *scheduled* device time lives on the virtual axis: while the
+    /// tracer is on, the device keeps each op's virtual span, and the
+    /// owner bridges them into the same tracer ([`Gpu::virtual_spans`]),
     /// which is also where a metered run's kernel and transfer
     /// histograms come from. Idempotent; without an install, calls trace
-    /// into the static no-op sink.
+    /// into the static no-op sink and no span is kept.
     pub fn install_tracer(&self, tracer: Tracer) {
         let _ = self.tracer.set(tracer);
     }
@@ -197,7 +196,7 @@ impl Gpu {
     /// Create a new stream.
     pub fn create_stream(&self) -> Stream {
         let mut g = self.lock();
-        g.streams.push(StreamState { time: 0.0, seq: 0 });
+        g.streams.push(StreamState::default());
         let n = g.streams.len();
         for row in g.visible.iter_mut() {
             row.push(0);
@@ -206,60 +205,57 @@ impl Gpu {
         Stream(n - 1)
     }
 
+    /// Add an op of `dur` seconds to the schedule after `stream`'s last
+    /// op and the host's last synchronization point, on the engine `cat`
+    /// names: copies on their direction's engine (a one-engine part runs
+    /// D2H on the H2D engine), kernels on the compute engine. Its virtual
+    /// span, of category `cat`, is kept only while the tracer is on.
     fn schedule(
         &self,
         g: &mut Inner,
         stream: usize,
-        kind: EngineKind,
-        dur: f64,
+        cat: Category,
         label: &'static str,
-    ) -> (f64, f64) {
-        let engine_free = match kind {
-            EngineKind::Compute => g.compute_free,
-            EngineKind::CopyH2D => g.copy_free[0],
-            EngineKind::CopyD2H => g.copy_free[self.spec.copy_engines.max(1) - 1],
+        mut dur: f64,
+    ) {
+        let res = match cat {
+            Category::PcieH2d => Res::CopyH2D,
+            Category::PcieD2h if self.spec.copy_engines > 1 => Res::CopyD2H,
+            Category::PcieD2h => Res::CopyH2D,
+            _ => Res::GpuCompute,
         };
-        let mut start = g.streams[stream].time.max(engine_free).max(g.host_time);
-        let mut dur = dur;
+        let host = OpId {
+            start: g.host_time,
+            end: g.host_time,
+        };
+        let mut after = [g.streams[stream].last, host];
         if !self.fault.is_off() {
             let op = g.fault_ops;
             g.fault_ops += 1;
-            match kind {
-                EngineKind::Compute => start += self.fault.launch_jitter(op),
-                EngineKind::CopyH2D | EngineKind::CopyD2H => {
-                    dur *= self.fault.pcie_slowdown.max(1.0);
-                }
+            if res == Res::GpuCompute {
+                // A late launch holds the kernel engine until it starts.
+                after[0] = g.schedule.add(res, self.fault.launch_jitter(op), &after);
+            } else {
+                dur *= self.fault.pcie_slowdown.max(1.0);
             }
         }
-        let end = start + dur;
-        g.streams[stream].time = end;
+        let op = g.schedule.add(res, dur, &after);
+        g.streams[stream].last = op;
         g.streams[stream].seq += 1;
-        let tl_engine = match kind {
-            EngineKind::Compute => {
-                g.compute_free = end;
-                g.stats.compute_busy += dur;
-                TlEngine::Compute
-            }
-            EngineKind::CopyH2D => {
-                g.copy_free[0] = end;
-                g.stats.copy_busy += dur;
-                TlEngine::H2D
-            }
-            EngineKind::CopyD2H => {
-                let i = self.spec.copy_engines.max(1) - 1;
-                g.copy_free[i] = end;
-                g.stats.copy_busy += dur;
-                TlEngine::D2H
-            }
-        };
-        g.timeline.entries.push(TimelineEntry {
-            label,
-            stream,
-            engine: tl_engine,
-            start,
-            end,
-        });
-        (start, end)
+        if res == Res::GpuCompute {
+            g.stats.compute_busy += dur;
+        } else {
+            g.stats.copy_busy += dur;
+        }
+        if self.tracer().is_on() {
+            g.spans.push(Span::virtual_span(
+                cat,
+                label,
+                stream as u32,
+                op.start,
+                op.end,
+            ));
+        }
     }
 
     fn check_read(&self, g: &Inner, stream: usize, buf: GpuBuffer, what: &str) {
@@ -284,7 +280,7 @@ impl Gpu {
         let _span = self.tracer().span(Category::PcieH2d, "h2d");
         let mut g = self.lock();
         let dur = timing::pcie_time(&self.spec, host.len());
-        self.schedule(&mut g, stream.0, EngineKind::CopyH2D, dur, "h2d");
+        self.schedule(&mut g, stream.0, Category::PcieH2d, "h2d", dur);
         self.note_write(&mut g, stream.0, dst);
         g.stats.h2d_transfers += 1;
         g.stats.h2d_points += host.len() as u64;
@@ -297,7 +293,7 @@ impl Gpu {
         let mut g = self.lock();
         self.check_read(&g, stream.0, src, "d2h");
         let dur = timing::pcie_time(&self.spec, host.len());
-        self.schedule(&mut g, stream.0, EngineKind::CopyD2H, dur, "d2h");
+        self.schedule(&mut g, stream.0, Category::PcieD2h, "d2h", dur);
         g.stats.d2h_transfers += 1;
         g.stats.d2h_points += host.len() as u64;
         host.copy_from_slice(&g.buffers[src.0][src_off..src_off + host.len()]);
@@ -338,7 +334,7 @@ impl Gpu {
             .expect("constant memory not loaded: call set_constant");
         self.check_read(&g, stream.0, src, "stencil");
         let dur = timing::stencil_kernel_time(&self.spec, &p);
-        self.schedule(&mut g, stream.0, EngineKind::Compute, dur, "stencil");
+        self.schedule(&mut g, stream.0, Category::ComputeInterior, "stencil", dur);
         self.note_write(&mut g, stream.0, dst);
         g.stats.stencil_launches += 1;
         g.stats.points_computed += p.points() as u64;
@@ -363,7 +359,7 @@ impl Gpu {
         let mut g = self.lock();
         self.check_read(&g, stream.0, field, "pack");
         let dur = timing::pack_kernel_time(&self.spec, region.len());
-        self.schedule(&mut g, stream.0, EngineKind::Compute, dur, "pack");
+        self.schedule(&mut g, stream.0, Category::Pack, "pack", dur);
         self.note_write(&mut g, stream.0, out);
         g.stats.pack_launches += 1;
         let (fdata, odata) = Self::two_buffers(&mut g.buffers, field.0, out.0);
@@ -390,7 +386,7 @@ impl Gpu {
         let mut g = self.lock();
         self.check_read(&g, stream.0, input, "unpack");
         let dur = timing::pack_kernel_time(&self.spec, region.len());
-        self.schedule(&mut g, stream.0, EngineKind::Compute, dur, "unpack");
+        self.schedule(&mut g, stream.0, Category::Unpack, "unpack", dur);
         self.note_write(&mut g, stream.0, field);
         g.stats.pack_launches += 1;
         let (idata, fdata) = Self::two_buffers(&mut g.buffers, input.0, field.0);
@@ -414,7 +410,7 @@ impl Gpu {
         Event {
             stream: stream.0,
             seq: g.streams[stream.0].seq,
-            time: g.streams[stream.0].time,
+            op: g.streams[stream.0].last,
         }
     }
 
@@ -425,8 +421,8 @@ impl Gpu {
         let mut g = self.lock();
         let v = &mut g.visible[stream.0][event.stream];
         *v = (*v).max(event.seq);
-        let t = g.streams[stream.0].time.max(event.time);
-        g.streams[stream.0].time = t;
+        let last = &mut g.streams[stream.0].last;
+        last.end = last.end.max(event.op.end);
     }
 
     /// Block the host until `stream` completes; returns the virtual time.
@@ -434,7 +430,7 @@ impl Gpu {
     pub fn sync_stream(&self, stream: Stream) -> f64 {
         let mut g = self.lock();
         let seq = g.streams[stream.0].seq;
-        let t = g.streams[stream.0].time;
+        let t = g.streams[stream.0].last.end;
         for r in 0..g.visible.len() {
             let v = &mut g.visible[r][stream.0];
             *v = (*v).max(seq);
@@ -448,10 +444,9 @@ impl Gpu {
     pub fn sync_device(&self) -> f64 {
         let mut g = self.lock();
         let n = g.streams.len();
-        let mut t = g.host_time;
+        let t = g.host_time.max(g.schedule.makespan());
         for s in 0..n {
             let seq = g.streams[s].seq;
-            t = t.max(g.streams[s].time);
             for r in 0..n {
                 let v = &mut g.visible[r][s];
                 *v = (*v).max(seq);
@@ -475,16 +470,13 @@ impl Gpu {
     pub fn reset_clock(&self) {
         let mut g = self.lock();
         g.host_time = 0.0;
-        g.compute_free = 0.0;
-        for c in g.copy_free.iter_mut() {
-            *c = 0.0;
-        }
+        g.schedule = Schedule::default();
         for s in g.streams.iter_mut() {
-            s.time = 0.0;
+            s.last = OpId::default();
         }
         g.stats.compute_busy = 0.0;
         g.stats.copy_busy = 0.0;
-        g.timeline = Timeline::default();
+        g.spans.clear();
     }
 
     /// Cumulative statistics.
@@ -492,9 +484,12 @@ impl Gpu {
         self.lock().stats
     }
 
-    /// A snapshot of the recorded device timeline (since construction or
-    /// the last [`Gpu::reset_clock`]).
-    pub fn timeline(&self) -> Timeline {
-        self.lock().timeline.clone()
+    /// The virtual spans of the ops scheduled while the tracer was on
+    /// (since construction or the last [`Gpu::reset_clock`]), in issue
+    /// order, one track per stream. Each carries its op's category:
+    /// copies `pcie.*` by direction, kernels by label (pack and unpack to
+    /// their staging categories, the stencil to `compute.interior`).
+    pub fn virtual_spans(&self) -> Vec<Span> {
+        self.lock().spans.clone()
     }
 }

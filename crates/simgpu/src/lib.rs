@@ -12,31 +12,33 @@
 //! * **streams, events and synchronization** follow CUDA semantics,
 //!   including a hazard checker that panics on cross-stream
 //!   read-after-write without synchronization;
-//! * a **virtual timeline** schedules each operation on the compute
-//!   engine or a PCIe copy engine, so kernel/copy overlap — the heart of
-//!   implementations IV-G and IV-I — is observable and measurable;
+//! * a **virtual schedule** places each operation on the compute engine
+//!   or a PCIe copy engine, so kernel/copy overlap — the heart of
+//!   implementations IV-G and IV-I — is observable and measurable. Its
+//!   list scheduler, [`event::Schedule`], is the one `perfmodel` builds
+//!   its modelled steps on;
 //! * hardware presets for the paper's **Tesla C1060 and C2050** with a
 //!   calibrated roofline cost model ([`timing`]).
 //!
 //! The device's one instrumentation hook is an [`obs::Tracer`]
-//! ([`Gpu::install_tracer`]) for host-side issue spans; the scheduled
-//! device time is the [`Timeline`], which its owner bridges into the
-//! same tracer ([`Timeline::to_trace_events`]). This crate knows no
-//! metrics registry: a metered run's kernel and PCIe histograms are the
-//! tracer's summary of those virtual spans.
+//! ([`Gpu::install_tracer`]) for host-side issue spans; while it is on,
+//! the device also keeps each scheduled op's virtual span, which its
+//! owner bridges into the same tracer ([`Gpu::virtual_spans`]). An
+//! untraced device records nothing. This crate knows no metrics
+//! registry: a metered run's kernel and PCIe histograms are the tracer's
+//! summary of those virtual spans.
 
 pub mod device;
+pub mod event;
 pub mod fault;
 pub mod kernels;
 pub mod spec;
-pub mod timeline;
 pub mod timing;
 
 pub use device::{Event, Gpu, GpuBuffer, GpuStats, Stream};
 pub use fault::GpuFaultPlan;
 pub use kernels::{FieldDims, StencilLaunch};
 pub use spec::GpuSpec;
-pub use timeline::{Timeline, TimelineEntry};
 
 #[cfg(test)]
 mod tests {
@@ -351,6 +353,122 @@ mod tests {
             t_faulted > t_clean,
             "chaos timeline {t_faulted} not slower than clean {t_clean}"
         );
+    }
+
+    #[test]
+    fn trace_bridge_maps_engines_and_labels_to_categories() {
+        let gpu = Gpu::new(GpuSpec::tesla_c2050());
+        gpu.install_tracer(obs::Tracer::on(0, obs::Anchor::now()));
+        gpu.set_constant([0.0; 27]);
+        let dims = FieldDims {
+            nx: 8,
+            ny: 8,
+            nz: 8,
+            halo: 1,
+        };
+        let a = gpu.alloc(dims.len());
+        let b = gpu.alloc(dims.len());
+        let staging = gpu.alloc(64);
+        let c = gpu.alloc(8);
+        let s1 = gpu.create_stream();
+        let s2 = gpu.create_stream();
+        gpu.launch_stencil(
+            Stream::DEFAULT,
+            a,
+            b,
+            StencilLaunch {
+                dims,
+                region: dims.interior(),
+                block: (8, 8),
+                periodic: false,
+            },
+        );
+        gpu.wait_event(s1, gpu.record_event(Stream::DEFAULT));
+        let region = Range3::new((0, 8), (0, 8), (0, 1));
+        gpu.launch_pack(s1, b, dims, region, staging, 0);
+        gpu.h2d(s1, &[1.0; 8], a, 0);
+        let mut host = [0.0; 8];
+        gpu.d2h(s2, c, 0, &mut host);
+        let spans = gpu.virtual_spans();
+        let cats: Vec<obs::Category> = spans.iter().map(|s| s.cat).collect();
+        assert_eq!(
+            cats,
+            vec![
+                obs::Category::ComputeInterior,
+                obs::Category::Pack,
+                obs::Category::PcieH2d,
+                obs::Category::PcieD2h,
+            ]
+        );
+        for s in &spans {
+            assert_eq!(s.axis, obs::Axis::Virtual);
+        }
+        assert_eq!(
+            spans.iter().map(|s| s.tid).collect::<Vec<_>>(),
+            [0, 1, 1, 2]
+        );
+        // The pack waits for the stencil; the two copies run on their own
+        // engines, the D2H beside the pack as soon as the device starts.
+        assert_eq!(spans[1].virt_start, spans[0].virt_end);
+        assert_eq!(spans[2].virt_start, spans[1].virt_end);
+        assert_eq!(spans[3].virt_start, 0.0);
+        assert_eq!(gpu.sync_device(), spans[2].virt_end);
+    }
+
+    #[test]
+    fn untraced_device_records_nothing() {
+        let gpu = Gpu::new(GpuSpec::tesla_c2050());
+        gpu.set_constant([0.0; 27]);
+        let dims = FieldDims {
+            nx: 8,
+            ny: 8,
+            nz: 8,
+            halo: 0,
+        };
+        let a = gpu.alloc(dims.len());
+        let b = gpu.alloc(dims.len());
+        let data = vec![1.0; dims.len()];
+        gpu.h2d(Stream::DEFAULT, &data, a, 0);
+        gpu.launch_stencil(
+            Stream::DEFAULT,
+            a,
+            b,
+            StencilLaunch {
+                dims,
+                region: dims.interior(),
+                block: (8, 8),
+                periodic: true,
+            },
+        );
+        let mut back = vec![0.0; dims.len()];
+        gpu.d2h(Stream::DEFAULT, b, 0, &mut back);
+        assert!(gpu.virtual_spans().is_empty(), "untraced ops were recorded");
+        // The untraced ops were still scheduled: the traced one follows them.
+        let t = gpu.sync_device();
+        assert!(t > 0.0);
+        gpu.install_tracer(obs::Tracer::on(0, obs::Anchor::now()));
+        gpu.h2d(Stream::DEFAULT, &data, a, 0);
+        let spans = gpu.virtual_spans();
+        assert_eq!(spans.len(), 1, "one traced op, one span");
+        assert_eq!(spans[0].cat, obs::Category::PcieH2d);
+        assert_eq!(spans[0].virt_start, t);
+    }
+
+    #[test]
+    fn copies_overlap_only_on_a_two_engine_part() {
+        // An upload and a download on two streams: the C2050's two copy
+        // engines run them side by side, the C1060's one engine in turn.
+        for (spec, engines) in [(GpuSpec::tesla_c2050(), 2), (GpuSpec::tesla_c1060(), 1)] {
+            let one = timing::pcie_time(&spec, 1000);
+            let gpu = Gpu::new(spec);
+            let (a, b) = (gpu.alloc(1000), gpu.alloc(1000));
+            let s1 = gpu.create_stream();
+            gpu.h2d(Stream::DEFAULT, &[1.0; 1000], a, 0);
+            gpu.d2h(s1, b, 0, &mut [0.0; 1000]);
+            let t = gpu.sync_device();
+            assert_eq!(t, if engines == 2 { one } else { one + one });
+            assert_eq!(gpu.stats().copy_busy, one + one);
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Durations come from the [`GpuSpec`] roofline (memory bandwidth against
 //! double-precision peak) scaled by block-shape efficiency factors, and are
-//! used both by the live device timeline (see [`crate::Gpu::timeline`])
-//! and by the `perfmodel` crate when it regenerates Figures 7
+//! used both by the live device's schedule (see [`crate::Gpu`]) and by
+//! the `perfmodel` crate when it regenerates Figures 7
 //! and 8 (the GPU block-size sweeps):
 //!
 //! * **coalescing** — global loads are issued per half warp; an x extent of
