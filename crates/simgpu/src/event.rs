@@ -59,6 +59,7 @@ impl Schedule {
     /// Add an operation; returns its id. Operations are scheduled eagerly
     /// in submission order (list scheduling): start = max(resource free,
     /// dependencies' end).
+    #[inline]
     pub fn add(&mut self, res: Res, dur: f64, deps: &[OpId]) -> OpId {
         assert!(dur >= 0.0, "durations must be non-negative");
         let dep_end = deps.iter().map(|d| d.end).fold(0.0f64, f64::max);
@@ -74,16 +75,19 @@ impl Schedule {
     }
 
     /// Makespan: when the last operation finishes.
+    #[inline]
     pub fn makespan(&self) -> f64 {
         self.makespan
     }
 
     /// Number of operations.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// Whether the schedule is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
